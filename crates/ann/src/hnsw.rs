@@ -56,7 +56,7 @@ use imcat_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::index::AnnKind;
+use crate::index::{bad, check_insert, mips_tail, norm2, AnnKind};
 use crate::ivf::AnnConfig;
 
 /// Section holding the graph geometry, build parameters, and entry point.
@@ -358,10 +358,7 @@ impl HnswIndex {
         let (n_items, dim) = items.shape();
         let m = cfg.resolved_m(n_items);
         let ef_construction = cfg.resolved_ef_construction(n_items);
-        // Norms accumulate in f64, same as the IVF build: squared f32
-        // magnitudes can overflow f32 while their roots are representable.
-        let norms2: Vec<f64> =
-            (0..n_items).map(|i| items.row(i).iter().map(|&x| x as f64 * x as f64).sum()).collect();
+        let norms2: Vec<f64> = items.rows_iter().map(norm2).collect();
         let phi2 = norms2.iter().fold(0f64, |acc, &v| acc.max(v));
         let mut idx = Self {
             dim,
@@ -380,14 +377,11 @@ impl HnswIndex {
         };
         let mut search = GraphSearch::default();
         for (i, &n2) in norms2.iter().enumerate() {
-            let tail = (phi2 - n2).max(0.0).sqrt() as f32;
-            idx.push_node(items.row(i), tail, &mut search);
+            idx.push_node(items.row(i), mips_tail(phi2, n2), &mut search);
         }
         idx.scratch = search;
         drop(sp);
-        if imcat_obs::enabled() {
-            imcat_obs::counter_add("ann.builds", 1);
-        }
+        imcat_obs::counter_add("ann.builds", 1);
         idx
     }
 
@@ -487,24 +481,8 @@ impl HnswIndex {
     ///
     /// Ids stay dense: `id` must equal the current catalog size.
     pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        if embedding.len() != self.dim {
-            return Err(bad(format!(
-                "insert embedding dim {} != index dim {}",
-                embedding.len(),
-                self.dim
-            )));
-        }
-        if id as usize != self.n_items {
-            return Err(bad(format!(
-                "ids are dense: insert expected id {} got {id}",
-                self.n_items
-            )));
-        }
-        if embedding.iter().any(|x| !x.is_finite()) {
-            return Err(bad("insert embedding contains nonfinite values"));
-        }
-        let n2: f64 = embedding.iter().map(|&x| x as f64 * x as f64).sum();
-        let tail = (self.phi2 - n2).max(0.0).sqrt() as f32;
+        check_insert(self.dim, self.n_items, id, embedding)?;
+        let tail = mips_tail(self.phi2, norm2(embedding));
         let mut search = std::mem::take(&mut self.scratch);
         self.push_node(embedding, tail, &mut search);
         self.scratch = search;
@@ -863,8 +841,4 @@ impl crate::index::AnnIndex for HnswIndex {
     fn matches(&self, cfg: &AnnConfig, n_items: usize, dim: usize, seed: u64) -> bool {
         cfg.kind == AnnKind::Hnsw && HnswIndex::matches(self, cfg, n_items, dim, seed)
     }
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }

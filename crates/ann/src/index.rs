@@ -7,16 +7,21 @@
 //! `Box<dyn AnnIndex>` and neither knows nor cares whether it is IVF-Flat,
 //! the trivial [`BruteIndex`] fallback, or the graph-based
 //! [`crate::hnsw::HnswIndex`].
-//! Construction and decode stay on [`AnnConfig`] ([`AnnConfig::build_index`]
-//! / [`AnnConfig::load_index`]) because they pick the concrete type.
+//! Everything that picks the concrete type stays on [`AnnConfig`], and it
+//! is the whole lifecycle a caller needs: [`AnnConfig::build_index`] (fresh
+//! build), [`AnnConfig::open_index`] (reuse the persisted index when it is
+//! exactly what a build would produce, else rebuild and persist back) and
+//! [`AnnConfig::describe`] (what is this index running with).
 //!
 //! Every implementation keeps the workspace contracts: exact f32 scores in
 //! the probe output (approximation may only cost recall), bit-determinism at
 //! any `IMCAT_THREADS`, and dense append-only ids for [`AnnIndex::insert`].
 
 use std::io;
+use std::path::Path;
 
 use imcat_ckpt::{Checkpoint, Decoder, Encoder};
+use imcat_obs::Json;
 use imcat_tensor::Tensor;
 
 use crate::ivf::{AnnConfig, IvfIndex, ProbeScratch};
@@ -108,13 +113,45 @@ pub trait AnnIndex: Send {
     /// True when this index is exactly what a fresh build would produce for
     /// `(cfg, n_items, dim, seed)` — the reuse check on load.
     fn matches(&self, cfg: &AnnConfig, n_items: usize, dim: usize, seed: u64) -> bool;
+}
 
-    /// Downcast to the concrete IVF index, for callers that need IVF-only
-    /// surface (forced re-rank probes, build-seed inspection). `None` for
-    /// every other backend.
-    fn as_ivf(&self) -> Option<&IvfIndex> {
-        None
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// The preconditions every backend's [`AnnIndex::insert`] shares: the
+/// embedding has the index's dimension, `id` is the next dense id, and every
+/// coordinate is finite.
+pub(crate) fn check_insert(
+    dim: usize,
+    n_items: usize,
+    id: u32,
+    embedding: &[f32],
+) -> io::Result<()> {
+    if embedding.len() != dim {
+        return Err(bad(format!("insert embedding dim {} != index dim {dim}", embedding.len())));
     }
+    if id as usize != n_items {
+        return Err(bad(format!("ids are dense: insert expected id {n_items} got {id}")));
+    }
+    if embedding.iter().any(|x| !x.is_finite()) {
+        return Err(bad("insert embedding contains nonfinite values"));
+    }
+    Ok(())
+}
+
+/// Squared L2 norm accumulated in f64: squared f32 magnitudes can overflow
+/// f32 while their square roots are still representable.
+pub(crate) fn norm2(row: &[f32]) -> f64 {
+    row.iter().map(|&x| x as f64 * x as f64).sum()
+}
+
+/// The MIPS→L2 completion coordinate `sqrt(Φ² − ‖x‖²)` of a row with squared
+/// norm `n2`, clamped at 0 for rows that out-norm the frozen build `Φ`
+/// (streamed inserts) so the geometry degrades gracefully instead of going
+/// NaN.
+pub(crate) fn mips_tail(phi2: f64, n2: f64) -> f32 {
+    (phi2 - n2).max(0.0).sqrt() as f32
 }
 
 impl AnnIndex for IvfIndex {
@@ -153,10 +190,6 @@ impl AnnIndex for IvfIndex {
     fn matches(&self, cfg: &AnnConfig, n_items: usize, dim: usize, seed: u64) -> bool {
         cfg.kind == AnnKind::Ivf && IvfIndex::matches(self, cfg, n_items, dim, seed)
     }
-
-    fn as_ivf(&self) -> Option<&IvfIndex> {
-        Some(self)
-    }
 }
 
 /// The exhaustive-scan "index": no structure at all, every probe scans the
@@ -188,17 +221,14 @@ impl BruteIndex {
         let mut d = Decoder::new(bytes);
         let version = d.u32()?;
         if version != BRUTE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported brute index version {version}"),
-            ));
+            return Err(bad(format!("unsupported brute index version {version}")));
         }
         let seed = d.u64()?;
         let dim = d.u64()? as usize;
         let n_items = d.u64()? as usize;
         d.finish()?;
         if dim == 0 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "zero-dim brute index"));
+            return Err(bad("zero-dim brute index"));
         }
         Ok(Some(Self { dim, n_items, seed }))
     }
@@ -245,28 +275,9 @@ impl AnnIndex for BruteIndex {
     }
 
     fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        if embedding.len() != self.dim {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("insert embedding dim {} != index dim {}", embedding.len(), self.dim),
-            ));
-        }
-        if id as usize != self.n_items {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("ids are dense: insert expected id {} got {id}", self.n_items),
-            ));
-        }
-        if embedding.iter().any(|x| !x.is_finite()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "insert embedding contains nonfinite values",
-            ));
-        }
+        check_insert(self.dim, self.n_items, id, embedding)?;
         self.n_items += 1;
-        if imcat_obs::enabled() {
-            imcat_obs::counter_add("ann.inserts", 1);
-        }
+        imcat_obs::counter_add("ann.inserts", 1);
         Ok(())
     }
 
@@ -287,6 +298,56 @@ impl AnnIndex for BruteIndex {
     }
 }
 
+/// Which ANN backend is live and the parameters its configuration resolves
+/// to for the catalog it covers — the operator-facing answer to "what index
+/// is this shard actually running?". Fields that do not apply to the active
+/// kind are zero/false (e.g. `nlist` under HNSW).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AnnDescriptor {
+    /// Backend name as `IMCAT_ANN_KIND` spells it: `ivf`, `brute`, `hnsw`.
+    pub kind: &'static str,
+    /// Catalog size the index currently covers.
+    pub n_items: usize,
+    /// Resolved inverted-list count (IVF).
+    pub nlist: usize,
+    /// Resolved probed-list count (IVF).
+    pub nprobe: usize,
+    /// Resolved degree bound (HNSW).
+    pub m: usize,
+    /// Resolved construction beam width (HNSW).
+    pub ef_construction: usize,
+    /// Resolved search beam width (HNSW).
+    pub ef_search: usize,
+    /// Whether the lists carry int8 codes (IVF).
+    pub quantized: bool,
+}
+
+impl AnnDescriptor {
+    /// The `/stats` rendering: `kind` and `n_items`, then exactly the
+    /// parameters that apply to the kind (the ones [`AnnConfig::describe`]
+    /// resolved; an applicable list count or degree bound is never zero).
+    pub fn to_json(&self) -> Json {
+        let num = |v: usize| Json::Num(v as f64);
+        let mut fields =
+            vec![("kind", Json::Str(self.kind.into())), ("n_items", num(self.n_items))];
+        if self.nlist > 0 {
+            fields.extend([
+                ("nlist", num(self.nlist)),
+                ("nprobe", num(self.nprobe)),
+                ("quantized", Json::Bool(self.quantized)),
+            ]);
+        }
+        if self.m > 0 {
+            fields.extend([
+                ("m", num(self.m)),
+                ("ef_construction", num(self.ef_construction)),
+                ("ef_search", num(self.ef_search)),
+            ]);
+        }
+        Json::obj(fields)
+    }
+}
+
 impl AnnConfig {
     /// Builds the concrete index this configuration selects. Deterministic:
     /// the same `(items, cfg, seed)` produces a bit-identical index at any
@@ -303,15 +364,84 @@ impl AnnConfig {
     /// configuration's kind (generation-resolved). `Ok(None)` when the
     /// container carries no index of that kind.
     pub fn load_index(&self, ck: &Checkpoint) -> io::Result<Option<Box<dyn AnnIndex>>> {
+        fn boxed<I: AnnIndex + 'static>(index: Option<I>) -> Option<Box<dyn AnnIndex>> {
+            index.map(|i| Box::new(i) as Box<dyn AnnIndex>)
+        }
+        Ok(match self.kind {
+            AnnKind::Ivf => boxed(IvfIndex::from_checkpoint(ck)?),
+            AnnKind::Brute => boxed(BruteIndex::from_checkpoint(ck)?),
+            AnnKind::Hnsw => boxed(crate::hnsw::HnswIndex::from_checkpoint(ck)?),
+        })
+    }
+
+    /// The index for `items` out of the container `ck` loaded from `path`:
+    /// the persisted `ann.*` sections when they decode, validate and
+    /// [`AnnIndex::matches`] this configuration; otherwise a fresh build,
+    /// persisted back next to the artifact it was built from (atomic save,
+    /// `.prev` rotation preserved) so the next open is instant. A corrupt
+    /// or stale persisted index is counted (`ann.index.rejected`) and
+    /// rebuilt (`ann.index.rebuilds`) — it can never poison the caller. A
+    /// failed persist (`ann.index.persist_failed`) is non-fatal: the fresh
+    /// in-memory index is returned all the same.
+    pub fn open_index(
+        &self,
+        ck: &mut Checkpoint,
+        path: &Path,
+        items: &Tensor,
+        seed: u64,
+    ) -> Box<dyn AnnIndex> {
+        let loaded = self.load_index(ck).unwrap_or_else(|_| {
+            imcat_obs::counter_add("ann.index.rejected", 1);
+            None
+        });
+        if let Some(index) = loaded.filter(|i| i.matches(self, items.rows(), items.cols(), seed)) {
+            return index;
+        }
+        imcat_obs::counter_add("ann.index.rebuilds", 1);
+        let index = self.build_index(items, seed);
+        // Under the committed generation's prefix when the container is
+        // generation-versioned, bare otherwise.
+        match ck.generation().ok().flatten() {
+            Some(gen) => {
+                let mut staged = Checkpoint::new();
+                index.save_sections(&mut staged);
+                ck.stage_generation(gen, &staged);
+            }
+            None => index.save_sections(ck),
+        }
+        if ck.save(path).is_err() {
+            imcat_obs::counter_add("ann.index.persist_failed", 1);
+        }
+        index
+    }
+
+    /// What an index built from this configuration over `n_items` items is
+    /// running with: the one place that knows which parameters belong to
+    /// which kind.
+    pub fn describe(&self, n_items: usize) -> AnnDescriptor {
+        let mut d = AnnDescriptor {
+            kind: self.kind.name(),
+            n_items,
+            nlist: 0,
+            nprobe: 0,
+            m: 0,
+            ef_construction: 0,
+            ef_search: 0,
+            quantized: false,
+        };
         match self.kind {
             AnnKind::Ivf => {
-                Ok(IvfIndex::from_checkpoint(ck)?.map(|i| Box::new(i) as Box<dyn AnnIndex>))
+                d.nlist = self.resolved_nlist(n_items);
+                d.nprobe = self.resolved_nprobe(n_items);
+                d.quantized = self.quantized;
             }
-            AnnKind::Brute => {
-                Ok(BruteIndex::from_checkpoint(ck)?.map(|i| Box::new(i) as Box<dyn AnnIndex>))
+            AnnKind::Hnsw => {
+                d.m = self.resolved_m(n_items);
+                d.ef_construction = self.resolved_ef_construction(n_items);
+                d.ef_search = self.resolved_ef_search(n_items);
             }
-            AnnKind::Hnsw => Ok(crate::hnsw::HnswIndex::from_checkpoint(ck)?
-                .map(|i| Box::new(i) as Box<dyn AnnIndex>)),
+            AnnKind::Brute => {}
         }
+        d
     }
 }

@@ -53,6 +53,7 @@ use imcat_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::index::{bad, check_insert, mips_tail, norm2};
 use crate::kmeans::{assign_nearest, kmeans_centers};
 
 /// Section holding the index geometry, build seed, and storage flavor.
@@ -91,10 +92,14 @@ pub const DEFAULT_BUILD_SEED: u64 = 0x1517_ACE5;
 /// see EXPERIMENTS.md). Raise `nprobe` for recall, lower it for speed.
 ///
 /// For HNSW ([`crate::index::AnnKind::Hnsw`]): `m` / `ef_construction` /
-/// `ef_search` at `0` first consult the `IMCAT_HNSW_M` / `IMCAT_HNSW_EFC` /
-/// `IMCAT_HNSW_EFS` knobs, then auto-tune from the catalog size (see the
-/// `resolved_*` methods). `ef_search` is query-time only — sweeping it
-/// reuses one graph, exactly like `nprobe` reuses one set of lists.
+/// `ef_search` at `0` auto-tune from the catalog size (see the `resolved_*`
+/// methods). `ef_search` is query-time only — sweeping it reuses one graph,
+/// exactly like `nprobe` reuses one set of lists.
+///
+/// Every `resolved_*` method is a pure function of `(self, n_items)`: the
+/// serving engine calls them on the request path, and whether a persisted
+/// index [`crate::index::AnnIndex::matches`] must not depend on the
+/// loader's environment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnnConfig {
     /// Which concrete backend to build (IVF-Flat by default; see
@@ -109,12 +114,12 @@ pub struct AnnConfig {
     /// before the exact f32 re-rank. IVF only.
     pub quantized: bool,
     /// HNSW max neighbors per node per level (level 0 holds `2·m`); 0 =
-    /// `IMCAT_HNSW_M`, then auto.
+    /// auto.
     pub m: usize,
-    /// HNSW construction-time beam width; 0 = `IMCAT_HNSW_EFC`, then auto.
+    /// HNSW construction-time beam width; 0 = auto.
     pub ef_construction: usize,
-    /// HNSW query-time beam width; 0 = `IMCAT_HNSW_EFS`, then auto. At
-    /// `ef_search >= n_items` the probe is exhaustive and bit-identical to
+    /// HNSW query-time beam width; 0 = auto. At `ef_search >= n_items` the
+    /// probe is exhaustive and bit-identical to
     /// [`crate::index::BruteIndex`].
     pub ef_search: usize,
 }
@@ -140,49 +145,33 @@ impl AnnConfig {
     }
 
     /// The HNSW degree bound this configuration resolves to: the explicit
-    /// field, else the `IMCAT_HNSW_M` knob, else auto (8 below ~1k items,
-    /// 16 above — small catalogs don't earn dense graphs), clamped to
-    /// `[2, 128]`.
+    /// field, else auto (8 below ~1k items, 16 above — small catalogs don't
+    /// earn dense graphs), clamped to `[2, 128]`.
     pub fn resolved_m(&self, n_items: usize) -> usize {
-        let mut raw = self.m;
-        if raw == 0 {
-            raw = imcat_obs::knobs::knob_usize("IMCAT_HNSW_M", 0);
-        }
-        if raw == 0 {
-            raw = if n_items < 1024 { 8 } else { 16 };
-        }
-        raw.clamp(2, 128)
+        let auto = if n_items < 1024 { 8 } else { 16 };
+        (if self.m > 0 { self.m } else { auto }).clamp(2, 128)
     }
 
     /// The HNSW construction beam this configuration resolves to: the
-    /// explicit field, else the `IMCAT_HNSW_EFC` knob, else `8·m` (at the
-    /// auto `m = 16` that is the conventional 128), never below `m`.
+    /// explicit field, else `8·m` (at the auto `m = 16` that is the
+    /// conventional 128), never below `m`.
     pub fn resolved_ef_construction(&self, n_items: usize) -> usize {
-        let mut raw = self.ef_construction;
-        if raw == 0 {
-            raw = imcat_obs::knobs::knob_usize("IMCAT_HNSW_EFC", 0);
-        }
-        if raw == 0 {
-            raw = 8 * self.resolved_m(n_items);
-        }
-        raw.max(self.resolved_m(n_items))
+        let m = self.resolved_m(n_items);
+        (if self.ef_construction > 0 { self.ef_construction } else { 8 * m }).max(m)
     }
 
     /// The HNSW search beam this configuration resolves to: the explicit
-    /// field, else the `IMCAT_HNSW_EFS` knob, else `√n_items` clamped to
-    /// `[48, 128]` — wide enough for recall@10 ≥ 0.95 on the measured
-    /// frontier, far below the `nlist/8`-of-the-catalog an IVF probe scans.
-    /// Values at or above `n_items` make the probe exhaustive (brute-force
-    /// bit-identity), so tiny catalogs resolve to exact search.
+    /// field, else `√n_items` clamped to `[48, 128]` — wide enough for
+    /// recall@10 ≥ 0.95 on the measured frontier, far below the
+    /// `nlist/8`-of-the-catalog an IVF probe scans. Values at or above
+    /// `n_items` make the probe exhaustive (brute-force bit-identity), so
+    /// tiny catalogs resolve to exact search.
     pub fn resolved_ef_search(&self, n_items: usize) -> usize {
-        let mut raw = self.ef_search;
-        if raw == 0 {
-            raw = imcat_obs::knobs::knob_usize("IMCAT_HNSW_EFS", 0);
+        if self.ef_search > 0 {
+            self.ef_search
+        } else {
+            ((n_items.max(1) as f64).sqrt().round() as usize).clamp(48, 128)
         }
-        if raw == 0 {
-            raw = ((n_items.max(1) as f64).sqrt().round() as usize).clamp(48, 128);
-        }
-        raw.max(1)
     }
 
     /// The probe width the serving engine should pass to
@@ -348,9 +337,7 @@ impl IvfIndex {
             // so probes produce an empty candidate set instead of panicking.
             // Streamed inserts still work (everything lands in list 0).
             drop(sp);
-            if imcat_obs::enabled() {
-                imcat_obs::counter_add("ann.builds", 1);
-            }
+            imcat_obs::counter_add("ann.builds", 1);
             return Self {
                 dim,
                 n_items: 0,
@@ -368,15 +355,13 @@ impl IvfIndex {
         let nlist = cfg.resolved_nlist(n_items);
         // MIPS-to-L2 augmentation: [x, sqrt(Φ² − ‖x‖²)] equalizes norms so
         // L2 k-means clusters by inner-product relevance, not just
-        // direction. Norms accumulate in f64: squared f32 magnitudes can
-        // overflow f32 while their square roots are still representable.
-        let norms2: Vec<f64> =
-            (0..n_items).map(|i| items.row(i).iter().map(|&x| x as f64 * x as f64).sum()).collect();
+        // direction.
+        let norms2: Vec<f64> = items.rows_iter().map(norm2).collect();
         let max2 = norms2.iter().fold(0f64, |m, &v| m.max(v));
         let mut aug = Tensor::zeros(n_items, dim + 1);
         for (i, &n2) in norms2.iter().enumerate() {
             aug.row_mut(i)[..dim].copy_from_slice(items.row(i));
-            aug.row_mut(i)[dim] = (max2 - n2).max(0.0).sqrt() as f32;
+            aug.row_mut(i)[dim] = mips_tail(max2, n2);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let centroids = kmeans_centers(&aug, nlist, BUILD_ITERS, &mut rng);
@@ -430,9 +415,7 @@ impl IvfIndex {
             (Vec::new(), Vec::new(), Vec::new())
         };
         drop(sp);
-        if imcat_obs::enabled() {
-            imcat_obs::counter_add("ann.builds", 1);
-        }
+        imcat_obs::counter_add("ann.builds", 1);
         Self {
             dim,
             n_items,
@@ -462,24 +445,8 @@ impl IvfIndex {
     /// (candidates are always re-scored from f32); a background rebuild
     /// restores the invariant.
     pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        if embedding.len() != self.dim {
-            return Err(bad(format!(
-                "insert embedding dim {} != index dim {}",
-                embedding.len(),
-                self.dim
-            )));
-        }
-        if id as usize != self.n_items {
-            return Err(bad(format!(
-                "ids are dense: insert expected id {} got {id}",
-                self.n_items
-            )));
-        }
-        if embedding.iter().any(|x| !x.is_finite()) {
-            return Err(bad("insert embedding contains nonfinite values"));
-        }
-        let n2: f64 = embedding.iter().map(|&x| x as f64 * x as f64).sum();
-        let tail = (self.phi2 - n2).max(0.0).sqrt() as f32;
+        check_insert(self.dim, self.n_items, id, embedding)?;
+        let tail = mips_tail(self.phi2, norm2(embedding));
         // Nearest centroid over the augmented coordinates, same accumulation
         // shape as `kmeans::assign_nearest` (ties to the lower list id).
         let mut best = 0usize;
@@ -520,9 +487,7 @@ impl IvfIndex {
             self.bounds.insert(pos, bound);
         }
         self.n_items += 1;
-        if imcat_obs::enabled() {
-            imcat_obs::counter_add("ann.inserts", 1);
-        }
+        imcat_obs::counter_add("ann.inserts", 1);
         Ok(())
     }
 
@@ -682,7 +647,7 @@ impl IvfIndex {
                 }
                 return;
             }
-            if allow_skip && imcat_obs::enabled() {
+            if allow_skip {
                 imcat_obs::counter_add("ann.reranks", 1);
             }
             // Shortlist by approximate score (descending, ties to lower id),
@@ -988,8 +953,4 @@ impl IvfIndex {
         idx.validate()?;
         Ok(Some(idx))
     }
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }

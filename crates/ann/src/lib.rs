@@ -9,10 +9,11 @@
 //!   code path by construction.
 //! * [`index`] — the [`AnnIndex`] trait every backend serves behind:
 //!   probe, streamed [`AnnIndex::insert`], section persistence, staleness
-//!   check. [`AnnConfig::build_index`] / [`AnnConfig::load_index`] select
-//!   the concrete type ([`AnnKind`]); [`BruteIndex`] is the trivial
-//!   exhaustive-scan implementation the approximate backends are verified
-//!   against.
+//!   check. [`AnnConfig::build_index`] / [`AnnConfig::open_index`] /
+//!   [`AnnConfig::describe`] are the whole lifecycle and the only places
+//!   that select the concrete type ([`AnnKind`]); [`BruteIndex`] is the
+//!   trivial exhaustive-scan implementation the approximate backends are
+//!   verified against.
 //! * [`ivf`] — an IVF-Flat index over the frozen item-embedding matrix:
 //!   k-means partitions items into `nlist` inverted lists; a query probes
 //!   the `nprobe` closest lists and re-ranks the surviving candidates with
@@ -41,6 +42,6 @@ pub mod ivf;
 pub mod kmeans;
 
 pub use hnsw::HnswIndex;
-pub use index::{AnnIndex, AnnKind, BruteIndex};
+pub use index::{AnnDescriptor, AnnIndex, AnnKind, BruteIndex};
 pub use ivf::{AnnConfig, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED};
 pub use kmeans::{assign_nearest, kmeans_centers};

@@ -48,7 +48,9 @@ use imcat_bench::ModelKind;
 use imcat_bench::{logln, obs_finish, obs_init, write_json, Env, ExpLog};
 use imcat_core::train;
 use imcat_data::{generate, SplitDataset, SynthConfig};
-use imcat_serve::{AnnConfig, AnnKind, Engine, ProbeScratch, ServeConfig};
+use imcat_serve::{
+    AnnConfig, AnnKind, Artifact, Engine, IvfIndex, ProbeScratch, ServeConfig, DEFAULT_BUILD_SEED,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,9 +183,7 @@ fn recall_at(engine: &mut Engine, truth: &[Vec<u32>], k: usize) -> f64 {
 /// mask-free — the candidate pool before any re-rank). Uses the forced
 /// re-rank path so "scanned" keeps its historical meaning: a certified skip
 /// would report only the k winners, not the scanned pool.
-fn scan_fraction(engine: &Engine, nprobe: usize) -> f64 {
-    let idx = engine.ann_index().expect("ann engine");
-    let art = engine.artifact();
+fn scan_fraction(art: &Artifact, idx: &IvfIndex, nprobe: usize) -> f64 {
     let items = &art.item_emb;
     let mut scratch = ProbeScratch::default();
     let mut total = 0usize;
@@ -198,9 +198,7 @@ fn scan_fraction(engine: &Engine, nprobe: usize) -> f64 {
 /// skip-enabled probe against the forced re-rank, per user with their real
 /// training masks — the acceptance evidence behind the "bit-identical
 /// returned top-K" claim, consumed by the `kernel-smoke` CI job.
-fn skip_stats(engine: &Engine, nprobe: usize, k: usize) -> (f64, usize) {
-    let idx = engine.ann_index().expect("ann engine");
-    let art = engine.artifact();
+fn skip_stats(art: &Artifact, idx: &IvfIndex, nprobe: usize, k: usize) -> (f64, usize) {
     let items = &art.item_emb;
     let mut fast = ProbeScratch::default();
     let mut slow = ProbeScratch::default();
@@ -394,10 +392,14 @@ fn main() {
             ann: Some(AnnConfig { nlist: nlist_knob, nprobe, quantized, ..AnnConfig::default() }),
             ..uncached.clone()
         };
-        let mut engine = Engine::load(&artifact_path, cfg).expect("artifact must load");
-        let frac = scan_fraction(&engine, nprobe);
+        let mut engine = Engine::load(&artifact_path, cfg.clone()).expect("artifact must load");
+        // The forced re-rank probe is IVF-only surface: same bits as the
+        // engine's own index (the build is a pure function of its inputs).
+        let art = engine.artifact();
+        let idx = IvfIndex::build(&art.item_emb, &cfg.ann.unwrap(), DEFAULT_BUILD_SEED);
+        let frac = scan_fraction(art, &idx, nprobe);
         let (skip_rate, skip_mismatches) =
-            if quantized { skip_stats(&engine, nprobe, k) } else { (0.0, 0) };
+            if quantized { skip_stats(art, &idx, nprobe, k) } else { (0.0, 0) };
         let r10 = recall_at(&mut engine, &truth, 10);
         let r50 = recall_at(&mut engine, &truth, 50);
         // Fresh engine for timing so recall probing doesn't pollute stats.

@@ -157,18 +157,17 @@ impl<B: Backbone> Imcat<B> {
     }
 
     /// Saves all trainable parameters (backbone + IMCAT heads) to a
-    /// checkpoint file.
+    /// checkpoint file: an `imcat-ckpt` container (checksummed, written
+    /// atomically, previous file rotated to `.prev`).
     pub fn save_checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        imcat_tensor::save_params_to(self.backbone.store(), path)
+        imcat_ckpt::save_store(self.backbone.store(), path).map(drop)
     }
 
     /// Restores parameters from a checkpoint produced by
     /// [`Imcat::save_checkpoint`] on an identically-configured model, then
     /// refreshes the cluster-derived state.
     pub fn load_checkpoint(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let loaded = imcat_tensor::load_params_from(path)?;
-        imcat_tensor::restore_into(self.backbone.store_mut(), &loaded)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        imcat_ckpt::load_store(self.backbone.store_mut(), path)?;
         if self.state.is_some() {
             self.refresh_clusters();
         }

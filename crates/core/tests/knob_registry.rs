@@ -58,11 +58,11 @@ fn registry_keys_are_unique_and_namespaced() {
 #[test]
 fn typed_accessors_read_through_the_registry() {
     // Unset knobs fall back to the caller's default.
-    std::env::remove_var("IMCAT_INGEST_FOLD_STEPS");
-    assert_eq!(imcat_core::config::knobs::knob_usize("IMCAT_INGEST_FOLD_STEPS", 3), 3);
-    std::env::set_var("IMCAT_INGEST_FOLD_STEPS", "7");
-    assert_eq!(imcat_core::config::knobs::knob_usize("IMCAT_INGEST_FOLD_STEPS", 3), 7);
-    std::env::remove_var("IMCAT_INGEST_FOLD_STEPS");
+    std::env::remove_var("IMCAT_INGEST_FOLD_LAMBDA");
+    assert_eq!(imcat_core::config::knobs::knob_f32("IMCAT_INGEST_FOLD_LAMBDA", 0.3), 0.3);
+    std::env::set_var("IMCAT_INGEST_FOLD_LAMBDA", "0.7");
+    assert_eq!(imcat_core::config::knobs::knob_f32("IMCAT_INGEST_FOLD_LAMBDA", 0.3), 0.7);
+    std::env::remove_var("IMCAT_INGEST_FOLD_LAMBDA");
     // dump() reports every registered knob, in registry order.
     let dump = imcat_core::config::knobs::dump();
     assert_eq!(dump.len(), KNOBS.len());

@@ -90,8 +90,10 @@ impl Conn {
     ///
     /// Returns `Ok(None)` on a clean close between requests (the idle end
     /// of a keep-alive connection). A timeout surfaces as
-    /// [`io::ErrorKind::TimedOut`]; an oversized or malformed head — or a
-    /// body past [`MAX_BODY`] — as [`io::ErrorKind::InvalidData`].
+    /// [`io::ErrorKind::TimedOut`]; an oversized or malformed head as
+    /// [`io::ErrorKind::InvalidData`] (the server's `400`); a well-formed
+    /// head announcing a body past [`MAX_BODY`] as
+    /// [`io::ErrorKind::InvalidInput`] (its `413`).
     pub fn read_request(&mut self, deadline: Instant) -> io::Result<Option<Request>> {
         loop {
             let from = self.scanned.saturating_sub(3).min(self.buf.len());
@@ -101,7 +103,7 @@ impl Conn {
                 let (mut request, content_len) = parse_head(&head)?;
                 if content_len > MAX_BODY {
                     return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
+                        io::ErrorKind::InvalidInput,
                         "request body too large",
                     ));
                 }

@@ -22,7 +22,9 @@
 //! deadline lapses while queued gets `504` and `net.timeouts`. Malformed
 //! requests come back as `400` with the [`ServeError`] message — the
 //! engine's typed rejections exist precisely so a stale id on the wire can
-//! never panic a worker.
+//! never panic a worker — and bytes that do not parse as a request at all
+//! (oversized head, bad `Content-Length`) as `400`/`413` + `Connection:
+//! close`, counted as `rejected`.
 
 use std::collections::VecDeque;
 use std::io;
@@ -435,7 +437,19 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                 let _ = conn.respond("408 Request Timeout", TEXT, "timed out\n", false);
                 return;
             }
-            Err(_) => return,
+            Err(e) => {
+                // Not a request we can frame: say so and close — where the next
+                // request would start on this stream is unknowable. Anything
+                // else (reset, EOF mid-request) has no one left to answer.
+                let status = match e.kind() {
+                    io::ErrorKind::InvalidData => "400 Bad Request",
+                    io::ErrorKind::InvalidInput => "413 Payload Too Large",
+                    _ => return,
+                };
+                shared.rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = conn.respond(status, JSON, &error_body(&e.to_string()), false);
+                return;
+            }
         };
         let keep_alive = request.keep_alive;
         if serve_one(&mut conn, &request, shared, deadline).is_err() || !keep_alive {
@@ -472,33 +486,7 @@ fn serve_one(
             // One entry per shard: which ANN backend is live and the build
             // parameters it resolved to (`null` = brute force, no index).
             let ann = Json::Arr(
-                shared
-                    .ann
-                    .iter()
-                    .map(|d| match d {
-                        None => Json::Null,
-                        Some(d) => {
-                            let mut fields = vec![
-                                ("kind", Json::Str(d.kind.into())),
-                                ("n_items", Json::Num(d.n_items as f64)),
-                            ];
-                            match d.kind {
-                                "ivf" => fields.extend([
-                                    ("nlist", Json::Num(d.nlist as f64)),
-                                    ("nprobe", Json::Num(d.nprobe as f64)),
-                                    ("quantized", Json::Bool(d.quantized)),
-                                ]),
-                                "hnsw" => fields.extend([
-                                    ("m", Json::Num(d.m as f64)),
-                                    ("ef_construction", Json::Num(d.ef_construction as f64)),
-                                    ("ef_search", Json::Num(d.ef_search as f64)),
-                                ]),
-                                _ => {}
-                            }
-                            Json::obj(fields)
-                        }
-                    })
-                    .collect(),
+                shared.ann.iter().map(|d| d.map_or(Json::Null, |d| d.to_json())).collect(),
             );
             let body = Json::obj(vec![
                 ("shards", Json::Num(shared.cfg.shards as f64)),
@@ -538,18 +526,38 @@ fn serve_one(
     }
 }
 
-/// Pushes `kind` through the bounded job queue and waits for the batcher.
-/// `None` = shed (queue full), `Some(None)` = deadline, `Some(Some(a))` =
-/// answered.
-fn submit(shared: &Shared, kind: JobKind, deadline: Instant) -> Option<Option<Answer>> {
+/// Pushes `kind` through the bounded job queue, waits for the batcher and
+/// hands back the part of the answer `pick` selects. Every way of *not*
+/// getting one is answered here, identically on every route: queue full →
+/// `503` (shed), deadline → `504` (timeout), an answer of the wrong shape →
+/// `500`. `None` means the response has been written.
+fn exchange<T>(
+    conn: &mut Conn,
+    shared: &Shared,
+    deadline: Instant,
+    keep: bool,
+    kind: JobKind,
+    pick: impl FnOnce(Answer) -> Option<T>,
+) -> io::Result<Option<T>> {
     let slot = Arc::new(Slot::new());
-    if shared.jobs.try_push(Job { kind, slot: slot.clone() }).is_err() {
+    let (status, message) = if shared.jobs.try_push(Job { kind, slot: slot.clone() }).is_err() {
+        // Parsed but inadmissible: the tick backlog is at capacity.
         shared.shed.fetch_add(1, Ordering::Relaxed);
         OBS_SHED.add(1);
         imcat_obs::counter_add("net.shed.jobs", 1);
-        return None;
-    }
-    Some(slot.wait(deadline))
+        ("503 Service Unavailable", "overloaded: request queue full")
+    } else {
+        match slot.wait(deadline).map(pick) {
+            Some(Some(picked)) => return Ok(Some(picked)),
+            Some(None) => ("500 Internal Server Error", "answer mismatch"),
+            None => {
+                shared.timeouts.fetch_add(1, Ordering::Relaxed);
+                OBS_NET_TIMEOUTS.add(1);
+                ("504 Gateway Timeout", "request deadline exceeded")
+            }
+        }
+    };
+    conn.respond(status, JSON, &error_body(message), keep).map(|()| None)
 }
 
 fn serve_recommend(
@@ -573,31 +581,18 @@ fn serve_recommend(
         );
     };
     let t0 = Instant::now();
-    match submit(shared, JobKind::Recommend { user, k }, deadline) {
-        None => {
-            // Parsed but inadmissible: the tick backlog is at capacity.
-            conn.respond(
-                "503 Service Unavailable",
-                JSON,
-                &error_body("overloaded: request queue full"),
-                keep,
-            )
-        }
-        Some(None) => {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-            OBS_NET_TIMEOUTS.add(1);
-            conn.respond(
-                "504 Gateway Timeout",
-                JSON,
-                &error_body("request deadline exceeded"),
-                keep,
-            )
-        }
-        Some(Some(Answer::Recs(Err(e)))) => {
+    let pick = |a| if let Answer::Recs(r) = a { Some(r) } else { None };
+    let Some(answer) =
+        exchange(conn, shared, deadline, keep, JobKind::Recommend { user, k }, pick)?
+    else {
+        return Ok(());
+    };
+    match answer {
+        Err(e) => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
             conn.respond("400 Bad Request", JSON, &error_body(&e.to_string()), keep)
         }
-        Some(Some(Answer::Recs(Ok(recs)))) => {
+        Ok(recs) => {
             shared.answered.fetch_add(1, Ordering::Relaxed);
             OBS_NET_SECONDS.observe(t0.elapsed().as_secs_f64());
             // `score_bits` carries the exact f32 bit patterns (u32 < 2^53,
@@ -614,9 +609,6 @@ fn serve_recommend(
                 ),
             ]);
             conn.respond("200 OK", JSON, &body.render(), keep)
-        }
-        Some(Some(_)) => {
-            conn.respond("500 Internal Server Error", JSON, &error_body("answer mismatch"), keep)
         }
     }
 }
@@ -650,55 +642,33 @@ fn serve_ingest(
             return conn.respond("400 Bad Request", JSON, &error_body(msg), keep);
         }
     };
-    match submit(shared, JobKind::Ingest(batch), deadline) {
-        None => conn.respond(
-            "503 Service Unavailable",
-            JSON,
-            &error_body("overloaded: request queue full"),
-            keep,
-        ),
-        Some(None) => {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-            OBS_NET_TIMEOUTS.add(1);
-            conn.respond(
-                "504 Gateway Timeout",
-                JSON,
-                &error_body("request deadline exceeded"),
-                keep,
-            )
-        }
-        Some(Some(Answer::Ingested(results))) => {
-            let accepted = results.iter().filter(|r| r.is_ok()).count();
-            let errors: Vec<Json> = results
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| {
-                    r.as_ref().err().map(|e| {
-                        Json::obj(vec![
-                            ("index", Json::Num(i as f64)),
-                            ("error", Json::Str(e.to_string())),
-                        ])
-                    })
-                })
-                .collect();
-            shared.ingested.fetch_add(accepted as u64, Ordering::Relaxed);
-            let all_rejected = accepted == 0;
-            let body = Json::obj(vec![
-                ("accepted", Json::Num(accepted as f64)),
-                ("rejected", Json::Num(errors.len() as f64)),
-                ("errors", Json::Arr(errors)),
-            ]);
-            if all_rejected {
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                conn.respond("400 Bad Request", JSON, &body.render(), keep)
-            } else {
-                shared.answered.fetch_add(1, Ordering::Relaxed);
-                conn.respond("200 OK", JSON, &body.render(), keep)
-            }
-        }
-        Some(Some(_)) => {
-            conn.respond("500 Internal Server Error", JSON, &error_body("answer mismatch"), keep)
-        }
+    let pick = |a| if let Answer::Ingested(r) = a { Some(r) } else { None };
+    let Some(results) = exchange(conn, shared, deadline, keep, JobKind::Ingest(batch), pick)?
+    else {
+        return Ok(());
+    };
+    let accepted = results.iter().filter(|r| r.is_ok()).count();
+    let errors: Vec<Json> = results
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| {
+            r.as_ref().err().map(|e| {
+                Json::obj(vec![("index", Json::Num(i as f64)), ("error", Json::Str(e.to_string()))])
+            })
+        })
+        .collect();
+    shared.ingested.fetch_add(accepted as u64, Ordering::Relaxed);
+    let body = Json::obj(vec![
+        ("accepted", Json::Num(accepted as f64)),
+        ("rejected", Json::Num(errors.len() as f64)),
+        ("errors", Json::Arr(errors)),
+    ]);
+    if accepted == 0 {
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        conn.respond("400 Bad Request", JSON, &body.render(), keep)
+    } else {
+        shared.answered.fetch_add(1, Ordering::Relaxed);
+        conn.respond("200 OK", JSON, &body.render(), keep)
     }
 }
 
@@ -742,32 +712,13 @@ fn serve_register(
         JobKind::RegisterUser => "user",
         _ => "item",
     };
-    match submit(shared, kind, deadline) {
-        None => conn.respond(
-            "503 Service Unavailable",
-            JSON,
-            &error_body("overloaded: request queue full"),
-            keep,
-        ),
-        Some(None) => {
-            shared.timeouts.fetch_add(1, Ordering::Relaxed);
-            OBS_NET_TIMEOUTS.add(1);
-            conn.respond(
-                "504 Gateway Timeout",
-                JSON,
-                &error_body("request deadline exceeded"),
-                keep,
-            )
-        }
-        Some(Some(Answer::Registered(id))) => {
-            shared.answered.fetch_add(1, Ordering::Relaxed);
-            let body = Json::obj(vec![(field, Json::Num(id as f64))]);
-            conn.respond("201 Created", JSON, &body.render(), keep)
-        }
-        Some(Some(_)) => {
-            conn.respond("500 Internal Server Error", JSON, &error_body("answer mismatch"), keep)
-        }
-    }
+    let pick = |a| if let Answer::Registered(id) = a { Some(id) } else { None };
+    let Some(id) = exchange(conn, shared, deadline, keep, kind, pick)? else {
+        return Ok(());
+    };
+    shared.answered.fetch_add(1, Ordering::Relaxed);
+    let body = Json::obj(vec![(field, Json::Num(id as f64))]);
+    conn.respond("201 Created", JSON, &body.render(), keep)
 }
 
 fn batcher_loop(mut engine: ShardedEngine, shared: &Shared) {

@@ -13,7 +13,7 @@ use imcat_models::{Bprmf, RecModel, TrainConfig};
 use imcat_net::http::read_response;
 use imcat_net::{closed_loop, open_loop, NetConfig, Server};
 use imcat_obs::Json;
-use imcat_serve::{Engine, ServeConfig};
+use imcat_serve::{AnnConfig, AnnKind, Engine, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -312,5 +312,95 @@ fn slow_clients_are_timed_out() {
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(server.stats().timeouts >= 1, "timeout must be counted: {:?}", server.stats());
+    server.shutdown();
+}
+
+/// `/stats` names exactly the parameters that apply to each shard's live
+/// backend, in a fixed order: operators (and the benchmark) parse this.
+#[test]
+fn stats_ann_entry_has_exact_keys_per_backend() {
+    let _guard = net_lock().lock().unwrap();
+    let n_items = artifact().n_items();
+    // The raw `"ann":[..]` bytes of the body, so key order is part of the check.
+    let ann_entry = |ann: Option<AnnConfig>| -> String {
+        let cfg = ServeConfig { ann, ..Default::default() };
+        let server = Server::start(artifact(), &cfg, NetConfig::default(), "127.0.0.1:0")
+            .expect("bind ephemeral port");
+        let (status, body) = get(server.addr(), "/stats");
+        assert_eq!(status, 200);
+        server.shutdown();
+        let from = body.find("\"ann\":[").expect("stats carries an ann array") + 7;
+        let to = from + body[from..].find("],\"n_users\"").expect("ann array precedes n_users");
+        body[from..to].to_string()
+    };
+    let of = |kind| Some(AnnConfig { kind, ..AnnConfig::default() });
+
+    assert_eq!(ann_entry(None), "null", "no index is a null entry");
+    let n = Json::Num(n_items as f64);
+    let brute = Json::obj(vec![("kind", Json::Str("brute".into())), ("n_items", n.clone())]);
+    assert_eq!(ann_entry(of(AnnKind::Brute)), brute.render());
+
+    let cfg = AnnConfig::default();
+    let ivf = Json::obj(vec![
+        ("kind", Json::Str("ivf".into())),
+        ("n_items", n.clone()),
+        ("nlist", Json::Num(cfg.resolved_nlist(n_items) as f64)),
+        ("nprobe", Json::Num(cfg.resolved_nprobe(n_items) as f64)),
+        ("quantized", Json::Bool(false)),
+    ]);
+    assert_eq!(ann_entry(of(AnnKind::Ivf)), ivf.render());
+
+    let hnsw = Json::obj(vec![
+        ("kind", Json::Str("hnsw".into())),
+        ("n_items", n),
+        ("m", Json::Num(cfg.resolved_m(n_items) as f64)),
+        ("ef_construction", Json::Num(cfg.resolved_ef_construction(n_items) as f64)),
+        ("ef_search", Json::Num(cfg.resolved_ef_search(n_items) as f64)),
+    ]);
+    assert_eq!(ann_entry(of(AnnKind::Hnsw)), hnsw.render());
+}
+
+/// Bytes that cannot be framed as a request are answered, not dropped: a
+/// head that never ends, an unparsable `Content-Length`, and a body past
+/// the limit each get a status, `Connection: close`, and a `rejected` tick.
+#[test]
+fn unframeable_requests_get_400_or_413_and_close() {
+    let _guard = net_lock().lock().unwrap();
+    let server = start(NetConfig::default());
+    // Writes `bytes`, then reads until the server closes the connection.
+    let exchange = |bytes: &[u8]| -> String {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        stream.write_all(bytes).expect("write request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("server answers, then closes");
+        response
+    };
+    // Exactly MAX_HEAD bytes and still no terminator.
+    let mut endless = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    endless.resize(imcat_net::http::MAX_HEAD, b'a');
+    let too_big = imcat_net::http::MAX_BODY + 1;
+    let cases: [(&[u8], &str, &str); 3] = [
+        (&endless, "HTTP/1.1 400 Bad Request", "head too large"),
+        (
+            b"POST /ingest HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+            "HTTP/1.1 400",
+            "content-length",
+        ),
+        (
+            &format!("POST /ingest HTTP/1.1\r\nContent-Length: {too_big}\r\n\r\n").into_bytes(),
+            "HTTP/1.1 413 Payload Too Large",
+            "body too large",
+        ),
+    ];
+    for (i, (bytes, status, message)) in cases.into_iter().enumerate() {
+        let response = exchange(bytes);
+        assert!(response.starts_with(status), "case {i}: {response}");
+        assert!(response.contains("Connection: close"), "case {i}: {response}");
+        assert!(response.contains(message), "case {i}: {response}");
+        assert_eq!(server.stats().rejected, i as u64 + 1, "case {i} was not counted");
+    }
+    // The workers all survived.
+    assert_eq!(get(server.addr(), "/healthz").0, 200);
     server.shutdown();
 }

@@ -84,9 +84,6 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_ANN_ZIPF", Float, "1.1", "bench", "ann_bench user-popularity skew"),
     knob!("IMCAT_ANN_NLIST", Int, "0", "bench", "ann_bench inverted-list count (0 = auto)"),
     knob!("IMCAT_ANN_KIND", Str, "ivf", "serve", "ANN backend: ivf, brute, or hnsw"),
-    knob!("IMCAT_HNSW_M", Int, "0", "ann", "HNSW degree bound per level (0 = auto)"),
-    knob!("IMCAT_HNSW_EFC", Int, "0", "ann", "HNSW construction beam width (0 = auto)"),
-    knob!("IMCAT_HNSW_EFS", Int, "0", "ann", "HNSW search beam width (0 = auto)"),
     knob!("IMCAT_KERNEL_REPS", Int, "5", "bench", "kernel_bench best-of repetitions"),
     knob!("IMCAT_KERNEL_BATCH", Int, "4", "bench", "kernel_bench matmul row-batch size"),
     knob!("IMCAT_NET_SHARDS", Int, "1", "net", "Engine replicas sharded on the item axis"),
@@ -104,7 +101,6 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_INGEST_USERS", Int, "32", "bench", "stream_bench cold users registered live"),
     knob!("IMCAT_INGEST_BATCH", Int, "8", "bench", "Interactions applied per ingest slice"),
     knob!("IMCAT_INGEST_FOLD_LAMBDA", Float, "0.1", "serve", "Fold-in ridge regularizer"),
-    knob!("IMCAT_INGEST_FOLD_STEPS", Int, "0", "serve", "Fold-in lazy-Adam refinement steps"),
     knob!("IMCAT_REBUILD_AT", Float, "0.5", "bench", "Stream fraction that triggers the rebuild"),
     knob!("IMCAT_STREAM_REQUESTS", Int, "2000", "bench", "stream_bench recommend-request count"),
 ];

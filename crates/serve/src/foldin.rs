@@ -16,47 +16,28 @@
 //! the result is a deterministic function of the input rows: no RNG, no
 //! thread-count dependence, bit-identical everywhere — which is what lets
 //! the log-replay rebuild reproduce the live fold bit-for-bit.
-//!
-//! An optional refinement (`IMCAT_INGEST_FOLD_STEPS > 0`) runs a few
-//! full-gradient Adam steps on the same objective starting from the
-//! closed-form solution — "lazy Adam" in the fold-in sense: only the one
-//! cold row is touched, everything else stays frozen. Full-gradient (not
-//! stochastic) on a fixed row set, so it too is deterministic.
 
 /// Fold-in configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FoldOptions {
     /// Ridge regularizer λ (`IMCAT_INGEST_FOLD_LAMBDA`, default 0.1).
     pub lambda: f32,
-    /// Post-solve Adam refinement steps (`IMCAT_INGEST_FOLD_STEPS`,
-    /// default 0 = closed form only).
-    pub steps: usize,
 }
 
 impl Default for FoldOptions {
     fn default() -> Self {
-        Self { lambda: 0.1, steps: 0 }
+        Self { lambda: 0.1 }
     }
 }
 
 impl FoldOptions {
-    /// Reads the fold knobs from the environment (registered in
+    /// Reads the fold knob from the environment (registered in
     /// `imcat_obs::knobs`).
     pub fn from_env() -> Self {
         let d = Self::default();
-        Self {
-            lambda: imcat_obs::knob_f32("IMCAT_INGEST_FOLD_LAMBDA", d.lambda).max(1e-6),
-            steps: imcat_obs::knob_usize("IMCAT_INGEST_FOLD_STEPS", d.steps),
-        }
+        Self { lambda: imcat_obs::knob_f32("IMCAT_INGEST_FOLD_LAMBDA", d.lambda).max(1e-6) }
     }
 }
-
-/// Adam hyperparameters for the refinement steps (fixed: the refinement is
-/// a polish, not a tunable trainer).
-const ADAM_LR: f64 = 0.05;
-const ADAM_B1: f64 = 0.9;
-const ADAM_B2: f64 = 0.999;
-const ADAM_EPS: f64 = 1e-8;
 
 /// Solves the ridge fold-in for one cold entity against the `rows` of the
 /// frozen opposite side (each `d` long, visited in the given order).
@@ -87,11 +68,7 @@ pub fn fold_embedding(rows: &[&[f32]], dim: usize, opts: &FoldOptions) -> Vec<f3
             g[i * dim + j] = g[j * dim + i];
         }
     }
-    let mut u = cholesky_solve(&mut g, &rhs, dim);
-    if opts.steps > 0 {
-        adam_refine(&mut u, rows, lambda, opts.steps);
-    }
-    u.iter().map(|&x| x as f32).collect()
+    cholesky_solve(&mut g, &rhs, dim).iter().map(|&x| x as f32).collect()
 }
 
 /// In-place Cholesky factorization + solve of `G x = rhs` (`G` symmetric
@@ -133,39 +110,6 @@ fn cholesky_solve(g: &mut [f64], rhs: &[f64], d: usize) -> Vec<f64> {
     x
 }
 
-/// A few full-gradient Adam steps on `‖A u − 1‖² + λ‖u‖²` from the
-/// closed-form solution. Fixed row set and hyperparameters, sequential f64
-/// accumulation: deterministic.
-fn adam_refine(u: &mut [f64], rows: &[&[f32]], lambda: f64, steps: usize) {
-    let d = u.len();
-    let mut m = vec![0.0f64; d];
-    let mut v = vec![0.0f64; d];
-    let mut grad = vec![0.0f64; d];
-    for t in 1..=steps {
-        grad.iter_mut().for_each(|g| *g = 0.0);
-        for row in rows {
-            let mut pred = 0.0f64;
-            for (ui, &xi) in u.iter().zip(*row) {
-                pred += ui * xi as f64;
-            }
-            let resid = pred - 1.0;
-            for (gi, &xi) in grad.iter_mut().zip(*row) {
-                *gi += 2.0 * resid * xi as f64;
-            }
-        }
-        for (gi, &ui) in grad.iter_mut().zip(u.iter()) {
-            *gi += 2.0 * lambda * ui;
-        }
-        let bc1 = 1.0 - ADAM_B1.powi(t as i32);
-        let bc2 = 1.0 - ADAM_B2.powi(t as i32);
-        for i in 0..d {
-            m[i] = ADAM_B1 * m[i] + (1.0 - ADAM_B1) * grad[i];
-            v[i] = ADAM_B2 * v[i] + (1.0 - ADAM_B2) * grad[i] * grad[i];
-            u[i] -= ADAM_LR * (m[i] / bc1) / ((v[i] / bc2).sqrt() + ADAM_EPS);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +125,7 @@ mod tests {
         // One interacted row x: u* = x / (‖x‖² + λ) — colinear with x, and
         // u·x = ‖x‖²/(‖x‖²+λ) just below 1.
         let row = [1.0f32, 2.0, 0.0];
-        let opts = FoldOptions { lambda: 0.5, steps: 0 };
+        let opts = FoldOptions { lambda: 0.5 };
         let u = fold_embedding(&[&row], 3, &opts);
         let scale = 1.0 / (5.0 + 0.5);
         for (got, want) in u.iter().zip([1.0 * scale, 2.0 * scale, 0.0]) {
@@ -190,11 +134,11 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_calls_and_refinement_reduces_loss() {
+    fn deterministic_across_calls() {
         let rows: Vec<Vec<f32>> =
             (0..6).map(|i| (0..8).map(|j| ((i * 8 + j) as f32 * 0.37).sin()).collect()).collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let plain = FoldOptions { lambda: 0.1, steps: 0 };
+        let plain = FoldOptions { lambda: 0.1 };
         let a = fold_embedding(&refs, 8, &plain);
         let b = fold_embedding(&refs, 8, &plain);
         assert_eq!(
@@ -202,26 +146,13 @@ mod tests {
             b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "fold-in is not deterministic"
         );
-        let loss = |u: &[f32]| -> f64 {
-            let mut l = 0.0f64;
-            for r in &refs {
-                let pred: f64 = u.iter().zip(*r).map(|(&a, &b)| a as f64 * b as f64).sum();
-                l += (pred - 1.0) * (pred - 1.0);
-            }
-            l + 0.1 * u.iter().map(|&x| x as f64 * x as f64).sum::<f64>()
-        };
-        let refined = fold_embedding(&refs, 8, &FoldOptions { lambda: 0.1, steps: 8 });
-        // The closed form is the exact minimizer, so refinement can only
-        // hold (within Adam's wander) — assert it stays near-optimal rather
-        // than that it strictly improves.
-        assert!(loss(&refined) <= loss(&a) * 1.05 + 1e-9, "refinement wandered off the optimum");
     }
 
     #[test]
     fn fold_pulls_scores_toward_one() {
         let rows = [[0.8f32, 0.1, 0.0], [0.7, -0.2, 0.1], [0.9, 0.0, -0.1]];
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let u = fold_embedding(&refs, 3, &FoldOptions { lambda: 0.05, steps: 0 });
+        let u = fold_embedding(&refs, 3, &FoldOptions { lambda: 0.05 });
         for r in &refs {
             let pred: f32 = u.iter().zip(*r).map(|(a, b)| a * b).sum();
             assert!(pred > 0.5, "fold-in left an interacted item unrelated (score {pred})");

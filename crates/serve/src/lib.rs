@@ -31,18 +31,37 @@
 //! * **Telemetry** — request latency histograms (p50/p95/p99) and counters
 //!   flow through `imcat-obs`.
 
+//!
+//! ## Module map
+//!
+//! * `engine` — the read path (validate → cache → probe/score → account)
+//!   and the generation swap; its mutators only forward events and
+//!   invalidate the cache/index.
+//! * `stream` — the one rule from `(base artifact, event log)` to serving
+//!   state: apply one [`StreamEvent`], run one two-phase fold tick,
+//!   [`rebuild_artifact`] = "replay, fold once" over those two.
+//! * `rebuild` — the background worker and the crash-safe two-save staging.
+//! * `foldin` — the ridge fold-in solve. `cache` — the LRU.
+//!
+//! The ANN lifecycle (build, open-or-rebuild-and-persist, describe) lives
+//! behind `imcat-ann`'s [`AnnConfig`]; nothing here knows which backend is
+//! live.
+
 #![warn(missing_docs)]
 
 mod cache;
 mod engine;
 mod foldin;
-mod ingest;
 mod rebuild;
+mod stream;
 
 pub use cache::LruCache;
-pub use engine::{AnnDescriptor, Engine, Recommendation, ServeConfig, ServeError, ServeStats};
+pub use engine::{Engine, Recommendation, ServeConfig, ServeError, ServeStats};
 pub use foldin::{fold_embedding, FoldOptions};
-pub use imcat_ann::{AnnConfig, AnnIndex, AnnKind, BruteIndex, IvfIndex, ProbeScratch};
+pub use imcat_ann::{
+    AnnConfig, AnnDescriptor, AnnIndex, AnnKind, BruteIndex, IvfIndex, ProbeScratch,
+    DEFAULT_BUILD_SEED,
+};
 pub use imcat_ckpt::Artifact;
-pub use ingest::{Interaction, StreamEvent};
-pub use rebuild::{rebuild_artifact, RebuildTask};
+pub use rebuild::RebuildTask;
+pub use stream::{rebuild_artifact, Interaction, StreamEvent};

@@ -3,15 +3,15 @@
 //!
 //! ## The canonical rebuild function
 //!
-//! [`rebuild_artifact`] is a *pure, deterministic* function of the
-//! generation base artifact and its [`StreamEvent`] log: replay the
-//! registrations and mask updates, then fold every cold entity in two
-//! ordered phases — items first (against the trained user rows), then users
-//! (against the item matrix with the fresh item folds in place). The
-//! streaming engine's background rebuild and an offline build over the same
-//! `(base, log)` both call this one function, so the two are bit-identical
-//! by construction — asserted byte-for-byte at 1 and 4 threads in
-//! `tests/streaming.rs`.
+//! The worker calls [`rebuild_artifact`] (`stream.rs`), a *pure,
+//! deterministic* function of the generation base artifact and its
+//! [`StreamEvent`] log: a fresh stream state over the base, every event
+//! applied, one fold tick. There is no second copy of that rule here: the
+//! live engine mutates through the same two functions, so the background
+//! rebuild, an offline build over the same `(base, log)`, and a live engine
+//! that applied the log and folded once are bit-identical by construction —
+//! asserted byte-for-byte at 1 and 4 threads in `tests/streaming.rs` and
+//! `tests/replay.rs`.
 //!
 //! ## Crash-safe generation swap
 //!
@@ -26,97 +26,16 @@
 //! to the new one. There is no instant at which a loader can observe half a
 //! generation.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use imcat_ann::{AnnConfig, AnnIndex, DEFAULT_BUILD_SEED};
 use imcat_ckpt::{Artifact, Checkpoint};
-use imcat_tensor::Tensor;
 
-use crate::foldin::{fold_embedding, FoldOptions};
-use crate::ingest::{mask_insert, StreamEvent};
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-/// Replays `log` over `base` into a fresh artifact: registrations grow the
-/// matrices, interactions grow the masks, and every cold entity is folded in
-/// ([`fold_embedding`]) — items first against the trained user rows, then
-/// users against the updated item matrix, each in ascending-id order with
-/// evidence rows visited in log-arrival order (duplicates kept: a repeated
-/// interaction is weighted evidence). Pure and deterministic: the same
-/// `(base, log, opts)` produces a bit-identical artifact at any
-/// `IMCAT_THREADS` setting.
-pub fn rebuild_artifact(
-    base: &Artifact,
-    log: &[StreamEvent],
-    opts: &FoldOptions,
-) -> io::Result<Artifact> {
-    let dim = base.dim();
-    let base_users = base.n_users();
-    let base_items = base.n_items();
-    let mut n_users = base_users;
-    let mut n_items = base_items;
-    let mut masks = base.masks.clone();
-    // Fold evidence for cold entities: opposite-side ids in arrival order.
-    let mut item_users: HashMap<u32, Vec<u32>> = HashMap::new();
-    let mut user_items: HashMap<u32, Vec<u32>> = HashMap::new();
-    for ev in log {
-        match *ev {
-            StreamEvent::RegisterUser => {
-                n_users += 1;
-                masks.push(Vec::new());
-            }
-            StreamEvent::RegisterItem => {
-                n_items += 1;
-            }
-            StreamEvent::Interaction(x) => {
-                if (x.user as usize) >= n_users {
-                    return Err(bad(format!("log interaction user {} out of range", x.user)));
-                }
-                if (x.item as usize) >= n_items {
-                    return Err(bad(format!("log interaction item {} out of range", x.item)));
-                }
-                mask_insert(&mut masks[x.user as usize], x.item);
-                if (x.item as usize) >= base_items {
-                    item_users.entry(x.item).or_default().push(x.user);
-                }
-                if (x.user as usize) >= base_users {
-                    user_items.entry(x.user).or_default().push(x.item);
-                }
-            }
-        }
-    }
-    let mut user_emb = Tensor::zeros(n_users, dim);
-    user_emb.as_mut_slice()[..base_users * dim].copy_from_slice(base.user_emb.as_slice());
-    let mut item_emb = Tensor::zeros(n_items, dim);
-    item_emb.as_mut_slice()[..base_items * dim].copy_from_slice(base.item_emb.as_slice());
-    // Phase A: cold items fold against the user matrix as trained (cold
-    // users are still zero rows here, which contribute no evidence).
-    for id in base_items..n_items {
-        if let Some(users) = item_users.get(&(id as u32)) {
-            let rows: Vec<&[f32]> = users.iter().map(|&u| user_emb.row(u as usize)).collect();
-            let emb = fold_embedding(&rows, dim, opts);
-            item_emb.row_mut(id).copy_from_slice(&emb);
-        }
-    }
-    // Phase B: cold users fold against the item matrix *with* the phase-A
-    // folds in place, so a cold user benefits from the cold items they
-    // interacted with.
-    for id in base_users..n_users {
-        if let Some(items) = user_items.get(&(id as u32)) {
-            let rows: Vec<&[f32]> = items.iter().map(|&i| item_emb.row(i as usize)).collect();
-            let emb = fold_embedding(&rows, dim, opts);
-            user_emb.row_mut(id).copy_from_slice(&emb);
-        }
-    }
-    let art = Artifact::new(base.model.clone(), user_emb, item_emb, masks);
-    art.validate()?;
-    Ok(art)
-}
+use crate::foldin::FoldOptions;
+use crate::stream::{rebuild_artifact, StreamEvent};
 
 /// Everything the background worker hands back on success.
 pub(crate) struct RebuildOutput {
@@ -148,16 +67,14 @@ impl RebuildTask {
 /// state. With `persist`, the worker also stages the next generation into
 /// the container at that path (atomic save, committed pointer untouched).
 pub(crate) fn spawn(
-    base: Artifact,
+    base: Arc<Artifact>,
     log: Vec<StreamEvent>,
     opts: FoldOptions,
     ann: Option<AnnConfig>,
     persist: Option<PathBuf>,
 ) -> io::Result<RebuildTask> {
     let snap_len = log.len();
-    if imcat_obs::enabled() {
-        imcat_obs::counter_add("serve.rebuilds", 1);
-    }
+    imcat_obs::counter_add("serve.rebuilds", 1);
     let handle = std::thread::Builder::new().name("imcat-rebuild".into()).spawn(move || {
         let sp = imcat_obs::span("serve.rebuild.seconds");
         let artifact = rebuild_artifact(&base, &log, &opts)?;

@@ -1,0 +1,238 @@
+//! Stream state: the one rule that turns `(base artifact, event log)` into
+//! serving state.
+//!
+//! Every mutation a generation accepts after its base — registering a cold
+//! user or item, appending one user→item interaction — is a [`StreamEvent`].
+//! [`StreamState`] owns the live artifact, the generation's base, the
+//! arrival-ordered log and the fold-in options, and holds the *only*
+//! implementations of "apply one event" ([`StreamState::apply`]) and "run
+//! one two-phase fold tick" ([`StreamState::fold`]). The live engine's
+//! mutators, the suffix replay after a generation swap, and the offline
+//! [`rebuild_artifact`] all go through them, so replaying a log
+//! offline is bit-identical to what the live engine serves *by construction*
+//! — the property `tests/streaming.rs` and `tests/replay.rs` assert at 1 and
+//! 4 threads.
+//!
+//! The invariant that keeps ANN certified-skip sound is **items fold once**:
+//! an index covers exactly the items finalized into the item matrix
+//! (`frozen_items`); a registered item's embedding is written (and handed to
+//! the caller for its index insert) at its first fold tick and never touched
+//! again until the next generation. Users are not indexed, so they refold
+//! freely at every tick as their evidence grows.
+
+use std::collections::HashMap;
+use std::io;
+use std::sync::Arc;
+
+use imcat_ckpt::Artifact;
+use imcat_tensor::Tensor;
+
+use crate::engine::ServeError;
+use crate::foldin::{fold_embedding, FoldOptions};
+
+/// One streamed user→item interaction (the user consumed/clicked/rated the
+/// item at serve time).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interaction {
+    /// User id (registered: either trained into the artifact or
+    /// [`crate::Engine::register_user`]ed).
+    pub user: u32,
+    /// Item id (in the live catalog).
+    pub item: u32,
+}
+
+/// One entry of the generation's mutation log, in arrival order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StreamEvent {
+    /// A cold user joined; their id is the user count at that point.
+    RegisterUser,
+    /// A cold item joined the catalog; its id is the item count at that
+    /// point.
+    RegisterItem,
+    /// One interaction was appended (mask update + fold-in evidence).
+    Interaction(Interaction),
+}
+
+/// Appends an all-zero row in place (amortized `O(d)`: the buffer grows like
+/// any `Vec`).
+fn push_zero_row(t: &mut Tensor) {
+    let (n, d) = t.shape();
+    let mut v = std::mem::replace(t, Tensor::zeros(0, d)).into_vec();
+    v.resize((n + 1) * d, 0.0);
+    *t = Tensor::from_vec(n + 1, d, v);
+}
+
+/// Inserts `item` into a sorted, deduplicated mask (no-op when present).
+fn mask_insert(mask: &mut Vec<u32>, item: u32) {
+    if let Err(pos) = mask.binary_search(&item) {
+        mask.insert(pos, item);
+    }
+}
+
+/// What one fold tick changed, for whoever caches answers over the state.
+pub(crate) struct FoldTick {
+    /// Embeddings written from evidence (evidence-less cold items excluded).
+    pub folds: usize,
+    /// Whether any item was finalized — every ranked list is stale then.
+    pub items_changed: bool,
+    /// Users whose embedding was (re)written, ascending.
+    pub users: Vec<u32>,
+}
+
+/// One generation's streaming state (see the module docs).
+pub(crate) struct StreamState {
+    /// The artifact being served. Shared with `base` until the first
+    /// mutation, which copies it (`Arc::make_mut`) — a generation nobody
+    /// mutates never pays for a second artifact.
+    artifact: Arc<Artifact>,
+    /// The artifact this generation started from: what the log replays over.
+    /// `None` only inside [`rebuild_artifact`], whose artifact is its own
+    /// disposable copy.
+    base: Option<Arc<Artifact>>,
+    base_users: usize,
+    /// Arrival-ordered mutations since `base`.
+    log: Vec<StreamEvent>,
+    /// Items `0..frozen_items` have final embeddings (and are covered by the
+    /// caller's index); items past it are registered but still cold (zero
+    /// row) until the next fold tick.
+    frozen_items: usize,
+    pub fold_options: FoldOptions,
+}
+
+impl StreamState {
+    /// A fresh generation over `artifact`.
+    pub fn new(artifact: Artifact, fold_options: FoldOptions) -> Self {
+        let artifact = Arc::new(artifact);
+        Self {
+            base: Some(Arc::clone(&artifact)),
+            base_users: artifact.n_users(),
+            frozen_items: artifact.n_items(),
+            artifact,
+            log: Vec::new(),
+            fold_options,
+        }
+    }
+
+    pub fn artifact(&self) -> &Artifact {
+        &self.artifact
+    }
+
+    pub fn log(&self) -> &[StreamEvent] {
+        &self.log
+    }
+
+    /// The generation's `(base, log)`: everything a rebuild needs. The base
+    /// is shared, not copied.
+    pub fn snapshot(&self) -> (Arc<Artifact>, Vec<StreamEvent>) {
+        let base = self.base.as_ref().unwrap_or(&self.artifact);
+        (Arc::clone(base), self.log.clone())
+    }
+
+    /// Applies one event: validates an interaction's ids against the live
+    /// ranges, then grows the matrices (registration; the new row is zero
+    /// until a fold tick) or the user's mask (interaction; the item leaves
+    /// their recommendations *now*), and appends the event to the log as
+    /// fold-in evidence. A rejected event changes nothing.
+    pub fn apply(&mut self, ev: StreamEvent) -> Result<(), ServeError> {
+        if let StreamEvent::Interaction(x) = ev {
+            let n_users = self.artifact.n_users() as u32;
+            let n_items = self.artifact.n_items() as u32;
+            if x.user >= n_users {
+                return Err(ServeError::UserOutOfRange { user: x.user, n_users });
+            }
+            if x.item >= n_items {
+                return Err(ServeError::ItemOutOfRange { item: x.item, n_items });
+            }
+        }
+        let art = Arc::make_mut(&mut self.artifact);
+        match ev {
+            StreamEvent::RegisterUser => {
+                push_zero_row(&mut art.user_emb);
+                art.masks.push(Vec::new());
+            }
+            StreamEvent::RegisterItem => push_zero_row(&mut art.item_emb),
+            StreamEvent::Interaction(x) => mask_insert(&mut art.masks[x.user as usize], x.item),
+        }
+        self.log.push(ev);
+        Ok(())
+    }
+
+    /// One fold tick, in two ordered phases. **A:** every
+    /// registered-but-cold item is finalized in ascending id — ridge fold-in
+    /// ([`fold_embedding`]) against its interacting users' rows as they
+    /// stand (a still-cold user is a zero row and contributes nothing), zero
+    /// row if it has no evidence — and handed to `on_item` (the engine's
+    /// index insert). **B:** every post-base user with evidence refolds, in
+    /// ascending id, against the item matrix with the phase-A rows in place.
+    /// Evidence rows are visited in log-arrival order, duplicates kept (a
+    /// repeated interaction is weighted evidence).
+    pub fn fold(&mut self, mut on_item: impl FnMut(u32, &[f32])) -> FoldTick {
+        let n_items = self.artifact.n_items();
+        let mut tick =
+            FoldTick { folds: 0, items_changed: n_items > self.frozen_items, users: Vec::new() };
+        if self.log.is_empty() && !tick.items_changed {
+            return tick;
+        }
+        let _sp = imcat_obs::span("serve.fold.seconds");
+        let art = Arc::make_mut(&mut self.artifact);
+        let dim = art.dim();
+        let mut item_users: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut user_items: HashMap<u32, Vec<u32>> = HashMap::new();
+        for ev in &self.log {
+            if let StreamEvent::Interaction(x) = *ev {
+                if (x.item as usize) >= self.frozen_items {
+                    item_users.entry(x.item).or_default().push(x.user);
+                }
+                if (x.user as usize) >= self.base_users {
+                    user_items.entry(x.user).or_default().push(x.item);
+                }
+            }
+        }
+        for id in self.frozen_items..n_items {
+            let evidence = item_users.get(&(id as u32)).map(Vec::as_slice).unwrap_or(&[]);
+            let rows: Vec<&[f32]> =
+                evidence.iter().map(|&u| art.user_emb.row(u as usize)).collect();
+            let emb = fold_embedding(&rows, dim, &self.fold_options);
+            tick.folds += !rows.is_empty() as usize;
+            art.item_emb.row_mut(id).copy_from_slice(&emb);
+            on_item(id as u32, &emb);
+        }
+        self.frozen_items = n_items;
+        tick.users = user_items.keys().copied().collect();
+        tick.users.sort_unstable();
+        for &u in &tick.users {
+            let rows: Vec<&[f32]> =
+                user_items[&u].iter().map(|&i| art.item_emb.row(i as usize)).collect();
+            let emb = fold_embedding(&rows, dim, &self.fold_options);
+            art.user_emb.row_mut(u as usize).copy_from_slice(&emb);
+        }
+        tick.folds += tick.users.len();
+        tick
+    }
+}
+
+/// Replays `log` over `base` into a fresh artifact and folds every cold
+/// entity in once — the live engine's own `StreamState::apply` and
+/// `StreamState::fold` over a fresh state, so there is nothing to keep in
+/// step. Pure and deterministic: the same `(base, log, opts)` produces a
+/// bit-identical artifact at any `IMCAT_THREADS` setting. A log that names
+/// an entity it never registered is a typed `InvalidData` error.
+pub fn rebuild_artifact(
+    base: &Artifact,
+    log: &[StreamEvent],
+    opts: &FoldOptions,
+) -> io::Result<Artifact> {
+    let mut state = StreamState::new(base.clone(), *opts);
+    // The copy above is the output: nothing will ask this state for its
+    // base, so un-pin it and let every mutation happen in place.
+    state.base = None;
+    for &ev in log {
+        state.apply(ev).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("corrupt stream log: {e}"))
+        })?;
+    }
+    state.fold(|_, _| {});
+    let artifact = Arc::try_unwrap(state.artifact).unwrap_or_else(|shared| (*shared).clone());
+    artifact.validate()?;
+    Ok(artifact)
+}

@@ -385,7 +385,10 @@ fn certified_skip_is_taken_and_bit_identical_to_rerank() {
     }
     // Direct probe: skips actually fire, and skip == forced re-rank through
     // the evaluator's selection.
-    let idx = quant.ann_index().unwrap();
+    // The same bits the engine built: the build is a pure function of
+    // `(items, cfg, seed)`.
+    let cfg = AnnConfig { nlist: 6, nprobe: 6, quantized: true, ..AnnConfig::default() };
+    let idx = &imcat_serve::IvfIndex::build(&artifact.item_emb, &cfg, DEFAULT_BUILD_SEED);
     let mut fast = imcat_serve::ProbeScratch::default();
     let mut slow = imcat_serve::ProbeScratch::default();
     let mut top = imcat_eval::TopKScratch::default();
@@ -636,12 +639,13 @@ fn engine_index_builds_are_reproducible() {
     let artifact = model.export_artifact(&data).unwrap();
     let idx_a = Engine::new(artifact.clone(), ann_cfg(12, 2)).unwrap();
     let idx_b = Engine::new(artifact, ann_cfg(12, 2)).unwrap();
-    let a = idx_a.ann_index().unwrap();
-    let b = idx_b.ann_index().unwrap();
-    assert_eq!(a.seed(), DEFAULT_BUILD_SEED);
-    let ser = |i: &imcat_serve::IvfIndex| {
+    let a = idx_a.ann_backend().unwrap();
+    let b = idx_b.ann_backend().unwrap();
+    let cfg = ann_cfg(12, 2).ann.unwrap();
+    assert!(a.matches(&cfg, idx_a.n_items(), idx_a.artifact().dim(), DEFAULT_BUILD_SEED));
+    let ser = |i: &dyn imcat_serve::AnnIndex| {
         let mut ck = Checkpoint::new();
-        i.add_to_checkpoint(&mut ck);
+        i.save_sections(&mut ck);
         ck.to_bytes()
     };
     assert_eq!(ser(a), ser(b), "two builds over the same artifact differ");

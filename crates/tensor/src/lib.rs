@@ -32,7 +32,6 @@
 
 mod init;
 mod optim;
-mod persist;
 mod sparse;
 mod store;
 mod tape;
@@ -40,7 +39,6 @@ mod tensor;
 
 pub use init::{normal, uniform, xavier_uniform};
 pub use optim::{Adam, AdamConfig};
-pub use persist::{load_params, load_params_from, restore_into, save_params, save_params_to};
 pub use sparse::Csr;
 pub use store::{Param, ParamId, ParamStore};
 pub use tape::{Gradients, Tape, Var};

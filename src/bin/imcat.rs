@@ -20,7 +20,7 @@ use imcat::data::{
 };
 use imcat::eval::{evaluate, evaluate_extended, top_n_masked, EvalSpec};
 use imcat::models::{Backbone, Bprmf, EpochStats, LightGcn, Neumf, RecModel, TrainConfig};
-use imcat::tensor::{load_params_from, restore_into, save_params_to, Tensor};
+use imcat::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -223,7 +223,7 @@ impl CliModel {
             CliModel::NImcat(m) => m.backbone().store(),
             CliModel::LImcat(m) => m.backbone().store(),
         };
-        save_params_to(store, path).map_err(|e| e.to_string())
+        imcat::ckpt::save_store(store, path).map(drop).map_err(|e| e.to_string())
     }
 
     fn restore(&mut self, path: &str) -> Result<(), String> {
@@ -233,15 +233,13 @@ impl CliModel {
             CliModel::LImcat(m) => return m.load_checkpoint(path).map_err(|e| e.to_string()),
             _ => {}
         }
-        let loaded = load_params_from(path).map_err(|e| e.to_string())?;
         let store = match self {
             CliModel::Bprmf(m) => m.store_mut(),
             CliModel::Neumf(m) => m.store_mut(),
             CliModel::LightGcn(m) => m.store_mut(),
             _ => unreachable!(),
         };
-        restore_into(store, &loaded)?;
-        Ok(())
+        imcat::ckpt::load_store(store, path).map_err(|e| e.to_string())
     }
 }
 

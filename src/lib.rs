@@ -45,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+pub use imcat_ckpt as ckpt;
 pub use imcat_core as core;
 pub use imcat_data as data;
 pub use imcat_eval as eval;
