@@ -29,7 +29,7 @@
 //! `ann.hnsw.recall_at50` (HNSW) gauges. The quantized row additionally
 //! reports the certified-skip rate of the error-bounded int8 path and
 //! cross-checks the skip-enabled probe against the forced re-rank per user
-//! (the `skip_mismatches` count, gated to zero by the `kernel-smoke` CI
+//! (the `skip_mismatches` count, gated to zero by the `ann-smoke` CI
 //! job).
 //!
 //! Environment knobs:
@@ -45,43 +45,17 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use imcat_bench::ModelKind;
-use imcat_bench::{logln, obs_finish, obs_init, write_json, Env, ExpLog};
+use imcat_bench::{logln, obs_finish, obs_init, sample_zipf, write_json, zipf_cdf, Env, ExpLog};
 use imcat_core::train;
 use imcat_data::{generate, SplitDataset, SynthConfig};
+use imcat_obs::{knob_f64, knob_usize};
 use imcat_serve::{
     AnnConfig, AnnKind, Artifact, Engine, IvfIndex, ProbeScratch, ServeConfig, DEFAULT_BUILD_SEED,
 };
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const SEED: u64 = 7;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Normalized Zipf CDF over `n` ranks (same stream shape as serve_bench).
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0f64;
-    for r in 0..n {
-        acc += 1.0 / ((r + 1) as f64).powf(s);
-        cdf.push(acc);
-    }
-    for v in &mut cdf {
-        *v /= acc;
-    }
-    cdf
-}
-
-fn sample_zipf(cdf: &[f64], rng: &mut StdRng) -> u32 {
-    let x: f64 = rng.gen();
-    cdf.partition_point(|&p| p < x).min(cdf.len() - 1) as u32
-}
 
 struct Row {
     mode: String,
@@ -271,10 +245,10 @@ fn main() {
     let mut log = ExpLog::new("ann_bench");
     let env = Env::from_env();
 
-    let n_requests = env_usize("IMCAT_ANN_REQUESTS", 2000);
-    let k = env_usize("IMCAT_ANN_K", 10);
-    let zipf_s = env_f64("IMCAT_ANN_ZIPF", 1.1);
-    let nlist_knob = env_usize("IMCAT_ANN_NLIST", 0);
+    let n_requests = knob_usize("IMCAT_ANN_REQUESTS", 2000);
+    let k = knob_usize("IMCAT_ANN_K", 10);
+    let zipf_s = knob_f64("IMCAT_ANN_ZIPF", 1.1);
+    let nlist_knob = knob_usize("IMCAT_ANN_NLIST", 0);
 
     let data: SplitDataset = {
         let cfg = SynthConfig::citeulike().scaled(env.scale);

@@ -35,7 +35,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use imcat_bench::ModelKind;
-use imcat_bench::{logln, obs_finish, obs_init, write_json, Env, ExpLog};
+use imcat_bench::{logln, obs_finish, obs_init, sample_zipf, write_json, zipf_cdf, Env, ExpLog};
 use imcat_core::config::knobs::{knob_f64, knob_str, knob_usize};
 use imcat_core::train;
 use imcat_data::{generate, SplitDataset, SynthConfig};
@@ -45,25 +45,6 @@ use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 17;
 const K: usize = 10;
-
-/// Normalized Zipf CDF over `n` ranks (same stream shape as serve_bench).
-fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
-    let mut cdf = Vec::with_capacity(n);
-    let mut acc = 0.0f64;
-    for r in 0..n {
-        acc += 1.0 / ((r + 1) as f64).powf(s);
-        cdf.push(acc);
-    }
-    for v in &mut cdf {
-        *v /= acc;
-    }
-    cdf
-}
-
-fn sample_zipf(cdf: &[f64], rng: &mut StdRng) -> u32 {
-    let x: f64 = rng.gen();
-    cdf.partition_point(|&p| p < x).min(cdf.len() - 1) as u32
-}
 
 struct Row {
     ann_kind: String,
@@ -229,7 +210,7 @@ fn main() {
             next_slice += 1;
             // Fold every fourth slice so cold entities become servable
             // while the stream is still running.
-            if next_slice % 4 == 0 || next_slice == n_slices {
+            if next_slice.is_multiple_of(4) || next_slice == n_slices {
                 engine.fold_pending();
                 fold_ticks += 1;
             }
@@ -274,7 +255,7 @@ fn main() {
     for (cold, _, holdout) in &scripts {
         let recs = engine.recommend(*cold, K).expect("cold user must be servable");
         let hits = recs.iter().filter(|r| holdout.contains(&r.item)).count();
-        recall_sum += hits as f64 / holdout.len().min(K).max(1) as f64;
+        recall_sum += hits as f64 / holdout.len().clamp(1, K) as f64;
         with_hit += (hits > 0) as usize;
     }
     let cold_recall = recall_sum / scripts.len().max(1) as f64;

@@ -13,5 +13,5 @@ pub mod runner;
 pub use registry::ModelKind;
 pub use runner::{
     all_preset_keys, mean_of, obs_finish, obs_init, preset_by_key, run_one, run_parallel,
-    run_trials, write_json, Env, ExpLog, RunResult,
+    run_trials, sample_zipf, write_json, zipf_cdf, Env, ExpLog, RunResult,
 };

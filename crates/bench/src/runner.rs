@@ -9,9 +9,9 @@ use imcat_core::{ImcatConfig, TrainerConfig};
 use imcat_data::{generate, SplitDataset, SynthConfig};
 use imcat_eval::{evaluate_per_user, EvalSpec, PerUserMetrics};
 use imcat_models::TrainConfig;
-use imcat_obs::{Json, ToJson};
+use imcat_obs::{knob_f64, knob_str, knob_usize, Json, ToJson};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::registry::ModelKind;
 
@@ -139,26 +139,16 @@ impl Default for Env {
 impl Env {
     /// Reads overrides from the environment.
     pub fn from_env() -> Self {
-        let mut e = Self::default();
-        if let Ok(v) = std::env::var("IMCAT_SCALE") {
-            e.scale = v.parse().expect("IMCAT_SCALE must be a float");
+        let d = Self::default();
+        Self {
+            scale: knob_f64("IMCAT_SCALE", d.scale),
+            max_epochs: knob_usize("IMCAT_EPOCHS", d.max_epochs),
+            trials: knob_usize("IMCAT_TRIALS", d.trials),
+            dim: knob_usize("IMCAT_DIM", d.dim),
+            ckpt_dir: knob_str("IMCAT_CKPT_DIR").map(PathBuf::from),
+            ckpt_every: knob_usize("IMCAT_CKPT_EVERY", d.ckpt_every),
+            ..d
         }
-        if let Ok(v) = std::env::var("IMCAT_EPOCHS") {
-            e.max_epochs = v.parse().expect("IMCAT_EPOCHS must be an integer");
-        }
-        if let Ok(v) = std::env::var("IMCAT_TRIALS") {
-            e.trials = v.parse().expect("IMCAT_TRIALS must be an integer");
-        }
-        if let Ok(v) = std::env::var("IMCAT_DIM") {
-            e.dim = v.parse().expect("IMCAT_DIM must be an integer");
-        }
-        if let Some(v) = std::env::var_os("IMCAT_CKPT_DIR") {
-            e.ckpt_dir = Some(PathBuf::from(v));
-        }
-        if let Ok(v) = std::env::var("IMCAT_CKPT_EVERY") {
-            e.ckpt_every = v.parse().expect("IMCAT_CKPT_EVERY must be an integer");
-        }
-        e
     }
 
     /// Per-trial checkpoint directory `<ckpt_dir>/<model>_<dataset>_<seed>`,
@@ -441,6 +431,27 @@ pub fn mean_of(results: &[RunResult], f: impl Fn(&RunResult) -> f64) -> f64 {
         return 0.0;
     }
     results.iter().map(f).sum::<f64>() / results.len() as f64
+}
+
+/// Normalized Zipf CDF over `n` ranks: rank `r` (0-based) has weight
+/// `1 / (r+1)^s`. The serving benches draw their request streams from it.
+pub fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
+    let mut cdf = Vec::with_capacity(n);
+    let mut acc = 0.0f64;
+    for r in 0..n {
+        acc += 1.0 / ((r + 1) as f64).powf(s);
+        cdf.push(acc);
+    }
+    for v in &mut cdf {
+        *v /= acc;
+    }
+    cdf
+}
+
+/// Draws one rank from a [`zipf_cdf`]: a uniform draw + binary search.
+pub fn sample_zipf(cdf: &[f64], rng: &mut StdRng) -> u32 {
+    let x: f64 = rng.gen();
+    cdf.partition_point(|&p| p < x).min(cdf.len() - 1) as u32
 }
 
 #[cfg(test)]

@@ -2,15 +2,23 @@
 //! it honest against the compiled registry (`imcat_core::config::knobs`):
 //! same knobs, same order, same defaults, same owning crate. Adding a knob
 //! to either side without the other fails here, not in a code review.
+//! A second test scans the workspace's Rust sources: the registry's module
+//! is the only reader of `IMCAT_*` variables (plus `imcat-simd`, which has
+//! no dependencies), and every `IMCAT_*` name a source file spells out is a
+//! registered knob.
+
+use std::path::{Path, PathBuf};
 
 use imcat_core::config::knobs::KNOBS;
+
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 /// Parses the README env table into `(key, default, crate)` rows. Rows look
 /// like `` | `IMCAT_X` | `default` | crate | help | ``; the default cell may
 /// be prose ("unset", "#cores") or a backticked literal.
 fn readme_rows() -> Vec<(String, String, String)> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
-    let readme = std::fs::read_to_string(path).expect("README.md at the workspace root");
+    let readme = std::fs::read_to_string(Path::new(ROOT).join("README.md"))
+        .expect("README.md at the workspace root");
     let mut rows = Vec::new();
     for line in readme.lines() {
         let line = line.trim();
@@ -43,6 +51,63 @@ fn readme_env_table_matches_knob_registry() {
         readme.len(),
         registry.len()
     );
+}
+
+/// Every `.rs` file of the workspace: the crates, the root package's `src`,
+/// `tests` and `examples`. Build output and the benchmark package (a
+/// workspace of its own, which scrubs `IMCAT_*` rather than reading it) are
+/// not ours to scan.
+fn rust_sources() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    let mut dirs: Vec<PathBuf> =
+        ["crates", "src", "tests", "examples"].iter().map(|d| Path::new(ROOT).join(d)).collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable source directory") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                if !path.ends_with("target") && !path.ends_with("bin/perf") {
+                    dirs.push(path);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files
+}
+
+#[test]
+fn sources_read_the_environment_only_through_the_registry() {
+    let prefix = concat!("IMCAT", "_");
+    let reads = [format!("env::var(\"{prefix}"), format!("var_os(\"{prefix}")];
+    let readers = ["crates/obs/src/knobs.rs", "crates/simd/src/lib.rs"];
+    let mut scanned = 0;
+    for path in rust_sources() {
+        let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
+        let shown = path.strip_prefix(ROOT).unwrap_or(&path).display().to_string();
+        scanned += 1;
+        if !readers.iter().any(|r| path.ends_with(r)) {
+            for read in &reads {
+                assert!(!text.contains(read.as_str()), "{shown} reads {prefix}* itself");
+            }
+        }
+        // Every quoted `IMCAT_NAME` is a knob; prose that merely starts with
+        // one (an error message) and the bare prefix are not names.
+        for (at, _) in text.match_indices(&format!("\"{prefix}")) {
+            let name: String = text[at + 1..]
+                .chars()
+                .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                .collect();
+            let closed = text[at + 1 + name.len()..].starts_with('"');
+            if closed && name != prefix {
+                assert!(
+                    KNOBS.iter().any(|k| k.key == name),
+                    "{shown} names {name}, which is not in the knob registry"
+                );
+            }
+        }
+    }
+    assert!(scanned > 100, "source scan found only {scanned} files: wrong root?");
 }
 
 #[test]

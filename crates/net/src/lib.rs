@@ -1,7 +1,7 @@
 //! Network serving front-end: a from-scratch TCP/HTTP/1.1 layer over
 //! item-sharded [`imcat_serve::Engine`] replicas.
 //!
-//! The crate has three layers, each usable on its own:
+//! The crate has two layers, each usable on its own:
 //!
 //! * [`ShardedEngine`] — N engine replicas, each holding a contiguous slice
 //!   of the item axis (and its own IVF lists when ANN is configured). A
@@ -15,33 +15,19 @@
 //!   ([`imcat_serve::Engine::recommend_batch`] per replica). Overload is
 //!   shed with a fast `503` and counted (`serve.shed`) rather than queued
 //!   without bound.
-//! * [`loadgen`] — closed-loop and open-loop (coordinated-omission-aware)
-//!   load generators speaking real sockets, used by `serve_bench` to map
-//!   the latency/QPS frontier per shard count.
 //!
-//! Everything is `std`-only: the container has no crates.io access, so the
-//! HTTP layer reuses the parsing discipline of `imcat-obs`'s telemetry
-//! endpoint (bounded heads, total per-connection deadlines, tail-overlap
-//! terminator scans) extended to persistent multi-request connections.
+//! The process that runs a [`Server`] is `imcat serve --artifact FILE --addr
+//! HOST:PORT`; its load is measured by the repository benchmark
+//! (`crates/bench/src/bin/perf`, workloads `wire_hot` and `wire_cold`).
+//!
+//! Everything is `std`-only. The HTTP plumbing ([`http::Conn`], bounded
+//! heads and bodies, total per-request deadlines) is `imcat_obs::http`, the
+//! workspace's one HTTP implementation, shared with the telemetry listener
+//! and re-exported here as [`http`].
 
-pub mod http;
-pub mod loadgen;
 mod server;
 mod shard;
 
-pub use loadgen::{closed_loop, open_loop, LoadReport};
+pub use imcat_obs::http;
 pub use server::{NetConfig, NetStats, Server};
 pub use shard::{shard_artifact, shard_ranges, ShardedEngine};
-
-/// Parses a `usize` environment knob, falling back to `default` when the
-/// variable is unset or malformed. Delegates to the workspace knob
-/// registry (`imcat_obs::knobs`), so the key must be registered there.
-pub fn env_usize(key: &str, default: usize) -> usize {
-    imcat_obs::knob_usize(key, default)
-}
-
-/// Parses a `u64` environment knob, falling back to `default`. Registry-
-/// checked like [`env_usize`].
-pub fn env_u64(key: &str, default: u64) -> u64 {
-    imcat_obs::knob_u64(key, default)
-}

@@ -24,7 +24,9 @@
 //! engine's typed rejections exist precisely so a stale id on the wire can
 //! never panic a worker — and bytes that do not parse as a request at all
 //! (oversized head, bad `Content-Length`) as `400`/`413` + `Connection:
-//! close`, counted as `rejected`.
+//! close`, counted as `rejected`. A keep-alive connection that stays idle
+//! for the deadline *between* requests is closed without a response and
+//! without a counter: only a request that was started can time out (`408`).
 
 use std::collections::VecDeque;
 use std::io;
@@ -35,12 +37,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use imcat_ckpt::Artifact;
-use imcat_obs::Json;
+use imcat_obs::http::{self, error_body, Conn, Request, JSON, TEXT};
+use imcat_obs::{knob_u64, knob_usize, Json};
 use imcat_serve::{AnnDescriptor, Interaction, Recommendation, ServeConfig, ServeError};
 
-use crate::http::{self, Conn, Request, JSON, TEXT};
 use crate::shard::ShardedEngine;
-use crate::{env_u64, env_usize};
 
 static OBS_SHED: imcat_obs::Counter = imcat_obs::Counter::new("serve.shed");
 static OBS_NET_REQUESTS: imcat_obs::Counter = imcat_obs::Counter::new("net.requests");
@@ -90,15 +91,15 @@ impl NetConfig {
     pub fn from_env() -> Self {
         let d = Self::default();
         Self {
-            shards: env_usize("IMCAT_NET_SHARDS", d.shards).max(1),
-            workers: env_usize("IMCAT_NET_WORKERS", d.workers).max(1),
-            queue: env_usize("IMCAT_NET_QUEUE", d.queue).max(1),
-            max_batch: env_usize("IMCAT_NET_BATCH", d.max_batch).max(1),
-            tick_wait: Duration::from_micros(env_u64(
+            shards: knob_usize("IMCAT_NET_SHARDS", d.shards).max(1),
+            workers: knob_usize("IMCAT_NET_WORKERS", d.workers).max(1),
+            queue: knob_usize("IMCAT_NET_QUEUE", d.queue).max(1),
+            max_batch: knob_usize("IMCAT_NET_BATCH", d.max_batch).max(1),
+            tick_wait: Duration::from_micros(knob_u64(
                 "IMCAT_NET_TICK_US",
                 d.tick_wait.as_micros() as u64,
             )),
-            deadline: Duration::from_millis(env_u64(
+            deadline: Duration::from_millis(knob_u64(
                 "IMCAT_NET_DEADLINE_MS",
                 d.deadline.as_millis() as u64,
             )),
@@ -431,23 +432,17 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
         let request = match conn.read_request(deadline) {
             Ok(Some(request)) => request,
             Ok(None) => return,
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                shared.timeouts.fetch_add(1, Ordering::Relaxed);
-                OBS_NET_TIMEOUTS.add(1);
-                let _ = conn.respond("408 Request Timeout", TEXT, "timed out\n", false);
-                return;
-            }
             Err(e) => {
-                // Not a request we can frame: say so and close — where the next
-                // request would start on this stream is unknowable. Anything
-                // else (reset, EOF mid-request) has no one left to answer.
-                let status = match e.kind() {
-                    io::ErrorKind::InvalidData => "400 Bad Request",
-                    io::ErrorKind::InvalidInput => "413 Payload Too Large",
-                    _ => return,
-                };
-                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = conn.respond(status, JSON, &error_body(&e.to_string()), false);
+                match conn.reject(&e) {
+                    Some(408) => {
+                        shared.timeouts.fetch_add(1, Ordering::Relaxed);
+                        OBS_NET_TIMEOUTS.add(1);
+                    }
+                    Some(_) => {
+                        shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None => {}
+                }
                 return;
             }
         };
@@ -459,10 +454,6 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
             return;
         }
     }
-}
-
-fn error_body(message: &str) -> String {
-    Json::obj(vec![("error", Json::Str(message.into()))]).render()
 }
 
 fn serve_one(

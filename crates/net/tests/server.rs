@@ -11,7 +11,7 @@ use imcat_ckpt::Artifact;
 use imcat_data::{generate, SynthConfig};
 use imcat_models::{Bprmf, RecModel, TrainConfig};
 use imcat_net::http::read_response;
-use imcat_net::{closed_loop, open_loop, NetConfig, Server};
+use imcat_net::{NetConfig, Server};
 use imcat_obs::Json;
 use imcat_serve::{AnnConfig, AnnKind, Engine, ServeConfig};
 use rand::rngs::StdRng;
@@ -262,29 +262,6 @@ fn overload_sheds_with_fast_503() {
     server.shutdown();
 }
 
-/// Both load generators complete a small run against a live server: the
-/// closed loop answers everything; the open loop (which sheds `503`s into
-/// its own bucket) accounts for every scheduled request exactly once.
-#[test]
-fn load_generators_round_trip() {
-    let _guard = net_lock().lock().unwrap();
-    let server = start(NetConfig { shards: 2, workers: 2, ..Default::default() });
-    let addr = server.addr();
-    let n = artifact().n_users() as u32;
-    let stream: Vec<(u32, usize)> = (0..120u32).map(|i| (i % n, 10)).collect();
-
-    let closed = closed_loop(addr, &stream, 3);
-    assert_eq!(closed.ok, stream.len() as u64, "closed loop: {closed:?}");
-    assert_eq!(closed.errors, 0, "closed loop: {closed:?}");
-    assert!(closed.p50_us > 0.0 && closed.p99_us >= closed.p50_us);
-
-    let open = open_loop(addr, &stream, 400.0, 4);
-    assert_eq!(open.ok + open.shed + open.errors, stream.len() as u64, "open loop: {open:?}");
-    assert!(open.ok > 0, "open loop answered nothing: {open:?}");
-    assert!((open.offered_qps - 400.0).abs() < 1e-9);
-    server.shutdown();
-}
-
 /// A slowloris client trickling a partial head is cut off by the
 /// per-request deadline with 408 (or a drop) and cannot hold its worker
 /// past the deadline.
@@ -312,6 +289,30 @@ fn slow_clients_are_timed_out() {
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     assert!(server.stats().timeouts >= 1, "timeout must be counted: {:?}", server.stats());
+    server.shutdown();
+}
+
+/// Waiting is not a slow request: a keep-alive connection that stays idle
+/// past the deadline *between* requests is closed without a response, and
+/// nothing is billed as a timeout.
+#[test]
+fn idle_keep_alive_is_closed_quietly() {
+    let _guard = net_lock().lock().unwrap();
+    let server = start(NetConfig { deadline: Duration::from_millis(300), ..Default::default() });
+
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    write!(stream, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let mut buf = Vec::new();
+    let (status, _) = read_response(&mut stream, &mut buf).expect("keep-alive response");
+    assert_eq!(status, 200);
+    assert!(buf.is_empty(), "one response, fully consumed");
+
+    // Blocks until the server hangs up, one 300 ms deadline from now.
+    stream.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("the server hangs up cleanly");
+    assert!(rest.is_empty(), "unsolicited bytes: {}", String::from_utf8_lossy(&rest));
+    assert_eq!(server.stats().timeouts, 0, "idling was billed: {:?}", server.stats());
     server.shutdown();
 }
 

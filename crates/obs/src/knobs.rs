@@ -1,12 +1,12 @@
 //! The workspace's single `IMCAT_*` environment-knob reader.
 //!
-//! Every operational knob used to be parsed ad hoc at its use site — one
-//! `std::env::var` + `parse` + fallback per crate, with no central list to
-//! check the README's environment table against. This module owns that
-//! layer: a static registry of every knob (name, kind, default, owning
-//! subsystem, help line) plus typed accessors that look the knob up in the
-//! registry before reading the environment, so an unregistered name is a
-//! bug caught in tests rather than a silently undocumented knob.
+//! A static registry of every knob (name, kind, default, owning subsystem,
+//! help line) plus typed accessors that look the knob up in the registry
+//! before reading the environment, so an unregistered name is a bug caught
+//! in tests rather than a silently undocumented knob. No other file reads
+//! an `IMCAT_*` variable (`imcat-core/tests/knob_registry.rs` scans the
+//! sources), with one exception: `imcat-simd` is dependency-free and reads
+//! its registered `IMCAT_SIMD` itself.
 //!
 //! `imcat_core::config` re-exports this module as the library-facing
 //! configuration surface; the network front-end's `/stats` route serves
@@ -69,6 +69,7 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_OBS_TRACE_CAP", Int, "512", "obs", "Trace ring-buffer capacity"),
     knob!("IMCAT_OBS_SLOW_US", Float, "windowed p99", "obs", "Slow-trace threshold, microseconds"),
     knob!("IMCAT_THREADS", Int, "#cores", "par", "Thread-pool size; 1 = fully inline"),
+    // Read by `imcat-simd` itself: that crate has no dependencies.
     knob!("IMCAT_SIMD", Str, "auto", "simd", "Kernel backend override: scalar or avx2"),
     knob!("IMCAT_CKPT_DIR", Str, "unset", "core", "Checkpoint directory (enables checkpointing)"),
     knob!("IMCAT_CKPT_EVERY", Int, "1", "core", "Checkpoint every N epochs"),
@@ -77,27 +78,17 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_SERVE_K", Int, "20", "bench", "serve_bench top-K cutoff"),
     knob!("IMCAT_SERVE_BATCH", Int, "32", "bench", "serve_bench batch-tick size"),
     knob!("IMCAT_SERVE_CACHE", Int, "256", "bench", "serve_bench LRU capacity"),
-    knob!("IMCAT_SERVE_HOLD_SECS", Float, "0", "bench", "serve_bench live hold after the table"),
-    knob!("IMCAT_OBS_BENCH_GATE", Flag, "off", "bench", "obs_bench exits nonzero on gate failure"),
     knob!("IMCAT_ANN_REQUESTS", Int, "2000", "bench", "ann_bench request count"),
     knob!("IMCAT_ANN_K", Int, "10", "bench", "ann_bench ranking cutoff"),
     knob!("IMCAT_ANN_ZIPF", Float, "1.1", "bench", "ann_bench user-popularity skew"),
     knob!("IMCAT_ANN_NLIST", Int, "0", "bench", "ann_bench inverted-list count (0 = auto)"),
     knob!("IMCAT_ANN_KIND", Str, "ivf", "serve", "ANN backend: ivf, brute, or hnsw"),
-    knob!("IMCAT_KERNEL_REPS", Int, "5", "bench", "kernel_bench best-of repetitions"),
-    knob!("IMCAT_KERNEL_BATCH", Int, "4", "bench", "kernel_bench matmul row-batch size"),
     knob!("IMCAT_NET_SHARDS", Int, "1", "net", "Engine replicas sharded on the item axis"),
     knob!("IMCAT_NET_WORKERS", Int, "4", "net", "Connection worker threads"),
     knob!("IMCAT_NET_QUEUE", Int, "64", "net", "Bounded admission queue capacity"),
     knob!("IMCAT_NET_BATCH", Int, "64", "net", "Max requests per micro-batch tick"),
     knob!("IMCAT_NET_TICK_US", Int, "200", "net", "Tick linger for the batch to fill, us"),
     knob!("IMCAT_NET_DEADLINE_MS", Int, "2000", "net", "Total per-request deadline, ms"),
-    knob!("IMCAT_NET_FRONTIER", Flag, "1", "bench", "0 skips serve_bench's network frontier"),
-    knob!("IMCAT_NET_SHARD_COUNTS", Str, "1,2,4", "bench", "Frontier shard counts, comma list"),
-    knob!("IMCAT_NET_REQUESTS", Int, "600", "bench", "Frontier socket requests per pass"),
-    knob!("IMCAT_NET_CONNS", Int, "8", "bench", "Frontier closed-loop connections"),
-    knob!("IMCAT_NET_SENDERS", Int, "16", "bench", "Frontier open-loop sender threads"),
-    knob!("IMCAT_NET_OPEN_FACTORS", Str, "0.6,1.5", "bench", "Open-loop offered-rate fractions"),
     knob!("IMCAT_INGEST_USERS", Int, "32", "bench", "stream_bench cold users registered live"),
     knob!("IMCAT_INGEST_BATCH", Int, "8", "bench", "Interactions applied per ingest slice"),
     knob!("IMCAT_INGEST_FOLD_LAMBDA", Float, "0.1", "serve", "Fold-in ridge regularizer"),
@@ -190,9 +181,9 @@ mod tests {
         std::env::set_var("IMCAT_NET_SHARDS", "junk");
         assert_eq!(knob_usize("IMCAT_NET_SHARDS", 3), 3, "malformed values fall back");
         std::env::remove_var("IMCAT_NET_SHARDS");
-        std::env::set_var("IMCAT_NET_FRONTIER", "0");
-        assert!(!knob_flag("IMCAT_NET_FRONTIER", true));
-        std::env::remove_var("IMCAT_NET_FRONTIER");
+        std::env::set_var("IMCAT_OBS", "0");
+        assert!(!knob_flag("IMCAT_OBS", true));
+        std::env::remove_var("IMCAT_OBS");
     }
 
     #[test]

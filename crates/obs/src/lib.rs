@@ -213,13 +213,12 @@ pub fn now_seconds() -> f64 {
 /// enabled state. Starts the live HTTP endpoint and the interval flusher
 /// when their knobs are present (failures are reported, never fatal).
 pub fn init_from_env() -> bool {
-    let addr = std::env::var("IMCAT_OBS_ADDR").ok();
-    let flush_secs = std::env::var("IMCAT_OBS_FLUSH_SECS").ok().and_then(|v| v.parse::<f64>().ok());
-    let on =
-        matches!(std::env::var("IMCAT_OBS").ok().as_deref(), Some("1") | Some("true") | Some("on"))
-            || out_path().is_some()
-            || addr.is_some()
-            || flush_secs.is_some();
+    let addr = knob_str("IMCAT_OBS_ADDR");
+    let flush_secs = knob_str("IMCAT_OBS_FLUSH_SECS").and_then(|v| v.parse::<f64>().ok());
+    let on = knob_flag("IMCAT_OBS", false)
+        || out_path().is_some()
+        || addr.is_some()
+        || flush_secs.is_some();
     if on {
         set_enabled(true);
         if let Some(addr) = addr {
@@ -236,7 +235,7 @@ pub fn init_from_env() -> bool {
 
 /// The JSONL sink path from `IMCAT_OBS_OUT`, if set.
 pub fn out_path() -> Option<PathBuf> {
-    std::env::var_os("IMCAT_OBS_OUT").map(PathBuf::from)
+    knob_str("IMCAT_OBS_OUT").map(PathBuf::from)
 }
 
 /// Clears all recorded metrics, events, and stored traces across every
@@ -555,7 +554,7 @@ fn flush_line() -> String {
 /// The append path for interval flushes: `IMCAT_OBS_FLUSH_PATH`, else
 /// `IMCAT_OBS_OUT` + `.live`, else `target/obs.live.jsonl`.
 pub fn flush_path() -> PathBuf {
-    if let Some(p) = std::env::var_os("IMCAT_OBS_FLUSH_PATH") {
+    if let Some(p) = knob_str("IMCAT_OBS_FLUSH_PATH") {
         return PathBuf::from(p);
     }
     match out_path() {

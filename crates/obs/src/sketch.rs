@@ -32,13 +32,7 @@ pub const WINDOW_SLOTS: usize = 8;
 /// clamped to at least [`WINDOW_SLOTS`] so every slot spans ≥ 1 s).
 pub fn window_seconds() -> u64 {
     static SECS: OnceLock<u64> = OnceLock::new();
-    *SECS.get_or_init(|| {
-        std::env::var("IMCAT_OBS_WINDOW_SECS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(60)
-            .max(WINDOW_SLOTS as u64)
-    })
+    *SECS.get_or_init(|| crate::knob_u64("IMCAT_OBS_WINDOW_SECS", 60).max(WINDOW_SLOTS as u64))
 }
 
 /// Seconds covered by one window slot.

@@ -173,11 +173,7 @@ struct Store {
 fn store() -> &'static Mutex<Store> {
     static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
     STORE.get_or_init(|| {
-        let cap = std::env::var("IMCAT_OBS_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(512)
-            .max(1);
+        let cap = crate::knob_usize("IMCAT_OBS_TRACE_CAP", 512).max(1);
         Mutex::new(Store {
             ring: VecDeque::with_capacity(cap.min(1024)),
             cap,
@@ -195,17 +191,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 fn sample_every() -> u64 {
     static EVERY: OnceLock<u64> = OnceLock::new();
-    *EVERY.get_or_init(|| {
-        std::env::var("IMCAT_OBS_TRACE_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(16)
-    })
+    *EVERY.get_or_init(|| crate::knob_u64("IMCAT_OBS_TRACE_SAMPLE", 16))
 }
 
 fn slow_us_override() -> Option<f64> {
     static US: OnceLock<Option<f64>> = OnceLock::new();
-    *US.get_or_init(|| std::env::var("IMCAT_OBS_SLOW_US").ok().and_then(|v| v.parse::<f64>().ok()))
+    *US.get_or_init(|| crate::knob_str("IMCAT_OBS_SLOW_US").and_then(|v| v.parse::<f64>().ok()))
 }
 
 /// Slow threshold (seconds) for requests recorded into histogram `hist`:

@@ -414,7 +414,7 @@ fn global_lock() -> &'static RwLock<Arc<Pool>> {
 /// Thread count the global pool starts with: `IMCAT_THREADS` if set (minimum
 /// 1), otherwise the machine's available parallelism.
 pub fn default_threads() -> usize {
-    match std::env::var("IMCAT_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
+    match imcat_obs::knob_str("IMCAT_THREADS").and_then(|v| v.parse::<usize>().ok()) {
         Some(n) => n.max(1),
         None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }

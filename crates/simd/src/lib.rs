@@ -26,8 +26,8 @@
 //! function of environment + hardware, identical in every process on the
 //! same host — and `IMCAT_SIMD=scalar` recovers the historical bits exactly.
 //!
-//! Each kernel has a `_with(backend, ...)` variant so tests and
-//! `kernel_bench` can exercise both paths inside one process.
+//! Each kernel has a `_with(backend, ...)` variant so tests can exercise
+//! both paths inside one process.
 
 use std::sync::OnceLock;
 

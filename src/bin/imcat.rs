@@ -1,15 +1,22 @@
 //! `imcat` command-line interface: generate datasets, train any of the main
-//! models, evaluate, checkpoint, and produce recommendations — all on
-//! HetRec-style TSV files.
+//! models, evaluate, checkpoint, produce recommendations — all on
+//! HetRec-style TSV files — and serve a trained model's frozen artifact
+//! over HTTP.
 //!
 //! ```text
 //! imcat generate --preset del --seed 7 --out-dir data/
 //! imcat stats    --user-item data/user_item.tsv --item-tag data/item_tag.tsv
 //! imcat train    --user-item data/user_item.tsv --item-tag data/item_tag.tsv \
-//!                --model l-imcat --epochs 80 --checkpoint model.imct
+//!                --model l-imcat --epochs 80 --checkpoint model.imct \
+//!                --artifact model.artifact
 //! imcat recommend --user-item data/user_item.tsv --item-tag data/item_tag.tsv \
 //!                --model l-imcat --checkpoint model.imct --user 3 --top 10
+//! imcat serve    --artifact model.artifact --addr 127.0.0.1:8080 --ann ivf
 //! ```
+//!
+//! `serve` is the one wiring of `imcat-net` + `imcat-serve` + `imcat-obs`:
+//! the front-end reads its `IMCAT_NET_*` knobs and telemetry its
+//! `IMCAT_OBS*` knobs from the environment (README, "Environment knobs").
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -20,6 +27,8 @@ use imcat::data::{
 };
 use imcat::eval::{evaluate, evaluate_extended, top_n_masked, EvalSpec};
 use imcat::models::{Backbone, Bprmf, EpochStats, LightGcn, Neumf, RecModel, TrainConfig};
+use imcat::net::{NetConfig, Server};
+use imcat::serve::{AnnConfig, AnnKind, Artifact, ServeConfig};
 use imcat::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,9 +50,10 @@ const USAGE: &str = "usage:
   imcat generate  --preset <mv|fm|del|cite|lastfm|amz|yelp|tiny> [--scale F] [--seed N] --out-dir DIR
   imcat stats     --user-item FILE --item-tag FILE [--min-degree N] [--min-tag-items N]
   imcat train     --user-item FILE --item-tag FILE --model NAME [--epochs N] [--dim N]
-                  [--intents K] [--seed N] [--checkpoint FILE]
+                  [--intents K] [--seed N] [--checkpoint FILE] [--artifact FILE]
   imcat recommend --user-item FILE --item-tag FILE --model NAME --checkpoint FILE
                   --user ID [--top N] [--dim N] [--intents K] [--seed N]
+  imcat serve     --artifact FILE --addr HOST:PORT [--ann ivf|hnsw|brute]
 
 models: bprmf | neumf | lightgcn | b-imcat | n-imcat | l-imcat";
 
@@ -91,6 +101,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "stats" => cmd_stats(&flags),
         "train" => cmd_train(&flags),
         "recommend" => cmd_recommend(&flags),
+        "serve" => cmd_serve(&flags),
         other => Err(format!("unknown command '{other}'")),
     }
 }
@@ -259,8 +270,11 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         &split,
         &trainer::TrainerConfig {
             max_epochs: epochs,
-            eval_every: 10,
+            // A run shorter than the cadence still gets one validation
+            // round: the artifact is exported at the best one.
+            eval_every: epochs.clamp(1, 10),
             patience: 3,
+            artifact_path: flags.get("artifact").map(std::path::PathBuf::from),
             ..Default::default()
         },
     );
@@ -284,6 +298,12 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     if let Some(path) = flags.get("checkpoint") {
         model.save(path)?;
         println!("checkpoint written to {path}");
+    }
+    if let Some(path) = flags.get("artifact") {
+        if report.artifact.is_none() {
+            return Err(format!("{name} exported no artifact to {path}"));
+        }
+        println!("artifact written to {path}");
     }
     Ok(())
 }
@@ -321,4 +341,42 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// `imcat serve`: the front door of the serving stack. Loads a frozen
+/// artifact, starts the HTTP front-end over it, prints where it listens
+/// and parks until killed.
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
+    if let Some(unknown) =
+        flags.0.keys().find(|k| !matches!(k.as_str(), "artifact" | "addr" | "ann"))
+    {
+        return Err(format!("unknown flag --{unknown} for serve"));
+    }
+    let path = flags.require("artifact")?;
+    let addr = flags.require("addr")?;
+    // Absent = exact scan over every item.
+    let ann = match flags.get("ann") {
+        None => None,
+        Some(name) => {
+            let kind = AnnKind::parse(name)
+                .ok_or_else(|| format!("unknown --ann backend '{name}' (ivf | hnsw | brute)"))?;
+            Some(AnnConfig { kind, ..AnnConfig::default() })
+        }
+    };
+    imcat::obs::init_from_env();
+    let artifact = Artifact::load(path).map_err(|e| format!("cannot load {path}: {e}"))?;
+    let server = Server::start(
+        &artifact,
+        &ServeConfig { ann, ..ServeConfig::default() },
+        NetConfig::from_env(),
+        addr,
+    )
+    .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
+    println!("listening on http://{}", server.addr());
+    if let Some(obs) = imcat::obs::http::bound_addr() {
+        println!("telemetry on http://{obs}/metrics");
+    }
+    loop {
+        std::thread::park();
+    }
 }

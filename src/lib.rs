@@ -14,6 +14,10 @@
 //! * [`models`] — BPRMF / NeuMF / LightGCN backbones and the baselines.
 //! * [`core`] — IMCAT itself (IRM + IMCA + ISA + joint trainer).
 //! * [`eval`] — Recall@N / NDCG@N, long-tail and cold-start analyses.
+//! * [`ckpt`] — checksummed checkpoints and the frozen inference artifact.
+//! * [`serve`] / [`net`] / [`obs`] — the cached/batched/ANN engine over an
+//!   artifact, its HTTP front-end (`imcat serve`), and the telemetry both
+//!   report to.
 //!
 //! ## Quickstart
 //!
@@ -51,6 +55,9 @@ pub use imcat_data as data;
 pub use imcat_eval as eval;
 pub use imcat_graph as graph;
 pub use imcat_models as models;
+pub use imcat_net as net;
+pub use imcat_obs as obs;
+pub use imcat_serve as serve;
 pub use imcat_tensor as tensor;
 
 /// Convenience re-exports for examples and downstream users.
