@@ -1,5 +1,10 @@
 //! Ranking metrics: Recall@N and NDCG@N under the paper's protocol (§V-B):
 //! full ranking over all items with the user's training items masked out.
+//!
+//! The ranking primitive is [`top_n_masked_with`]: one pass over a score row
+//! that keeps a running floor under the canonical (score descending, index
+//! ascending) order, so a row of any length is selected from in O(`n`)
+//! memory and nearly every score costs one comparison.
 
 use imcat_data::SplitDataset;
 use imcat_tensor::Tensor;
@@ -135,7 +140,8 @@ impl EvalSpec {
 
 /// Reusable ranking buffers. One scratch per worker lets a stream of users be
 /// ranked without any per-user allocation; reuse never changes results — the
-/// selection runs on identical contents regardless of buffer history.
+/// selection runs on identical contents regardless of buffer history. The
+/// buffers hold O(`n`) entries, not one per scored item.
 #[derive(Default)]
 pub struct TopKScratch {
     ranked: Vec<(u32, f32)>,
@@ -143,7 +149,7 @@ pub struct TopKScratch {
 }
 
 /// The top-`n` unmasked item indices of one score row, reusing `scratch`.
-/// `mask` must be sorted ascending (training-item lists are).
+/// `mask` must be strictly ascending (training-item lists are).
 ///
 /// Ranking uses the *canonical* order (score descending, then index
 /// ascending): a strict total order with no ties, so the selected head is a
@@ -153,33 +159,54 @@ pub struct TopKScratch {
 /// is what lets distributed rankers (per-shard top-K in `imcat-net`, ANN
 /// shortlists) re-rank a union of partial results bit-identically to one
 /// full scan.
+///
+/// The same property makes the selection one pass with a running *floor*.
+/// Unmasked candidates collect in a buffer of `2n` entries; when it fills,
+/// `select_nth` cuts it back to its best `n` and the worst of those becomes
+/// the floor. From then on `n` unmasked candidates are known to outrank
+/// anything at or below the floor, so such a score cannot make the head and
+/// is dropped on one comparison — it is never stored, and the mask is
+/// consulted only for the few scores that clear the floor. Dropping a
+/// candidate that is not in the head leaves a set that still contains the
+/// head, so the list is the one a full sort would give.
 pub fn top_n_masked_with<'a>(
     scores: &[f32],
     mask: &[u32],
     n: usize,
     scratch: &'a mut TopKScratch,
 ) -> &'a [u32] {
-    let ranked = &mut scratch.ranked;
+    debug_assert!(mask.windows(2).all(|w| w[0] < w[1]), "mask must be strictly ascending");
+    let TopKScratch { ranked, top } = scratch;
     ranked.clear();
-    ranked.extend(
-        scores
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(j, s)| (j as u32, s))
-            .filter(|(j, _)| mask.binary_search(j).is_err()),
-    );
-    // Partial selection then exact ordering of the head, both under the
-    // canonical tie-free comparator.
-    let canon = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    let n = n.min(ranked.len());
-    if n > 0 {
-        ranked.select_nth_unstable_by(n - 1, canon);
-        ranked[..n].sort_unstable_by(canon);
+    top.clear();
+    if n == 0 {
+        return top;
     }
-    scratch.top.clear();
-    scratch.top.extend(ranked[..n].iter().map(|&(j, _)| j));
-    &scratch.top
+    let canon = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    let full = n.saturating_mul(2);
+    // Indices ascend, so a later score that merely equals the floor's loses
+    // the index tie-break: clearing the floor means a strictly greater score.
+    let mut floor: Option<f32> = None;
+    for (j, &s) in scores.iter().enumerate() {
+        if floor.is_some_and(|f| s.total_cmp(&f).is_le()) || mask.binary_search(&(j as u32)).is_ok()
+        {
+            continue;
+        }
+        ranked.push((j as u32, s));
+        if ranked.len() == full {
+            ranked.select_nth_unstable_by(n - 1, canon);
+            ranked.truncate(n);
+            floor = Some(ranked[n - 1].1);
+        }
+    }
+    // Exact ordering of the head, under the same tie-free comparator.
+    if ranked.len() > n {
+        ranked.select_nth_unstable_by(n - 1, canon);
+        ranked.truncate(n);
+    }
+    ranked.sort_unstable_by(canon);
+    top.extend(ranked.iter().map(|&(j, _)| j));
+    top
 }
 
 /// The top-`n` unmasked item indices of one score row (allocating

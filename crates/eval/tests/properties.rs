@@ -1,4 +1,6 @@
-//! Property-based tests for metric invariants.
+//! Property-based tests for metric invariants, and the selection oracle:
+//! `top_n_masked_with` against the materialise-everything selection it
+//! replaced.
 
 use imcat_data::{Dataset, SplitDataset};
 use imcat_eval::{evaluate, paired_t_test, top_n_masked, top_n_masked_with, EvalSpec, TopKScratch};
@@ -118,4 +120,112 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&fwd.p));
         }
     }
+}
+
+/// The selection as it was before it became one pass, kept as the oracle:
+/// materialise every unmasked `(index, score)` pair, `select_nth` under the
+/// canonical (score descending, index ascending) order, sort the head.
+fn oracle_top_n_masked(scores: &[f32], mask: &[u32], n: usize) -> Vec<u32> {
+    let mut ranked: Vec<(u32, f32)> = scores
+        .iter()
+        .copied()
+        .enumerate()
+        .map(|(j, s)| (j as u32, s))
+        .filter(|(j, _)| mask.binary_search(j).is_err())
+        .collect();
+    let canon = |a: &(u32, f32), b: &(u32, f32)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    let n = n.min(ranked.len());
+    if n > 0 {
+        ranked.select_nth_unstable_by(n - 1, canon);
+        ranked[..n].sort_unstable_by(canon);
+    }
+    ranked[..n].iter().map(|&(j, _)| j).collect()
+}
+
+/// Score rows that stress a running floor: heavy ties (at most four distinct
+/// values, so the index tie-break decides nearly everything), the values
+/// `total_cmp` orders specially, and sorted rows — ascending is the worst
+/// case (every score clears the floor), descending the best (none does).
+fn oracle_rows(gen: &mut Gen, len: usize) -> Vec<(&'static str, Vec<f32>)> {
+    const SPECIAL: [f32; 8] =
+        [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.5, -1.5];
+    let mut draw = |values: &[f32]| -> Vec<f32> {
+        (0..len).map(|_| values[gen.below(values.len() as u64) as usize]).collect()
+    };
+    let mut rows = vec![
+        ("one value", draw(&[0.25])),
+        ("two values", draw(&[0.25, -3.0])),
+        ("four values", draw(&[0.25, -3.0, 7.5, 0.0])),
+        ("nan/inf/zeros", draw(&SPECIAL)),
+    ];
+    let distinct: Vec<f32> = (0..len).map(|j| j as f32 * 0.5 - 3.0).collect();
+    rows.push(("ascending", distinct.clone()));
+    rows.push(("descending", distinct.iter().rev().copied().collect()));
+    let mut tied = draw(&[0.25, -3.0, 7.5, 0.0]);
+    tied.sort_by(f32::total_cmp);
+    rows.push(("ascending with ties", tied.clone()));
+    tied.reverse();
+    rows.push(("descending with ties", tied));
+    rows.push(("uniform", (0..len).map(|_| gen.unit_f64() as f32 * 20.0 - 10.0).collect()));
+    rows
+}
+
+/// The one-pass selection returns the oracle's list, element for element,
+/// on every combination of row shape, mask shape and cutoff — including the
+/// masks a bounded buffer gets wrong if it admits masked candidates and
+/// filters them at the end (a mask over exactly the head starves the list).
+#[test]
+fn one_pass_selection_matches_the_materialising_oracle() {
+    let mut gen = Gen::new(0x5e1ec7);
+    let mut scratch = TopKScratch::default();
+    let mut compared = 0usize;
+    for len in [0usize, 1, 2, 3, 9, 40, 257] {
+        for (shape, scores) in oracle_rows(&mut gen, len) {
+            let all: Vec<u32> = (0..len as u32).collect();
+            let mut masks: Vec<(&str, Vec<u32>)> = vec![
+                ("empty", Vec::new()),
+                ("everything", all.clone()),
+                ("random third", all.iter().copied().filter(|_| gen.below(3) == 0).collect()),
+                ("all but one", all.iter().copied().filter(|&j| j as usize != len / 2).collect()),
+            ];
+            for head in [1usize, 4, 10] {
+                let mut best = oracle_top_n_masked(&scores, &[], head);
+                best.sort_unstable();
+                masks.push(("exactly the head", best));
+            }
+            for (mask_shape, mask) in &masks {
+                let unmasked = len - mask.len();
+                for n in [0, 1, 4, 10, unmasked, unmasked + 5, len] {
+                    let want = oracle_top_n_masked(&scores, mask, n);
+                    let got = top_n_masked_with(&scores, mask, n, &mut scratch);
+                    assert_eq!(
+                        got, want,
+                        "len={len} scores={shape} mask={mask_shape} n={n}\nscores={scores:?}\nmask={mask:?}"
+                    );
+                    assert_eq!(got.len(), n.min(unmasked));
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 3000, "the sweep shrank to {compared} cases");
+}
+
+/// `n == 0` asks for nothing and gets it, whatever the scratch held before.
+#[test]
+fn zero_cutoff_is_empty() {
+    let scores = [3.0f32, 1.0, 2.0];
+    let mut scratch = TopKScratch::default();
+    assert_eq!(top_n_masked_with(&scores, &[], 3, &mut scratch), &[0, 2, 1]);
+    assert!(top_n_masked_with(&scores, &[], 0, &mut scratch).is_empty());
+    assert!(top_n_masked_with(&scores, &[1], 0, &mut scratch).is_empty());
+    assert!(top_n_masked(&[], &[], 0).is_empty());
+}
+
+/// The doc requires a strictly ascending mask; debug builds now check it.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "strictly ascending")]
+fn unsorted_mask_is_caught_in_debug_builds() {
+    let _ = top_n_masked(&[1.0, 2.0, 3.0], &[2, 0], 1);
 }

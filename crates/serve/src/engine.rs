@@ -4,12 +4,17 @@
 //! ## Parity contract
 //!
 //! A `recommend(user, k)` answer is bit-identical to what the offline
-//! evaluator would rank for that user: scores are the same ascending-index
-//! dot products `imcat_tensor::Tensor::matmul_nt` produces, and the top-K
-//! selection is the evaluator's own `imcat_eval::top_n_masked_with` with the
-//! artifact's training-item mask. The single-request path shards the item
-//! axis over the [`imcat_par`] pool; each item's dot product is a sequential
-//! accumulation, so the result does not depend on `IMCAT_THREADS`.
+//! evaluator would rank for that user: scores are the same `imcat_simd::dot`
+//! bits `imcat_tensor::Tensor::matmul_nt` produces, and the top-K selection
+//! is the evaluator's own `imcat_eval::top_n_masked_with` with the
+//! artifact's training-item mask. Both exact paths score item-major blocks
+//! through `imcat_simd::dot_rows`, whose every element is `dot`'s: the
+//! single-request path shards the item axis over the [`imcat_par`] pool,
+//! one `dot_rows` call per [`ServeConfig::shard_items`] chunk into a buffer
+//! the engine keeps; a tick is one `matmul_nt_rows`, which sweeps
+//! cache-sized item blocks for all of the tick's users. Each item's dot
+//! product is a sequential accumulation either way, so the result does not
+//! depend on `IMCAT_THREADS`, on `shard_items`, or on which path answered.
 //!
 //! ## ANN retrieval
 //!
@@ -190,6 +195,8 @@ pub struct Engine {
     cfg: ServeConfig,
     cache: LruCache,
     scratch: TopKScratch,
+    /// The single-request path's score row, kept between requests.
+    scores: Vec<f32>,
     ann: Option<AnnState>,
     latency: Histogram,
     served: u64,
@@ -203,6 +210,7 @@ impl Engine {
             cache: LruCache::new(cfg.cache_capacity),
             cfg,
             scratch: TopKScratch::default(),
+            scores: Vec::new(),
             ann,
             latency: Histogram::default(),
             served: 0,
@@ -457,21 +465,21 @@ impl Engine {
         self.artifact().n_items()
     }
 
-    /// Scores every item for `user`, sharding the item axis over the thread
-    /// pool. Element `j` is the same `imcat_simd::dot` kernel `matmul_nt`
-    /// runs, so the row is bit-identical to the evaluator's score row at any
-    /// thread count.
-    fn score_user(&self, user: u32) -> Vec<f32> {
+    /// Scores every item for `user` into `scores`, sharding the item axis
+    /// over the thread pool: one `imcat_simd::dot_rows` call per
+    /// `shard_items` chunk. Element `j` is the `imcat_simd::dot` bits
+    /// `matmul_nt` produces, so the row is bit-identical to the evaluator's
+    /// score row at any thread count and shard size.
+    fn score_user(&self, user: u32, scores: &mut Vec<f32>) {
         let u_row = self.artifact().user_emb.row(user as usize);
         let items = &self.artifact().item_emb;
-        let mut scores = vec![0.0f32; items.rows()];
+        let d = items.cols();
+        scores.resize(items.rows(), 0.0);
         let shard = self.cfg.shard_items.max(1);
-        imcat_par::global().parallel_chunks_mut(&mut scores, shard, |ci, slots| {
-            for (off, slot) in slots.iter_mut().enumerate() {
-                *slot = imcat_simd::dot(u_row, items.row(ci * shard + off));
-            }
+        imcat_par::global().parallel_chunks_mut(scores, shard, |ci, slots| {
+            let first = ci * shard * d;
+            imcat_simd::dot_rows(u_row, &items.as_slice()[first..first + slots.len() * d], slots);
         });
-        scores
     }
 
     fn top_k(&mut self, user: u32, k: usize, scores: &[f32]) -> Vec<Recommendation> {
@@ -528,8 +536,13 @@ impl Engine {
             imcat_obs::counter_add("ann.fallbacks", 1);
         }
         let _score = imcat_obs::span("serve.score.seconds");
-        let scores = self.score_user(user);
-        self.top_k(user, k, &scores)
+        // Out of `self` while `top_k` borrows the engine, then back for the
+        // next request.
+        let mut scores = std::mem::take(&mut self.scores);
+        self.score_user(user, &mut scores);
+        let out = self.top_k(user, k, &scores);
+        self.scores = scores;
+        out
     }
 
     fn account(&mut self, requests: u64, seconds: f64) {

@@ -1,10 +1,13 @@
 //! Serving/evaluation parity: for every user, `Engine::recommend` must
 //! return exactly the masked top-K list the offline evaluator ranks — same
 //! items, same order, bit-identical scores — at any `IMCAT_THREADS` setting,
-//! and the batched path must agree with the single-request path.
+//! and the batched path must agree with the single-request path — also off
+//! the scan's block grid, at any `shard_items`, and for a user whose every
+//! score ties.
 
 use std::sync::{Mutex, OnceLock};
 
+use imcat_ckpt::Artifact;
 use imcat_core::{Imcat, ImcatConfig};
 use imcat_data::{generate, SplitDataset, SynthConfig};
 use imcat_eval::top_n_masked;
@@ -135,6 +138,66 @@ fn batch_path_matches_single_request_path() {
     // Repeats within the tick were deduplicated into cache hits or shared
     // scoring rows; the stats must still count every request.
     assert_eq!(batched.stats().served, requests.len() as u64);
+}
+
+/// The three exact rankers — `Engine::recommend` (item-axis shards through
+/// `dot_rows`), `recommend_batch` (one blocked `matmul_nt_rows`) and the
+/// evaluator's selection over a per-pair `imcat_simd::dot` row — agree list
+/// for list and bit for bit when nothing lines up: 293 items (two 128-row
+/// blocks and a 37-row tail, not a multiple of the kernel's four rows in
+/// flight either) and shard sizes of one item, seven, and more than the
+/// catalogue. User 4 is cold (all-zero): every score ties at +0.0, so the
+/// canonical order hands it the `k` lowest unmasked ids.
+#[test]
+fn exact_paths_agree_off_the_block_grid() {
+    let _guard = pool_lock().lock().unwrap();
+    const K: usize = 10;
+    let (n_users, n_items, d) = (9usize, 293usize, 64usize);
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut user_emb = imcat_tensor::normal(n_users, d, 1.0, &mut rng);
+    user_emb.row_mut(4).fill(0.0);
+    let item_emb = imcat_tensor::normal(n_items, d, 1.0, &mut rng);
+    let masks: Vec<Vec<u32>> = (0..n_users as u32)
+        .map(|u| (0..n_items as u32).filter(|j| (j * 7 + u * 3) % 11 == 0).collect())
+        .collect();
+    let artifact = Artifact::new("off-grid", user_emb, item_emb, masks);
+
+    // The reference: a per-pair dot row through the evaluator's selection.
+    let expected: Vec<Vec<(u32, u32)>> = (0..n_users)
+        .map(|u| {
+            let row: Vec<f32> = (0..n_items)
+                .map(|j| imcat_simd::dot(artifact.user_emb.row(u), artifact.item_emb.row(j)))
+                .collect();
+            let top = top_n_masked(&row, &artifact.masks[u], K);
+            top.iter().map(|&j| (j, row[j as usize].to_bits())).collect()
+        })
+        .collect();
+    let lowest_unmasked: Vec<u32> =
+        (0..n_items as u32).filter(|j| !artifact.masks[4].contains(j)).take(K).collect();
+    let cold: Vec<u32> = expected[4].iter().map(|&(j, _)| j).collect();
+    assert_eq!(cold, lowest_unmasked, "an all-tie row ranks by ascending id");
+    assert!(expected[4].iter().all(|&(_, bits)| bits == 0.0f32.to_bits()));
+
+    let fingerprint = |recs: &[imcat_serve::Recommendation]| -> Vec<(u32, u32)> {
+        recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+    };
+    let requests: Vec<(u32, usize)> = (0..n_users as u32).map(|u| (u, K)).collect();
+    for threads in [1, 4] {
+        for shard_items in [1usize, 7, 1024] {
+            let what = format!("threads={threads} shard_items={shard_items}");
+            with_threads(threads, || {
+                let cfg = ServeConfig { cache_capacity: 0, shard_items, ann: None };
+                let mut engine = Engine::new(artifact.clone(), cfg).unwrap();
+                let tick = engine.recommend_batch(&requests);
+                for (u, want) in expected.iter().enumerate() {
+                    let single = engine.recommend(u as u32, K).unwrap();
+                    assert_eq!(&fingerprint(&single), want, "{what}: single path, user {u}");
+                    let batched = tick[u].as_ref().unwrap();
+                    assert_eq!(&fingerprint(batched), want, "{what}: batch path, user {u}");
+                }
+            });
+        }
+    }
 }
 
 #[test]

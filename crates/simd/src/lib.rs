@@ -1,9 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the IMCAT hot paths.
 //!
 //! Every matmul, batch scorer, and ANN probe in the workspace bottoms out in
-//! the same handful of inner loops: f32 `dot`, `axpy`, a fused int8
-//! [`dot_i8_scaled`], squared L2 distance, and an L1 norm. This crate owns
-//! those loops and picks one of two backends once per process:
+//! the same handful of inner loops: f32 `dot` (and [`dot_rows`], the same
+//! dot against a contiguous block of rows with several rows in flight),
+//! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance, and an L1
+//! norm. This crate owns those loops and picks one of two backends once per
+//! process:
 //!
 //! - [`Backend::Scalar`] — the plain sequential loops the workspace has
 //!   always used, preserved bit-for-bit. `acc += a*b` in order, no fusing,
@@ -107,6 +109,62 @@ pub fn dot_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
             }
             portable::dot(a, b)
         }
+    }
+}
+
+/// One query against a contiguous block of rows: `out[j] = dot(a, row_j)`
+/// with `row_j = rows[j * a.len()..(j + 1) * a.len()]`, under the process
+/// backend.
+///
+/// Every pair runs exactly [`dot`]'s operation sequence, so
+/// `out[j].to_bits() == dot(a, row_j).to_bits()` on every input; what the
+/// block form buys is speed. The backend is resolved once per call instead
+/// of once per pair, the query chunk is loaded once for several rows, and
+/// those rows accumulate on independent registers, so the FMA pipeline is
+/// not left waiting on one dependent chain per pair. This is the kernel of
+/// the exact scan (`Tensor::matmul_nt{,_rows}`, `Engine::score_user`).
+///
+/// Panics unless `rows.len() == a.len() * out.len()`.
+#[inline]
+pub fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
+    dot_rows_with(backend(), a, rows, out)
+}
+
+/// [`dot_rows`] under an explicit backend.
+pub fn dot_rows_with(bk: Backend, a: &[f32], rows: &[f32], out: &mut [f32]) {
+    assert_eq!(
+        Some(rows.len()),
+        a.len().checked_mul(out.len()),
+        "dot_rows: {} row elements are not {} rows of {} dims",
+        rows.len(),
+        out.len(),
+        a.len()
+    );
+    match bk {
+        Backend::Scalar => scalar::dot_rows(a, rows, out),
+        Backend::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2_detected() {
+                // SAFETY: AVX2+FMA presence was just checked.
+                unsafe { avx2::dot_rows(a, rows, out) };
+                return;
+            }
+            portable::dot_rows(a, rows, out)
+        }
+    }
+}
+
+/// `out[j] = dot(a, row_j)` one row after the other: the scalar oracle's
+/// and the portable mirror's form of [`dot_rows`] (rows are independent, so
+/// how many are in flight never shows in the bits).
+fn dot_each_row(dot: impl Fn(&[f32], &[f32]) -> f32, a: &[f32], rows: &[f32], out: &mut [f32]) {
+    if a.is_empty() {
+        // Zero-width rows (`chunks_exact(0)` panics): every dot is the empty sum.
+        out.fill(dot(a, a));
+        return;
+    }
+    for (o, row) in out.iter_mut().zip(rows.chunks_exact(a.len())) {
+        *o = dot(a, row);
     }
 }
 
@@ -217,6 +275,12 @@ pub mod scalar {
         acc
     }
 
+    /// [`dot`] against each row of a contiguous block, one row after the
+    /// other (`rows.len()` must be `a.len() * out.len()`).
+    pub fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
+        super::dot_each_row(dot, a, rows, out)
+    }
+
     /// Sequential `y[i] += s * x[i]`, no fusing.
     pub fn axpy(s: f32, x: &[f32], y: &mut [f32]) {
         for i in 0..x.len() {
@@ -286,6 +350,14 @@ pub mod portable {
             total = a[i].mul_add(b[i], total);
         }
         total
+    }
+
+    /// Eight-lane fused [`dot`] against each row of a contiguous block
+    /// (`rows.len()` must be `a.len() * out.len()`). The intrinsic kernel
+    /// keeps several rows in flight; each row's lanes, reduction tree and
+    /// tail are this loop's, so the two agree bitwise.
+    pub fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
+        super::dot_each_row(dot, a, rows, out)
     }
 
     /// Elementwise fused `y[i] = fma(s, x[i], y[i])`.
@@ -394,6 +466,59 @@ pub mod avx2 {
             total = a[i].mul_add(b[i], total);
         }
         total
+    }
+
+    /// Rows the block kernel keeps in flight, one accumulator register each.
+    const IN_FLIGHT: usize = 4;
+
+    /// [`dot`] of `a` against each row of a contiguous block, four rows
+    /// (`IN_FLIGHT`) at a time: one load of the query chunk feeds that many
+    /// independent FMA chains. Each chain is `dot`'s own (same operand
+    /// order, chunk order, `hsum256` tree and scalar `mul_add` tail), so
+    /// every `out[j]` is bit-identical to `dot(a, row_j)`; rows past the
+    /// last full group go through `dot` itself. `rows.len()` must be
+    /// `a.len() * out.len()` (rows or outputs beyond the shorter of the two
+    /// are ignored, never read out of bounds).
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA support.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
+        let d = a.len();
+        if d == 0 {
+            // `chunks_exact(0)` panics; an empty dot is `hsum256(0) == 0.0`.
+            out.fill(0.0);
+            return;
+        }
+        let chunks = d / 8;
+        let ap = a.as_ptr();
+        let mut blocks = rows.chunks_exact(IN_FLIGHT * d);
+        let mut groups = out.chunks_exact_mut(IN_FLIGHT);
+        for (block, group) in blocks.by_ref().zip(groups.by_ref()) {
+            let bp = block.as_ptr();
+            let mut acc = [_mm256_setzero_ps(); IN_FLIGHT];
+            for c in 0..chunks {
+                // SAFETY (bounds): `c * 8 + 8 <= chunks * 8 <= d == a.len()`,
+                // so the eight floats at `ap + c * 8` lie inside `a`; and for
+                // `r < IN_FLIGHT` the eight at `bp + r * d + c * 8` end at or
+                // before `r * d + d <= IN_FLIGHT * d`, which is `block.len()`
+                // exactly (`chunks_exact`). Unaligned loads, so no alignment
+                // requirement.
+                let av = _mm256_loadu_ps(ap.add(c * 8));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(r * d + c * 8)), *acc);
+                }
+            }
+            let a_tail = &a[chunks * 8..];
+            for (r, (o, acc)) in group.iter_mut().zip(acc).enumerate() {
+                let mut total = hsum256(acc);
+                for (x, y) in a_tail.iter().zip(&block[r * d + chunks * 8..(r + 1) * d]) {
+                    total = x.mul_add(*y, total);
+                }
+                *o = total;
+            }
+        }
+        super::dot_each_row(|a, row| dot(a, row), a, blocks.remainder(), groups.into_remainder());
     }
 
     /// Fused 8-lane `y += s * x`.

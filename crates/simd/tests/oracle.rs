@@ -8,6 +8,8 @@
 //!    intrinsics.
 //! 3. The Avx2 backend agrees with the Scalar oracle within a forward-error
 //!    tolerance, at awkward lengths and under proptest-random inputs.
+//! 4. `dot_rows` is `dot`, pair for pair and bit for bit, in all three forms
+//!    and at every awkward width and row count; a wrong shape panics.
 
 use imcat_simd::{portable, scalar, Backend};
 use proptest::prelude::*;
@@ -203,8 +205,147 @@ fn process_backend_matches_its_explicit_variant() {
     assert_eq!(imcat_simd::dot(&a, &b).to_bits(), imcat_simd::dot_with(bk, &a, &b).to_bits());
 }
 
+// ---------------------------------------------------------------------------
+// Contract 4: dot_rows == per-pair dot, bitwise, in every form.
+// ---------------------------------------------------------------------------
+
+/// Widths around the 8-lane chunk and the serving width, and a long odd one.
+const ROW_DIMS: &[usize] = &[0, 1, 7, 8, 9, 63, 64, 65, 4095];
+/// Row counts around the rows-in-flight group (4) and the tensor block (128).
+const ROW_COUNTS: &[usize] = &[0, 1, 3, 4, 5, 127, 128, 129];
+
+/// Every (width, row count) shape with a query and a block of rows.
+fn row_blocks() -> impl Iterator<Item = (Vec<f32>, Vec<f32>, usize)> {
+    ROW_DIMS.iter().flat_map(|&d| {
+        ROW_COUNTS.iter().map(move |&n| {
+            let seed = (d * 1000 + n) as u64;
+            (vector(0xa ^ seed, d), vector(0xb0 ^ seed, d * n), n)
+        })
+    })
+}
+
+/// Row `j` of a block of `d`-wide rows.
+fn row(rows: &[f32], d: usize, j: usize) -> &[f32] {
+    &rows[j * d..(j + 1) * d]
+}
+
+#[test]
+fn dot_rows_matches_per_pair_dot_bitwise_on_both_backends() {
+    for (a, rows, n) in row_blocks() {
+        let d = a.len();
+        for bk in [Backend::Scalar, Backend::Avx2] {
+            // Poisoned, so an element the kernel skipped cannot pass.
+            let mut out = vec![f32::NAN; n];
+            imcat_simd::dot_rows_with(bk, &a, &rows, &mut out);
+            for (j, o) in out.iter().enumerate() {
+                let want = imcat_simd::dot_with(bk, &a, row(&rows, d, j));
+                assert_eq!(o.to_bits(), want.to_bits(), "{bk:?} d={d} n={n} row {j}");
+            }
+        }
+        let mut out = vec![f32::NAN; n];
+        imcat_simd::dot_rows(&a, &rows, &mut out);
+        for (j, o) in out.iter().enumerate() {
+            assert_eq!(o.to_bits(), imcat_simd::dot(&a, row(&rows, d, j)).to_bits());
+        }
+    }
+}
+
+#[test]
+fn scalar_dot_rows_matches_naive_loop_bitwise() {
+    for (a, rows, n) in row_blocks() {
+        let d = a.len();
+        let mut out = vec![f32::NAN; n];
+        scalar::dot_rows(&a, &rows, &mut out);
+        for (j, o) in out.iter().enumerate() {
+            let mut naive = 0.0f32;
+            for i in 0..d {
+                naive += a[i] * rows[j * d + i];
+            }
+            assert_eq!(o.to_bits(), naive.to_bits(), "d={d} n={n} row {j}");
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_dot_rows_matches_portable_mirror_bitwise() {
+    if !imcat_simd::avx2_detected() {
+        eprintln!("skipping: host has no AVX2+FMA");
+        return;
+    }
+    for (a, rows, n) in row_blocks() {
+        let mut intrinsic = vec![f32::NAN; n];
+        let mut mirror = vec![f32::NAN; n];
+        // SAFETY: avx2_detected() checked above; `rows` is `n` rows of `a.len()`.
+        unsafe { imcat_simd::avx2::dot_rows(&a, &rows, &mut intrinsic) };
+        portable::dot_rows(&a, &rows, &mut mirror);
+        for j in 0..n {
+            assert_eq!(intrinsic[j].to_bits(), mirror[j].to_bits(), "d={} n={n} row {j}", a.len());
+        }
+    }
+}
+
+/// NaN payloads and signed zeros/infinities take the same path through the
+/// block kernel as through `dot` (same operand order in every FMA).
+#[test]
+fn dot_rows_matches_dot_bitwise_on_special_values() {
+    let special = [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.0e-40, -3.5];
+    let mut gen = Gen::new(0x5bec1a1);
+    let mut draw = |n: usize| -> Vec<f32> {
+        (0..n).map(|_| special[gen.below(special.len() as u64) as usize]).collect()
+    };
+    for d in [1usize, 8, 13, 64] {
+        let (a, rows) = (draw(d), draw(d * 9));
+        for bk in [Backend::Scalar, Backend::Avx2] {
+            let mut out = vec![0.0f32; 9];
+            imcat_simd::dot_rows_with(bk, &a, &rows, &mut out);
+            for (j, o) in out.iter().enumerate() {
+                let want = imcat_simd::dot_with(bk, &a, row(&rows, d, j));
+                assert_eq!(o.to_bits(), want.to_bits(), "{bk:?} d={d} row {j}");
+            }
+        }
+    }
+}
+
+/// A block that is not `out.len()` rows of `a.len()` — an element short, a
+/// row long, a row short, empty — is refused up front on every backend,
+/// before any element is read.
+#[test]
+fn dot_rows_shape_mismatch_panics_with_a_message() {
+    let a = vector(1, 8);
+    let rows = vector(2, 8 * 4);
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        for (rows, outs) in [(&rows[..31], 4usize), (&rows[..], 3), (&rows[..], 5), (&rows[..0], 1)]
+        {
+            let caught = std::panic::catch_unwind(|| {
+                let mut out = vec![0.0f32; outs];
+                imcat_simd::dot_rows_with(bk, &a, rows, &mut out);
+            });
+            let msg = caught.expect_err("a wrong shape must panic");
+            let msg = msg.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("dot_rows"), "{bk:?}: unhelpful message: {msg}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random shapes: the block kernel is `dot`, bit for bit, on whichever
+    /// implementation each backend dispatches to on this host.
+    #[test]
+    fn prop_dot_rows_is_dot(seed in 0u64..u64::MAX, d in 0usize..200, n in 0usize..40) {
+        let a = vector(seed, d);
+        let rows = vector(seed ^ 0x0dd, d * n);
+        for bk in [Backend::Scalar, Backend::Avx2] {
+            let mut out = vec![f32::NAN; n];
+            imcat_simd::dot_rows_with(bk, &a, &rows, &mut out);
+            for (j, o) in out.iter().enumerate() {
+                let want = imcat_simd::dot_with(bk, &a, row(&rows, d, j));
+                prop_assert_eq!(o.to_bits(), want.to_bits(), "{:?} d={} row {}", bk, d, j);
+            }
+        }
+    }
 
     /// Random lengths and values: the Avx2 backend (intrinsics or portable,
     /// whichever this host dispatches to) stays within the forward-error

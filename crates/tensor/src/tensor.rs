@@ -5,6 +5,15 @@
 //! (column) or `[1, n]` (row) matrices and scalars as `[1, 1]`, which keeps
 //! shape rules explicit — there is no implicit broadcasting anywhere in this
 //! crate beyond the documented `*_row` / `*_rowvec` operations.
+//!
+//! The dense products fan out over the global pool by output rows. The NT
+//! product (`matmul_nt`, `matmul_nt_rows`: all-item scoring, contrastive
+//! logits, the serving tick) additionally runs **item-major**: the second
+//! operand is swept in cache-sized blocks of rows and every output row of a
+//! group is scored against a block, through `imcat_simd::dot_rows`, before
+//! the next block is loaded — see `Tensor::nt_product`. Every element of
+//! every product is the bits of one fixed kernel sequence, so no result
+//! depends on the thread count or on the blocking.
 
 use std::fmt;
 
@@ -12,13 +21,37 @@ use std::fmt;
 /// below this the dispatch overhead exceeds the kernel itself.
 pub(crate) const PAR_MIN_FLOPS: usize = 1 << 15;
 
-/// Runs `body(row, out_row)` for every output row, fanning row blocks out
-/// over the global pool when the kernel is large enough.
+/// Runs `body(row0, out_rows)` over groups of consecutive output rows
+/// (`out_rows` holds whole rows, the first of them row `row0`), fanning
+/// `groups_per_thread` groups per pool thread out over the global pool when
+/// the kernel is large enough.
 ///
-/// Determinism: rows are computed independently and written to disjoint
-/// slices, and `body` is exactly the serial per-row computation, so the
-/// result is bit-identical to a serial row loop for any thread count
-/// (including the serial fallback taken for small kernels).
+/// Determinism: groups are written to disjoint slices and the grouping only
+/// affects scheduling, so as long as `body` computes each row independently
+/// of which group it lands in, the result is bit-identical for any thread
+/// count (including the serial fallback taken for small kernels, which is
+/// one group of all `m` rows).
+fn run_row_groups(
+    m: usize,
+    n: usize,
+    flops: usize,
+    groups_per_thread: usize,
+    out: &mut [f32],
+    body: &(dyn Fn(usize, &mut [f32]) + Sync),
+) {
+    debug_assert_eq!(out.len(), m * n);
+    if m > 1 && flops >= PAR_MIN_FLOPS && imcat_par::parallelism_available() {
+        let pool = imcat_par::global();
+        let rows_per = m.div_ceil(pool.threads() * groups_per_thread).max(1);
+        pool.parallel_chunks_mut(out, rows_per * n, |ci, chunk| body(ci * rows_per, chunk));
+    } else {
+        body(0, out);
+    }
+}
+
+/// [`run_row_groups`] for kernels that compute one output row at a time:
+/// runs `body(row, out_row)` for every output row, exactly the serial
+/// per-row computation whatever the thread count.
 pub(crate) fn run_row_blocked(
     m: usize,
     n: usize,
@@ -26,24 +59,25 @@ pub(crate) fn run_row_blocked(
     out: &mut [f32],
     body: &(dyn Fn(usize, &mut [f32]) + Sync),
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    if m > 1 && flops >= PAR_MIN_FLOPS && imcat_par::parallelism_available() {
-        let pool = imcat_par::global();
-        // Four blocks per thread keeps stragglers short without shrinking
-        // blocks below useful sizes. Block boundaries only affect scheduling,
-        // never arithmetic order, so this may depend on the thread count.
-        let rows_per = m.div_ceil(pool.threads() * 4).max(1);
-        pool.parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-            let row0 = ci * rows_per;
-            for (off, o_row) in chunk.chunks_mut(n).enumerate() {
-                body(row0 + off, o_row);
-            }
-        });
-    } else {
-        for (i, o_row) in out.chunks_mut(n).enumerate() {
-            body(i, o_row);
+    // Rows of these kernels cost unevenly (zero skips, CSR row lengths):
+    // four groups per thread keeps stragglers short without shrinking
+    // groups below useful sizes.
+    run_row_groups(m, n, flops, 4, out, &|row0, rows| {
+        for (off, o_row) in rows.chunks_mut(n).enumerate() {
+            body(row0 + off, o_row);
         }
-    }
+    });
+}
+
+/// Floats of the second operand the NT product keeps cache-resident at a
+/// time: 32 KB, i.e. 128 rows at the serving width of 64.
+const NT_BLOCK_FLOATS: usize = 8192;
+
+/// Rows of the second operand per block of the NT product at inner width
+/// `k > 0`: what fits [`NT_BLOCK_FLOATS`], and never so few that a block
+/// stops amortising the kernel call.
+fn nt_block_rows(k: usize) -> usize {
+    (NT_BLOCK_FLOATS / k).max(8)
 }
 
 /// A dense, row-major `rows x cols` matrix of `f32`.
@@ -265,7 +299,8 @@ impl Tensor {
     }
 
     /// Matrix product with the second operand transposed:
-    /// `self @ other^T` (`[m,k] x [n,k]^T -> [m,n]`).
+    /// `self @ other^T` (`[m,k] x [n,k]^T -> [m,n]`). Element `(i, j)` is
+    /// `imcat_simd::dot(self.row(i), other.row(j))`, bit for bit.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,
@@ -274,22 +309,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let _sp = crate::obs_matmul(m, k, n);
-        let mut out = Tensor::zeros(m, n);
-        if n == 0 || k == 0 {
-            return out;
-        }
-        let a_data = &self.data;
-        let b_data = &other.data;
-        let body = |i: usize, o_row: &mut [f32]| {
-            let a_row = &a_data[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                *o = imcat_simd::dot(a_row, &b_data[j * k..(j + 1) * k]);
-            }
-        };
-        run_row_blocked(m, n, m * k * n, &mut out.data, &body);
-        out
+        self.nt_product(self.rows, &|i| i, other)
     }
 
     /// [`matmul_nt`](Self::matmul_nt) over a selection of `self`'s rows:
@@ -305,25 +325,51 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let (m, k, n) = (rows.len(), self.cols, other.rows);
         for &r in rows {
             assert!((r as usize) < self.rows, "row {r} out of bounds for {} rows", self.rows);
         }
+        self.nt_product(rows.len(), &|i| rows[i] as usize, other)
+    }
+
+    /// The one NT body: output row `i` is `self.row(row_of(i))` against every
+    /// row of `other`.
+    ///
+    /// The sweep is item-major. `other` is cut into blocks of
+    /// [`nt_block_rows`] rows, small enough to stay in L1, and every output
+    /// row of a group is scored against a block (one `imcat_simd::dot_rows`
+    /// call each) before the next block is touched — so `other` streams from
+    /// memory once per group of output rows, not once per output row. The
+    /// pool splits over output rows and each worker sweeps the blocks for
+    /// its own; every element is one `dot` whatever the split, so the result
+    /// does not depend on the thread count.
+    fn nt_product(
+        &self,
+        m: usize,
+        row_of: &(dyn Fn(usize) -> usize + Sync),
+        other: &Tensor,
+    ) -> Tensor {
+        let (k, n) = (self.cols, other.rows);
         let _sp = crate::obs_matmul(m, k, n);
         let mut out = Tensor::zeros(m, n);
         if n == 0 || k == 0 {
             return out;
         }
-        let a_data = &self.data;
-        let b_data = &other.data;
-        let body = |i: usize, o_row: &mut [f32]| {
-            let r = rows[i] as usize;
-            let a_row = &a_data[r * k..(r + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                *o = imcat_simd::dot(a_row, &b_data[j * k..(j + 1) * k]);
+        let block_rows = nt_block_rows(k);
+        let body = |row0: usize, o_rows: &mut [f32]| {
+            for (b, block) in other.data.chunks(block_rows * k).enumerate() {
+                let cols = b * block_rows..b * block_rows + block.len() / k;
+                for (off, o_row) in o_rows.chunks_mut(n).enumerate() {
+                    imcat_simd::dot_rows(
+                        self.row(row_of(row0 + off)),
+                        block,
+                        &mut o_row[cols.clone()],
+                    );
+                }
             }
         };
-        run_row_blocked(m, n, m * k * n, &mut out.data, &body);
+        // One group per thread: NT rows cost the same, and every further
+        // group is one more pass over `other`.
+        run_row_groups(m, n, m * k * n, 1, &mut out.data, &body);
         out
     }
 
@@ -460,21 +506,50 @@ mod tests {
         assert!(via_tn.approx_eq(&via_t, 1e-6));
     }
 
+    /// Both NT products are one `imcat_simd::dot` per element, bit for bit,
+    /// at every awkward shape: inner widths around the 8-lane chunk, item
+    /// counts one below / at / above a block boundary and off the kernel's
+    /// four-row group, repeated and unsorted row selections — and at pool
+    /// sizes 1 and 4, since the split over output rows must not show.
     #[test]
     fn matmul_nt_rows_matches_copy_then_matmul_nt_bitwise() {
-        let a = Tensor::from_vec(5, 3, (0..15).map(|x| (x as f32) * 0.37 - 2.0).collect());
-        let b = Tensor::from_vec(4, 3, (0..12).map(|x| (x as f32) * 0.11 + 0.5).collect());
-        let rows: Vec<u32> = vec![3, 0, 3, 1];
-        let direct = a.matmul_nt_rows(&rows, &b);
-        let mut copied = Tensor::zeros(rows.len(), a.cols());
-        for (i, &r) in rows.iter().enumerate() {
-            copied.row_mut(i).copy_from_slice(a.row(r as usize));
+        let fill = |rows: usize, cols: usize, salt: usize| {
+            let v = |x: usize| ((x * 37 + salt * 11) % 101) as f32 * 0.173 - 8.0;
+            Tensor::from_vec(rows, cols, (0..rows * cols).map(v).collect())
+        };
+        let same_bits = |x: &Tensor, y: &Tensor, what: &str| {
+            assert_eq!(x.shape(), y.shape(), "{what}");
+            for (i, (p, q)) in x.as_slice().iter().zip(y.as_slice()).enumerate() {
+                assert_eq!(p.to_bits(), q.to_bits(), "{what}: element {i}");
+            }
+        };
+        for threads in [1, 4] {
+            imcat_par::set_threads(threads);
+            for k in [1usize, 7, 8, 9, 64, 65] {
+                let block = nt_block_rows(k);
+                for n in [block - 1, block, block + 1, 2 * block + 3] {
+                    let a = fill(23, k, 1);
+                    let b = fill(n, k, 2);
+                    for m in [1usize, 3, 8, 17] {
+                        let what = format!("threads={threads} k={k} n={n} m={m}");
+                        // Unsorted, with repeats once `m` passes 4.
+                        let rows: Vec<u32> =
+                            (0..m).map(|i| ((i % 4) * 7 + 3) as u32 % 23).collect();
+                        let mut naive = Tensor::zeros(m, n);
+                        let mut copied = Tensor::zeros(m, k);
+                        for (i, &r) in rows.iter().enumerate() {
+                            copied.row_mut(i).copy_from_slice(a.row(r as usize));
+                            for j in 0..n {
+                                naive.set(i, j, imcat_simd::dot(a.row(r as usize), b.row(j)));
+                            }
+                        }
+                        same_bits(&a.matmul_nt_rows(&rows, &b), &naive, &what);
+                        same_bits(&copied.matmul_nt(&b), &naive, &what);
+                    }
+                }
+            }
         }
-        let via_copy = copied.matmul_nt(&b);
-        assert_eq!(direct.shape(), via_copy.shape());
-        for (x, y) in direct.as_slice().iter().zip(via_copy.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+        imcat_par::set_threads(imcat_par::default_threads());
     }
 
     #[test]
