@@ -446,22 +446,11 @@ impl IvfIndex {
     /// restores the invariant.
     pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
         check_insert(self.dim, self.n_items, id, embedding)?;
-        let tail = mips_tail(self.phi2, norm2(embedding));
-        // Nearest centroid over the augmented coordinates, same accumulation
-        // shape as `kmeans::assign_nearest` (ties to the lower list id).
-        let mut best = 0usize;
-        let mut best_d2 = f32::INFINITY;
-        for c in 0..self.nlist() {
-            let crow = self.centroids.row(c);
-            let mut d2 = 0f32;
-            for (&a, &b) in embedding.iter().chain(std::iter::once(&tail)).zip(crow) {
-                d2 += (a - b) * (a - b);
-            }
-            if d2 < best_d2 {
-                best = c;
-                best_d2 = d2;
-            }
-        }
+        // The Φ-augmented row, assigned by the build's own definition of
+        // "nearest centroid" (ties to the lower list id).
+        let mut row = embedding.to_vec();
+        row.push(mips_tail(self.phi2, norm2(embedding)));
+        let best = assign_nearest(&Tensor::from_vec(1, self.dim + 1, row), &self.centroids)[0];
         let pos = self.offsets[best + 1] as usize;
         self.entries.insert(pos, id);
         for o in &mut self.offsets[best + 1..] {

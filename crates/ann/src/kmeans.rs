@@ -8,14 +8,22 @@
 //!
 //! ## Determinism
 //!
-//! The assignment step fans out over the `imcat-par` pool, but every point's
-//! nearest-center computation is an independent, serially-accumulated
-//! reduction written to that point's own slot, and the update step folds
-//! points in ascending index order on one thread. Centroids are therefore
-//! **bit-identical at any `IMCAT_THREADS` setting** — the same discipline as
+//! The assignment step fans out over the `imcat-par` pool and, within one
+//! point, across centres: `imcat_simd::l2_sq_cols` gives every (point,
+//! centre) pair its own accumulator lane. Three facts keep that exact. A lane
+//! is one pair and lanes never mix; within a pair the coordinates are
+//! subtracted, squared and added in ascending order with a separate multiply
+//! and add — the historical serial loop's operation sequence, so each
+//! distance has the serial loop's bits on every backend; and the argmin scans
+//! the centres in ascending order under a strict `<`, so a tie goes to the
+//! lower index exactly as before. Each point's result lands in that point's
+//! own slot, and the update step folds points in ascending index order on one
+//! thread. Centroids are therefore **bit-identical at any `IMCAT_THREADS`
+//! setting and under either `IMCAT_SIMD` backend** — the same discipline as
 //! every other parallel hot path in the workspace (asserted by
-//! `crates/ann/tests/determinism.rs`).
+//! `crates/ann/tests/determinism.rs`, which also pins the bytes).
 
+use imcat_simd::L2_COLS_LANES;
 use imcat_tensor::Tensor;
 use rand::Rng;
 
@@ -24,22 +32,38 @@ use rand::Rng;
 const ASSIGN_GRAIN: usize = 64;
 
 /// Nearest-center index for every row of `data` (squared Euclidean distance,
-/// ties to the lower center index). Fans out over the global pool; each
-/// point's distance loop runs serially, so the result is thread-count
-/// independent.
+/// ties to the lower center index). This is the workspace's one definition
+/// of "nearest centre": the k-means passes, the IVF list assignment and
+/// streamed `IvfIndex::insert` all come through here.
+///
+/// The centres are transposed once into a dim-major copy, zero-padded to
+/// whole kernel blocks, and each point is measured against all of them by one
+/// `imcat_simd::l2_sq_cols` call; points fan out over the global pool. Every
+/// distance carries the bits of the serial per-pair loop and the argmin reads
+/// the `k` real centres only, in ascending order under a strict `<` (see the
+/// module docs), so the result depends on neither the thread count nor the
+/// SIMD backend.
 pub fn assign_nearest(data: &Tensor, centers: &Tensor) -> Vec<usize> {
     let t = data.rows();
-    let k = centers.rows();
+    let (k, d) = centers.shape();
     assert!(k > 0, "need at least one center");
-    assert_eq!(data.cols(), centers.cols(), "point/center dims differ");
+    assert_eq!(data.cols(), d, "point/center dims differ");
+    let stride = k.next_multiple_of(L2_COLS_LANES);
+    let mut cols = vec![0.0f32; d * stride];
+    for j in 0..k {
+        for (c, &v) in centers.row(j).iter().enumerate() {
+            cols[c * stride + j] = v;
+        }
+    }
     let mut assign = vec![0usize; t];
     imcat_par::global().parallel_chunks_mut(&mut assign, ASSIGN_GRAIN, |ci, slots| {
+        // `k` long, not `stride`: a padding lane is a centre at the origin,
+        // and must never be a candidate.
+        let mut dist = vec![0.0f32; k];
         for (off, slot) in slots.iter_mut().enumerate() {
-            let i = ci * ASSIGN_GRAIN + off;
+            imcat_simd::l2_sq_cols(data.row(ci * ASSIGN_GRAIN + off), &cols, stride, &mut dist);
             let mut best = (0usize, f32::INFINITY);
-            for j in 0..k {
-                let d2: f32 =
-                    data.row(i).iter().zip(centers.row(j)).map(|(a, b)| (a - b) * (a - b)).sum();
+            for (j, &d2) in dist.iter().enumerate() {
                 if d2 < best.1 {
                     best = (j, d2);
                 }
@@ -73,7 +97,7 @@ pub fn kmeans_centers(data: &Tensor, k: usize, iters: usize, rng: &mut impl Rng)
         centers.row_mut(j).copy_from_slice(data.row(c));
     }
     for _ in 0..iters {
-        // Assign (parallel, bit-identical to serial).
+        // Assign (parallel over points and centres, bit-identical to serial).
         let assign = assign_nearest(data, &centers);
         // Update (serial: accumulation order over points is part of the
         // determinism contract).
@@ -171,6 +195,67 @@ mod tests {
             let a: Vec<u32> = shared.as_slice().iter().map(|x| x.to_bits()).collect();
             let b: Vec<u32> = oracle.as_slice().iter().map(|x| x.to_bits()).collect();
             assert_eq!(a, b, "shared k-means diverged from the serial oracle (seed {seed})");
+        }
+    }
+
+    /// The serial oracle's assignment step on its own.
+    fn assign_serial_oracle(data: &Tensor, centers: &Tensor) -> Vec<usize> {
+        (0..data.rows())
+            .map(|i| {
+                let mut best = (0usize, f32::INFINITY);
+                for j in 0..centers.rows() {
+                    let d2: f32 = data
+                        .row(i)
+                        .iter()
+                        .zip(centers.row(j))
+                        .map(|(a, b)| (a - b) * (a - b))
+                        .sum();
+                    if d2 < best.1 {
+                        best = (j, d2);
+                    }
+                }
+                best.0
+            })
+            .collect()
+    }
+
+    /// Centre counts around the kernel block and widths around nothing in
+    /// particular, with every third centre a copy of an earlier one so exact
+    /// ties occur: same index as the serial scan, lower twin included.
+    #[test]
+    fn assign_matches_serial_argmin_with_ties() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for k in [1usize, 2, 31, 32, 33, 70] {
+            for d in [1usize, 7, 65] {
+                let data = normal(130, d, 1.0, &mut rng);
+                let mut centers = normal(k, d, 1.0, &mut rng);
+                for j in (2..k).step_by(3) {
+                    let twin = centers.row(j / 2).to_vec();
+                    centers.row_mut(j).copy_from_slice(&twin);
+                }
+                assert_eq!(
+                    assign_nearest(&data, &centers),
+                    assign_serial_oracle(&data, &centers),
+                    "k={k} d={d}"
+                );
+            }
+        }
+    }
+
+    /// The transposed centre copy is zero-padded to whole kernel blocks, and a
+    /// padding lane is a centre at the origin. A point at (or next to) the
+    /// origin is nearer to it than to any real centre, so it would be assigned
+    /// index `>= k` if the argmin ever read past the `k` real distances.
+    #[test]
+    fn padding_lanes_are_never_candidates() {
+        for k in [1usize, 5, 31, 33, 40] {
+            let d = 3;
+            // Centre j sits at (j+1, j+1, j+1): all away from the origin.
+            let centers = Tensor::from_vec(k, d, (0..k * d).map(|i| (i / d + 1) as f32).collect());
+            let mut data = Tensor::zeros(3, d);
+            data.row_mut(1).copy_from_slice(&[0.01, -0.02, 0.0]);
+            data.row_mut(2).copy_from_slice(centers.row(k - 1));
+            assert_eq!(assign_nearest(&data, &centers), vec![0, 0, k - 1], "k={k}");
         }
     }
 

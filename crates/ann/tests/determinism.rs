@@ -5,8 +5,9 @@
 use std::sync::{Mutex, OnceLock};
 
 use imcat_ann::{kmeans_centers, AnnConfig, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED};
-use imcat_ckpt::Checkpoint;
-use imcat_tensor::normal;
+use imcat_ckpt::{fnv1a64, Checkpoint};
+use imcat_tensor::{normal, Tensor};
+use proptest::prelude::Gen;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,4 +93,70 @@ fn probe_results_bit_identical_at_1_and_4_threads() {
         })
     };
     assert_eq!(run(1), run(4), "probe output depends on the thread count");
+}
+
+/// A matrix whose every value is a multiple of 1/64 in `[-2, 2]`, drawn from
+/// an integer generator — no libm, so it is the same matrix on every machine
+/// (`normal` goes through `ln`/`cos`), and everything the build does to it
+/// (add, multiply, divide, `sqrt`) is correctly rounded.
+fn dyadic(rows: usize, cols: usize, salt: u64) -> Tensor {
+    let mut gen = Gen::new(salt);
+    let data = (0..rows * cols).map(|_| gen.below(257) as f32 / 64.0 - 2.0).collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// FNV-1a64 over the index's sections, concatenated in a fixed order.
+fn index_fnv(idx: &IvfIndex) -> u64 {
+    let mut ck = Checkpoint::new();
+    idx.add_to_checkpoint(&mut ck);
+    let mut bytes = Vec::new();
+    for name in ["ann.meta", "ann.centroids", "ann.lists", "ann.codes"] {
+        bytes.extend_from_slice(ck.get(name).unwrap_or_default());
+    }
+    fnv1a64(&bytes)
+}
+
+/// The index bytes are a format: a parent-built `ann.*` section must load
+/// into this build without a rebuild, so `IvfIndex::build` may get faster but
+/// never different. Hashes recorded at the commit before the assignment step
+/// moved onto `imcat_simd::l2_sq_cols`; they hold at any thread count and
+/// under either `IMCAT_SIMD` backend (CI runs this crate under both). A
+/// mismatch means `ANN_VERSION` must be bumped — or, likelier, a bug.
+#[test]
+fn ivf_build_bytes_are_pinned() {
+    let _guard = pool_lock().lock().unwrap();
+    // More lists than one kernel block and not a multiple of it; then the
+    // auto `nlist` (37) over an odd width with the int8 arrays included.
+    let plain = (dyadic(600, 12, 1), AnnConfig { nlist: 40, ..AnnConfig::default() });
+    let coded = (dyadic(350, 7, 2), AnnConfig { quantized: true, ..AnnConfig::default() });
+    for threads in [1usize, 4] {
+        with_threads(threads, || {
+            let idx = IvfIndex::build(&plain.0, &plain.1, DEFAULT_BUILD_SEED);
+            assert_eq!(
+                index_fnv(&idx),
+                0x5e99_cf05_1a91_8385,
+                "threads={threads}: unquantized build drifted"
+            );
+            let idx = IvfIndex::build(&coded.0, &coded.1, 0xfeed);
+            assert_eq!(
+                index_fnv(&idx),
+                0xd8b5_4144_2237_681c,
+                "threads={threads}: quantized build drifted"
+            );
+        });
+    }
+}
+
+/// Same pin for the shared k-means at the intent module's shape: a handful
+/// of centres (fewer than one kernel block) over tag embeddings.
+#[test]
+fn kmeans_centres_are_pinned_at_irm_shape() {
+    let _guard = pool_lock().lock().unwrap();
+    let tags = dyadic(90, 16, 3);
+    for threads in [1usize, 4] {
+        let centres =
+            with_threads(threads, || kmeans_centers(&tags, 4, 10, &mut StdRng::seed_from_u64(5)));
+        let bytes: Vec<u8> = centres.as_slice().iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(fnv1a64(&bytes), 0x8122_db64_3fa0_a083, "threads={threads}: centres drifted");
+    }
 }

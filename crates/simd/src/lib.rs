@@ -3,9 +3,9 @@
 //! Every matmul, batch scorer, and ANN probe in the workspace bottoms out in
 //! the same handful of inner loops: f32 `dot` (and [`dot_rows`], the same
 //! dot against a contiguous block of rows with several rows in flight),
-//! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance, and an L1
-//! norm. This crate owns those loops and picks one of two backends once per
-//! process:
+//! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance (and
+//! [`l2_sq_cols`], its one-against-many form), and an L1 norm. This crate
+//! owns those loops and picks one of two backends once per process:
 //!
 //! - [`Backend::Scalar`] — the plain sequential loops the workspace has
 //!   always used, preserved bit-for-bit. `acc += a*b` in order, no fusing,
@@ -27,6 +27,26 @@
 //! invariance, sharded serving) are safe because the backend is a pure
 //! function of environment + hardware, identical in every process on the
 //! same host — and `IMCAT_SIMD=scalar` recovers the historical bits exactly.
+//!
+//! One kernel stands apart: [`l2_sq_cols`], one point against the columns of
+//! a dim-major matrix (the k-means assignment step, centres as columns). It
+//! vectorises *across columns* — lane `j` is the pair (point, column `j`)
+//! running [`scalar::l2_sq`]'s own operation sequence — so both backends
+//! return the **scalar oracle's bits** and `IMCAT_SIMD` only chooses how
+//! wide the same loop is compiled. It has no intrinsics: one safe lane-array
+//! body, compiled for the baseline ISA and once more under
+//! `#[target_feature(enable = "avx2")]`.
+//!
+//! # Safety
+//!
+//! Every `unsafe` call in the dispatchers is a call into a
+//! `#[target_feature]` function with the feature check
+//! ([`avx2_detected`]) on the line above it. For [`l2_sq_cols`] that is the
+//! *only* unsafety — the callee's body is safe code. Its `target_feature`
+//! list enables `avx2` and deliberately not `fma`: the other kernels promise
+//! the fused [`portable`] mirror's bits, this one promises the unfused scalar
+//! loop's, and with the feature off there is no instruction a compiler could
+//! contract its multiply-then-add into.
 //!
 //! Each kernel has a `_with(backend, ...)` variant so tests can exercise
 //! both paths inside one process.
@@ -240,6 +260,88 @@ pub fn l2_sq_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// Columns [`l2_sq_cols`] keeps in flight: one lane each, 32 independent
+/// accumulators (four 8-lane registers under AVX2). The matrix it reads is
+/// padded to whole blocks of this many columns.
+pub const L2_COLS_LANES: usize = 32;
+
+/// One point against the columns of a dim-major matrix:
+/// `out[j] = scalar::l2_sq(x, column_j)` with
+/// `column_j[c] = cols[c * stride + j]`, on **every** backend.
+///
+/// This is [`l2_sq`] vectorised across columns instead of across
+/// dimensions: lane `j` runs `acc += (x[c] - col_j[c]) * (x[c] - col_j[c])`
+/// for `c` ascending, a separate multiply and add — exactly
+/// [`scalar::l2_sq`]'s operation sequence for that pair — so
+/// `out[j].to_bits() == scalar::l2_sq(x, column_j).to_bits()` whichever
+/// backend runs. (Where that is a NaN it is a NaN here too; which payload
+/// survives a `NaN + NaN` is the compiler's operand order, not this
+/// kernel's, and callers only ever compare distances with `<`.) The lanes
+/// are independent pairs, so how many are in flight never shows in the bits;
+/// what it buys is that the add chain of one pair no longer serialises the
+/// whole scan. The backends differ only in how wide the same loop compiles
+/// (see [`avx2::l2_sq_cols`]). This is the assignment kernel of the shared
+/// k-means (`imcat_ann::assign_nearest`), with the centres as columns.
+///
+/// `stride` is a multiple of [`L2_COLS_LANES`], so every block of lanes is
+/// whole; the first `out.len()` columns are reported, and the columns from
+/// there up to `stride` are padding the kernel may compute on but never
+/// writes out. Panics unless `stride % L2_COLS_LANES == 0`,
+/// `out.len() <= stride` and `cols.len() == x.len() * stride`.
+#[inline]
+pub fn l2_sq_cols(x: &[f32], cols: &[f32], stride: usize, out: &mut [f32]) {
+    l2_sq_cols_with(backend(), x, cols, stride, out)
+}
+
+/// [`l2_sq_cols`] under an explicit backend.
+pub fn l2_sq_cols_with(bk: Backend, x: &[f32], cols: &[f32], stride: usize, out: &mut [f32]) {
+    assert!(
+        stride.checked_next_multiple_of(L2_COLS_LANES) == Some(stride)
+            && out.len() <= stride
+            && Some(cols.len()) == x.len().checked_mul(stride),
+        "l2_sq_cols: {} elements are not {} dims of stride {} (whole {}-lane blocks) holding {} columns",
+        cols.len(),
+        x.len(),
+        stride,
+        L2_COLS_LANES,
+        out.len()
+    );
+    match bk {
+        // SAFETY: AVX2 presence is checked by the guard (`avx2_detected` is
+        // AVX2 and FMA; the callee enables, and so needs, only the former).
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 if avx2_detected() => unsafe { avx2::l2_sq_cols(x, cols, stride, out) },
+        // The same loop at the baseline width: Scalar, and Avx2 on a host
+        // without it (there is no separate `portable` form to mirror).
+        _ => scalar::l2_sq_cols(x, cols, stride, out),
+    }
+}
+
+/// The one body of [`l2_sq_cols`], inlined into a baseline copy
+/// ([`scalar::l2_sq_cols`]) and an AVX2 copy ([`avx2::l2_sq_cols`]). Plain
+/// lane arrays, no intrinsics, no pointers: the compiler vectorises the
+/// fixed-width lane loop, and since lanes never mix and Rust never contracts
+/// `a * b + c` into a fused multiply-add on its own, both copies produce the
+/// scalar oracle's bits. A shape the dispatcher would refuse panics on a
+/// slice bound or reports nonsense; nothing is read out of bounds.
+#[inline(always)]
+fn l2_sq_cols_body(x: &[f32], cols: &[f32], stride: usize, out: &mut [f32]) {
+    const LANES: usize = L2_COLS_LANES;
+    for (b, group) in out.chunks_mut(LANES).enumerate() {
+        let mut acc = [0.0f32; LANES];
+        // `chunks_exact(stride)` yields `x.len()` rows, one per dimension.
+        for (&xc, row) in x.iter().zip(cols.chunks_exact(stride)) {
+            let lanes: &[f32; LANES] =
+                row[b * LANES..][..LANES].try_into().expect("a slice of LANES elements");
+            for (a, &v) in acc.iter_mut().zip(lanes) {
+                let d = xc - v;
+                *a += d * d;
+            }
+        }
+        group.copy_from_slice(&acc[..group.len()]);
+    }
+}
+
 /// `sum_i |x[i]|` under the process backend (the query-side factor of the
 /// quantized-score error bound).
 #[inline]
@@ -306,6 +408,15 @@ pub mod scalar {
             acc += d * d;
         }
         acc
+    }
+
+    /// [`l2_sq`] of `x` against each of the first `out.len()` columns of a
+    /// dim-major matrix, a block of columns at a time, each column on its own
+    /// accumulator in [`l2_sq`]'s exact operation order: the baseline-ISA copy
+    /// of the loop [`super::l2_sq_cols`] documents (shapes as there, checked by
+    /// [`super::l2_sq_cols_with`]).
+    pub fn l2_sq_cols(x: &[f32], cols: &[f32], stride: usize, out: &mut [f32]) {
+        super::l2_sq_cols_body(x, cols, stride, out)
     }
 
     /// Sequential `acc += |x|`.
@@ -607,5 +718,24 @@ pub mod avx2 {
             total += v.abs();
         }
         total
+    }
+
+    /// [`super::scalar::l2_sq_cols`] compiled for 256-bit registers: the same
+    /// safe body, no intrinsics, so each block of columns is four 8-lane
+    /// sub / mul / add chains and every output is still the scalar oracle's
+    /// bits.
+    ///
+    /// `fma` is deliberately **not** enabled here, unlike this module's other
+    /// kernels: their contract is "equal to the fused [`super::portable`]
+    /// mirror", this one's is "equal to the unfused [`super::scalar::l2_sq`]",
+    /// and without the feature no compiler setting can turn the loop's
+    /// multiply-then-add into one rounding.
+    ///
+    /// # Safety
+    /// Requires AVX2 support. That is the only requirement: the body is safe
+    /// code (slices and fixed-size arrays, every index bounds-checked).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn l2_sq_cols(x: &[f32], cols: &[f32], stride: usize, out: &mut [f32]) {
+        super::l2_sq_cols_body(x, cols, stride, out)
     }
 }

@@ -10,6 +10,10 @@
 //!    tolerance, at awkward lengths and under proptest-random inputs.
 //! 4. `dot_rows` is `dot`, pair for pair and bit for bit, in all three forms
 //!    and at every awkward width and row count; a wrong shape panics.
+//! 5. `l2_sq_cols` is `scalar::l2_sq`, pair for pair and bit for bit, on
+//!    *both* backends (it is the one kernel whose fast form keeps the scalar
+//!    oracle's bits), at awkward column counts and widths, and on special
+//!    values; padding is never reported; a wrong shape panics.
 
 use imcat_simd::{portable, scalar, Backend};
 use proptest::prelude::*;
@@ -328,6 +332,142 @@ fn dot_rows_shape_mismatch_panics_with_a_message() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Contract 5: l2_sq_cols == per-column scalar::l2_sq, bitwise, every backend.
+// ---------------------------------------------------------------------------
+
+/// Column counts around the 32-lane block, and the serving `nlist`.
+const COL_COUNTS: &[usize] = &[1, 31, 32, 33, 400];
+/// Widths: empty, one, odd sub-lane, and the augmented serving width.
+const COL_DIMS: &[usize] = &[0, 1, 7, 65];
+
+/// Column `j` of a dim-major matrix, gathered into a contiguous vector.
+fn column(cols: &[f32], stride: usize, d: usize, j: usize) -> Vec<f32> {
+    (0..d).map(|c| cols[c * stride + j]).collect()
+}
+
+/// Strides a caller may pass for `k` columns: padded to whole blocks, and
+/// padded by a spare block on top.
+fn strides(k: usize) -> [usize; 2] {
+    let lanes = imcat_simd::L2_COLS_LANES;
+    [k.next_multiple_of(lanes), k.next_multiple_of(lanes) + lanes]
+}
+
+/// Equal bits — or both NaN: which payload survives `NaN + NaN` is the
+/// compiler's operand order in each copy of the loop, not the kernel's.
+fn same_f32(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Every backend's `out[j]` is `scalar::l2_sq(x, column_j)`. The output is
+/// poisoned with a value no distance can take, so a skipped element fails.
+fn assert_cols_are_scalar_l2_sq(x: &[f32], cols: &[f32], stride: usize, k: usize) {
+    let d = x.len();
+    let want: Vec<f32> = (0..k).map(|j| scalar::l2_sq(x, &column(cols, stride, d, j))).collect();
+    let check = |label: &str, out: &[f32]| {
+        for j in 0..k {
+            assert!(
+                same_f32(out[j], want[j]),
+                "{label} d={d} k={k} stride={stride} column {j}: {:?} != {:?}",
+                out[j],
+                want[j]
+            );
+        }
+    };
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        let mut out = vec![-1.0f32; k];
+        imcat_simd::l2_sq_cols_with(bk, x, cols, stride, &mut out);
+        check(bk.name(), &out);
+    }
+    let mut out = vec![-1.0f32; k];
+    imcat_simd::l2_sq_cols(x, cols, stride, &mut out);
+    check("process", &out);
+    #[cfg(target_arch = "x86_64")]
+    if imcat_simd::avx2_detected() {
+        let mut out = vec![-1.0f32; k];
+        // SAFETY: avx2_detected() checked above.
+        unsafe { imcat_simd::avx2::l2_sq_cols(x, cols, stride, &mut out) };
+        check("avx2 copy", &out);
+    }
+}
+
+#[test]
+fn l2_sq_cols_matches_scalar_l2_sq_bitwise_on_both_backends() {
+    for &d in COL_DIMS {
+        for &k in COL_COUNTS {
+            for stride in strides(k) {
+                let seed = (d * 100_000 + k * 100 + stride) as u64;
+                let x = vector(0xc01 ^ seed, d);
+                // Padding columns carry values like any other: the kernel may
+                // read them, and must not let them reach `out`.
+                let cols = vector(0xc02 ^ seed, d * stride);
+                assert_cols_are_scalar_l2_sq(&x, &cols, stride, k);
+            }
+        }
+    }
+    // No columns at all, with and without a stride to skip.
+    assert_cols_are_scalar_l2_sq(&vector(1, 5), &[], 0, 0);
+    assert_cols_are_scalar_l2_sq(&vector(1, 5), &vector(2, 5 * 64), 64, 0);
+}
+
+/// NaN, infinities (whose difference is NaN), signed zeros, subnormals and a
+/// magnitude whose square overflows go through every lane as through the
+/// scalar loop: same subtraction order, unfused multiply and add.
+#[test]
+fn l2_sq_cols_matches_scalar_l2_sq_on_special_values() {
+    let special = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-40,
+        f32::MIN_POSITIVE,
+        3.0e38,
+        -3.5,
+        0.1,
+    ];
+    let mut gen = Gen::new(0x12_5bec1a1);
+    let mut draw = |n: usize| -> Vec<f32> {
+        (0..n).map(|_| special[gen.below(special.len() as u64) as usize]).collect()
+    };
+    for d in [1usize, 7, 65] {
+        for k in [1usize, 31, 33, 70] {
+            for stride in strides(k) {
+                let (x, cols) = (draw(d), draw(d * stride));
+                assert_cols_are_scalar_l2_sq(&x, &cols, stride, k);
+            }
+        }
+    }
+}
+
+/// More outputs than the stride holds, a matrix that is not `x.len()` rows
+/// of `stride`, or a stride that is not whole blocks of lanes, is refused up
+/// front on every backend.
+#[test]
+fn l2_sq_cols_shape_mismatch_panics_with_a_message() {
+    let x = vector(1, 8);
+    let cols = vector(2, 8 * 64);
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        for (cols, stride, outs) in [
+            (&cols[..], 64usize, 65usize),
+            (&cols[..511], 64, 40),
+            (&cols[..], 32, 32),
+            (&cols[..8 * 40], 40, 40),
+            (&cols[..0], 64, 1),
+        ] {
+            let caught = std::panic::catch_unwind(|| {
+                let mut out = vec![0.0f32; outs];
+                imcat_simd::l2_sq_cols_with(bk, &x, cols, stride, &mut out);
+            });
+            let msg = caught.expect_err("a wrong shape must panic");
+            let msg = msg.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("l2_sq_cols"), "{bk:?}: unhelpful message: {msg}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -345,6 +485,16 @@ proptest! {
                 prop_assert_eq!(o.to_bits(), want.to_bits(), "{:?} d={} row {}", bk, d, j);
             }
         }
+    }
+
+    /// Random shapes and strides: every backend's column kernel is the scalar
+    /// per-pair loop, bit for bit.
+    #[test]
+    fn prop_l2_sq_cols_is_scalar_l2_sq(
+        seed in 0u64..u64::MAX, d in 0usize..80, k in 0usize..70, spare in 0usize..2,
+    ) {
+        let stride = strides(k)[spare];
+        assert_cols_are_scalar_l2_sq(&vector(seed, d), &vector(seed ^ 0xc015, d * stride), stride, k);
     }
 
     /// Random lengths and values: the Avx2 backend (intrinsics or portable,
