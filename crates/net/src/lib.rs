@@ -12,9 +12,10 @@
 //! * [`Server`] — a dependency-free HTTP/1.1 front-end: one acceptor thread,
 //!   a bounded admission queue, a pool of connection workers, and a single
 //!   batcher thread that folds concurrent requests into micro-batch ticks
-//!   ([`imcat_serve::Engine::recommend_batch`] per replica). Overload is
-//!   shed with a fast `503` and counted (`serve.shed`) rather than queued
-//!   without bound.
+//!   ([`imcat_serve::Engine::recommend_batch`] per replica). A request every
+//!   replica has cached never reaches the batcher: the worker answers it
+//!   through a [`ShardReader`]. Overload is shed with a fast `503` and
+//!   counted (`serve.shed`) rather than queued without bound.
 //!
 //! The process that runs a [`Server`] is `imcat serve --artifact FILE --addr
 //! HOST:PORT`; its load is measured by the repository benchmark
@@ -30,4 +31,4 @@ mod shard;
 
 pub use imcat_obs::http;
 pub use server::{NetConfig, NetStats, Server};
-pub use shard::{shard_artifact, shard_ranges, ShardedEngine};
+pub use shard::{shard_artifact, shard_ranges, ShardReader, ShardedEngine};

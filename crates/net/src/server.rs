@@ -8,12 +8,27 @@
 //!   fast `503` *on the acceptor thread* and closed: overload costs one
 //!   response write, never an unbounded backlog.
 //! * **N workers** — each pops a connection and speaks keep-alive HTTP/1.1
-//!   on it: parse a request (total per-request deadline), submit a job,
-//!   block until the batcher fills the job's slot, write the response.
-//! * **1 batcher** — owns the [`ShardedEngine`]. Drains up to `max_batch`
-//!   jobs per tick (lingering `tick_wait` to let a batch fill), answers
-//!   them with one `recommend_batch` fan-out, and wakes the waiting
-//!   workers.
+//!   on it: parse a request (total per-request deadline), then either
+//!   answer it on the spot or submit a job, block until the batcher fills
+//!   the job's slot, and write the response. A worker answers by itself
+//!   exactly what needs no engine: `/healthz`, `/stats`, and a `/recommend`
+//!   whose `(user, k)` every replica's result cache holds (the **hit
+//!   lane**: its own [`ShardReader`], counted as `net.inline_hits`). A hit
+//!   has no scan to amortise, so it pays for no queue, linger or rendezvous.
+//! * **1 batcher** — owns the [`ShardedEngine`] and answers everything that
+//!   needs it: misses, invalid requests (the engine's typed rejection is
+//!   the `400`), and every mutation. Drains up to `max_batch` jobs per tick
+//!   (lingering `tick_wait` to let a batch fill), applies the tick's
+//!   mutations, answers its reads with one `recommend_batch` fan-out, and
+//!   wakes the waiting workers.
+//!
+//! The cache is the one thing the two kinds of thread share (its lock and
+//! coherence rules are in `imcat_serve`'s engine docs). What the wire adds:
+//! the batcher fills a mutating job's slot only after the engine call that
+//! invalidated the cache has returned, so once a write's response exists no
+//! worker can serve a list computed before it. With every request of a
+//! round a hit, `serve.ticks` stands still while `net.requests` climbs —
+//! `net.inline_hits` is the difference.
 //!
 //! Admission control is two-stage: the connection queue bounds sockets
 //! waiting for a worker, and the job queue bounds requests waiting for a
@@ -41,8 +56,9 @@ use imcat_obs::http::{self, error_body, Conn, Request, JSON, TEXT};
 use imcat_obs::{knob_u64, knob_usize, Json};
 use imcat_serve::{AnnDescriptor, Interaction, Recommendation, ServeConfig, ServeError};
 
-use crate::shard::ShardedEngine;
+use crate::shard::{ShardReader, ShardedEngine};
 
+static OBS_INLINE_HITS: imcat_obs::Counter = imcat_obs::Counter::new("net.inline_hits");
 static OBS_SHED: imcat_obs::Counter = imcat_obs::Counter::new("serve.shed");
 static OBS_NET_REQUESTS: imcat_obs::Counter = imcat_obs::Counter::new("net.requests");
 static OBS_NET_CONNS: imcat_obs::Counter = imcat_obs::Counter::new("net.connections");
@@ -114,6 +130,9 @@ pub struct NetStats {
     pub requests: u64,
     /// Requests answered `200`.
     pub answered: u64,
+    /// Of those, `/recommend` hits a connection worker answered from the
+    /// result cache without the batcher.
+    pub inline_hits: u64,
     /// Requests shed with `503` (connection- and job-queue overflow).
     pub shed: u64,
     /// Requests rejected `400` (bad parameters or a typed engine error).
@@ -283,6 +302,7 @@ struct Shared {
     ann: Vec<Option<AnnDescriptor>>,
     requests: AtomicU64,
     answered: AtomicU64,
+    inline_hits: AtomicU64,
     shed: AtomicU64,
     rejected: AtomicU64,
     timeouts: AtomicU64,
@@ -318,6 +338,7 @@ impl Server {
             ann: engine.ann_descriptors(),
             requests: AtomicU64::new(0),
             answered: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -335,10 +356,12 @@ impl Server {
         }
         for w in 0..shared.cfg.workers {
             let shared = shared.clone();
+            // Taken here, before the engine moves into the batcher thread.
+            let reader = engine.reader();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("imcat-net-worker-{w}"))
-                    .spawn(move || worker_loop(&shared))?,
+                    .spawn(move || worker_loop(&shared, reader))?,
             );
         }
         {
@@ -362,6 +385,7 @@ impl Server {
         NetStats {
             requests: self.shared.requests.load(Ordering::Relaxed),
             answered: self.shared.answered.load(Ordering::Relaxed),
+            inline_hits: self.shared.inline_hits.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
             timeouts: self.shared.timeouts.load(Ordering::Relaxed),
@@ -420,13 +444,13 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, mut reader: ShardReader) {
     while let Some(stream) = shared.conns.pop() {
-        handle_conn(Conn::new(stream), shared);
+        handle_conn(Conn::new(stream), shared, &mut reader);
     }
 }
 
-fn handle_conn(mut conn: Conn, shared: &Shared) {
+fn handle_conn(mut conn: Conn, shared: &Shared, reader: &mut ShardReader) {
     loop {
         let deadline = Instant::now() + shared.cfg.deadline;
         let request = match conn.read_request(deadline) {
@@ -447,7 +471,7 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
             }
         };
         let keep_alive = request.keep_alive;
-        if serve_one(&mut conn, &request, shared, deadline).is_err() || !keep_alive {
+        if serve_one(&mut conn, &request, shared, reader, deadline).is_err() || !keep_alive {
             return;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -460,6 +484,7 @@ fn serve_one(
     conn: &mut Conn,
     request: &Request,
     shared: &Shared,
+    reader: &mut ShardReader,
     deadline: Instant,
 ) -> io::Result<()> {
     let keep = request.keep_alive;
@@ -488,6 +513,7 @@ fn serve_one(
                 ("n_items", Json::Num(shared.n_items.load(Ordering::Relaxed) as f64)),
                 ("requests", Json::Num(shared.requests.load(Ordering::Relaxed) as f64)),
                 ("answered", Json::Num(shared.answered.load(Ordering::Relaxed) as f64)),
+                ("inline_hits", Json::Num(shared.inline_hits.load(Ordering::Relaxed) as f64)),
                 ("shed", Json::Num(shared.shed.load(Ordering::Relaxed) as f64)),
                 ("rejected", Json::Num(shared.rejected.load(Ordering::Relaxed) as f64)),
                 ("timeouts", Json::Num(shared.timeouts.load(Ordering::Relaxed) as f64)),
@@ -496,7 +522,7 @@ fn serve_one(
             ]);
             conn.respond("200 OK", JSON, &body.render(), keep)
         }
-        ("GET", "/recommend") => serve_recommend(conn, request, shared, deadline),
+        ("GET", "/recommend") => serve_recommend(conn, request, shared, reader, deadline),
         ("POST", "/ingest") => serve_ingest(conn, request, shared, deadline),
         ("POST", "/users") => {
             serve_register(conn, request, shared, deadline, JobKind::RegisterUser)
@@ -555,6 +581,7 @@ fn serve_recommend(
     conn: &mut Conn,
     request: &Request,
     shared: &Shared,
+    reader: &mut ShardReader,
     deadline: Instant,
 ) -> io::Result<()> {
     let keep = request.keep_alive;
@@ -572,11 +599,20 @@ fn serve_recommend(
         );
     };
     let t0 = Instant::now();
-    let pick = |a| if let Answer::Recs(r) = a { Some(r) } else { None };
-    let Some(answer) =
-        exchange(conn, shared, deadline, keep, JobKind::Recommend { user, k }, pick)?
-    else {
-        return Ok(());
+    // The hit lane: only a valid request is ever cached, so everything else
+    // — a miss, `k == 0`, a stale user — goes to the batcher as before.
+    let answer = if let Some(recs) = reader.lookup(user, k) {
+        shared.inline_hits.fetch_add(1, Ordering::Relaxed);
+        OBS_INLINE_HITS.add(1);
+        Ok(recs)
+    } else {
+        let pick = |a| if let Answer::Recs(r) = a { Some(r) } else { None };
+        let Some(answer) =
+            exchange(conn, shared, deadline, keep, JobKind::Recommend { user, k }, pick)?
+        else {
+            return Ok(());
+        };
+        answer
     };
     match answer {
         Err(e) => {

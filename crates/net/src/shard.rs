@@ -25,7 +25,8 @@ use std::io;
 use imcat_ckpt::Artifact;
 use imcat_eval::{top_n_masked_with, TopKScratch};
 use imcat_serve::{
-    AnnDescriptor, Engine, Interaction, Recommendation, ServeConfig, ServeError, ServeStats,
+    AnnDescriptor, CacheReader, Engine, Interaction, Recommendation, ServeConfig, ServeError,
+    ServeStats,
 };
 use imcat_tensor::Tensor;
 
@@ -74,10 +75,71 @@ pub struct ShardedEngine {
     shards: Vec<Shard>,
     n_users: u32,
     n_items: usize,
+    merge: Merge,
+}
+
+/// The merge and its buffers: one per [`ShardedEngine`], one per
+/// [`ShardReader`].
+#[derive(Default)]
+struct Merge {
     scratch: TopKScratch,
-    /// Merge buffer: `(global item id, score)` union of per-shard lists.
+    /// `(global item id, score)` union of per-shard lists.
     union: Vec<(u32, f32)>,
     scores: Vec<f32>,
+}
+
+impl Merge {
+    /// Unions per-shard lists — `(first global item id, shard-local list)`
+    /// pairs — and re-ranks through the evaluator's canonical selection.
+    fn top_k<'a>(
+        &mut self,
+        lists: impl Iterator<Item = (u32, &'a [Recommendation])>,
+        k: usize,
+    ) -> Vec<Recommendation> {
+        self.union.clear();
+        for (base, recs) in lists {
+            self.union.extend(recs.iter().map(|r| (base + r.item, r.score)));
+        }
+        // `top_n_masked_with` indexes candidates by position, so present the
+        // union in ascending global-id order — exactly the enumeration order
+        // an unsharded scan would use. (Order only matters for reading the
+        // ids back out: the canonical ranking itself is order-independent.)
+        self.union.sort_unstable_by_key(|&(item, _)| item);
+        self.scores.clear();
+        self.scores.extend(self.union.iter().map(|&(_, s)| s));
+        let top = top_n_masked_with(&self.scores, &[], k, &mut self.scratch);
+        top.iter()
+            .map(|&ci| {
+                let (item, score) = self.union[ci as usize];
+                Recommendation { item, score }
+            })
+            .collect()
+    }
+}
+
+/// Answers a request from the replicas' result caches alone, on the calling
+/// thread: the hit lane of [`crate::Server`]'s connection workers. It
+/// answers only when **every** replica holds the key — after an ingest the
+/// owning replica's entry is gone, and the lists of the others are not an
+/// answer without its — and then merges exactly as
+/// [`ShardedEngine::recommend_batch`] does, so the list is the one the
+/// engine would return, bit for bit.
+pub struct ShardReader {
+    /// First global item id of each replica, in shard order.
+    bases: Vec<u32>,
+    /// In shard order, which is the one order their locks are taken in.
+    caches: Vec<CacheReader>,
+    merge: Merge,
+}
+
+impl ShardReader {
+    /// The cached answer to `(user, k)`, each replica's hit accounted as the
+    /// engine accounts its own; `None`, with no footprint on any replica,
+    /// when any of them has to compute.
+    pub fn lookup(&mut self, user: u32, k: usize) -> Option<Vec<Recommendation>> {
+        let lists = CacheReader::lookup_all(&self.caches, user, k)?;
+        Some(self.merge.top_k(self.bases.iter().copied().zip(lists.iter().map(Vec::as_slice)), k))
+    }
 }
 
 impl ShardedEngine {
@@ -99,14 +161,17 @@ impl ShardedEngine {
                 Ok(Shard { base: lo as u32, engine, out: Vec::new() })
             })
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(Self {
-            shards,
-            n_users: artifact.n_users() as u32,
-            n_items,
-            scratch: TopKScratch::default(),
-            union: Vec::new(),
-            scores: Vec::new(),
-        })
+        Ok(Self { shards, n_users: artifact.n_users() as u32, n_items, merge: Merge::default() })
+    }
+
+    /// A reader over every replica's result cache, with merge buffers of
+    /// its own: one per thread that answers hits.
+    pub fn reader(&self) -> ShardReader {
+        ShardReader {
+            bases: self.shards.iter().map(|s| s.base).collect(),
+            caches: self.shards.iter().map(|s| s.engine.cache_reader()).collect(),
+            merge: Merge::default(),
+        }
     }
 
     /// Number of replicas.
@@ -220,34 +285,15 @@ impl ShardedEngine {
         (0..requests.len()).map(|i| self.merge_slot(i, requests[i].1)).collect()
     }
 
-    /// Merges request slot `i`: union the per-shard lists, re-rank through
-    /// the evaluator's canonical selection.
+    /// Merges request slot `i` of the replicas' answers.
     fn merge_slot(&mut self, i: usize, k: usize) -> Result<Vec<Recommendation>, ServeError> {
-        self.union.clear();
-        for shard in &self.shards {
-            match &shard.out[i] {
-                // Validation is artifact-global (user range, k), so every
-                // replica rejects a malformed request identically.
-                Err(e) => return Err(*e),
-                Ok(recs) => {
-                    self.union.extend(recs.iter().map(|r| (shard.base + r.item, r.score)));
-                }
-            }
+        // Validation is artifact-global (user range, k), so every replica
+        // rejects a malformed request identically.
+        if let Some(e) = self.shards.iter().find_map(|s| s.out[i].as_ref().err()) {
+            return Err(*e);
         }
-        // `top_n_masked_with` indexes candidates by position, so present the
-        // union in ascending global-id order — exactly the enumeration order
-        // an unsharded scan would use. (Order only matters for reading the
-        // ids back out: the canonical ranking itself is order-independent.)
-        self.union.sort_unstable_by_key(|&(item, _)| item);
-        self.scores.clear();
-        self.scores.extend(self.union.iter().map(|&(_, s)| s));
-        let top = top_n_masked_with(&self.scores, &[], k, &mut self.scratch);
-        Ok(top
-            .iter()
-            .map(|&ci| {
-                let (item, score) = self.union[ci as usize];
-                Recommendation { item, score }
-            })
-            .collect())
+        // No `Err` is left, so the default is never taken.
+        let lists = self.shards.iter().map(|s| (s.base, s.out[i].as_deref().unwrap_or_default()));
+        Ok(self.merge.top_k(lists, k))
     }
 }

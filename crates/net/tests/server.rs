@@ -13,7 +13,7 @@ use imcat_models::{Bprmf, RecModel, TrainConfig};
 use imcat_net::http::read_response;
 use imcat_net::{NetConfig, Server};
 use imcat_obs::Json;
-use imcat_serve::{AnnConfig, AnnKind, Engine, ServeConfig};
+use imcat_serve::{AnnConfig, AnnKind, Engine, Interaction, Recommendation, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -153,6 +153,89 @@ fn served_answers_are_bit_identical_to_local_engine() {
     }
     drop(stream);
     server.shutdown();
+}
+
+/// `(items, score_bits)` of a `/recommend` body.
+fn served_list(body: &str) -> (Vec<u32>, Vec<u32>) {
+    let doc = Json::parse(body).expect("response is JSON");
+    let numbers = |key: &str| -> Vec<u32> {
+        let values = doc.get(key).and_then(Json::as_array).expect("array");
+        values.iter().map(|v| v.as_f64().unwrap() as u32).collect()
+    };
+    (numbers("items"), numbers("score_bits"))
+}
+
+fn engine_list(recs: &[Recommendation]) -> (Vec<u32>, Vec<u32>) {
+    (recs.iter().map(|r| r.item).collect(), recs.iter().map(|r| r.score.to_bits()).collect())
+}
+
+/// The hit lane is coherent with writes: a repeated request is answered by
+/// the connection worker (no tick, every replica's hit counted), and once a
+/// write has been acknowledged no list computed before it comes back — also
+/// at 2 shards, where the write invalidates one replica's entry and leaves
+/// the other's in place.
+#[test]
+fn cached_answers_stay_coherent_with_writes_over_the_wire() {
+    let _guard = net_lock().lock().unwrap();
+    for shards in [1usize, 2] {
+        let _obs = imcat_obs::exclusive(true);
+        let server = start(NetConfig { shards, ..Default::default() });
+        let addr = server.addr();
+        let counter = |name: &str| imcat_obs::snapshot().counter(name);
+        let (user, target) = (3u32, "/recommend?user=3&k=10");
+        let mut reference = Engine::new(artifact().clone(), ServeConfig::default()).unwrap();
+
+        // Miss, then the same request again: a hit, byte for byte, no tick.
+        let (status, first) = get(addr, target);
+        assert_eq!(status, 200, "shards={shards}: {first}");
+        assert_eq!(served_list(&first), engine_list(&reference.recommend(user, 10).unwrap()));
+        let (hits, ticks) = (counter("serve.cache.hits"), counter("serve.ticks"));
+        assert_eq!(get(addr, target), (200, first.clone()), "shards={shards}: the hit differs");
+        assert_eq!(counter("serve.cache.hits") - hits, shards as u64, "one hit per replica");
+        assert_eq!(counter("serve.ticks"), ticks, "shards={shards}: a hit took a tick");
+        assert_eq!((server.stats().inline_hits, counter("net.inline_hits")), (1, 1));
+
+        // Ingest the user's best item: acknowledged, so it is gone from the
+        // very next answer, which is what an engine that ingested the same
+        // computes.
+        let top = served_list(&first).0[0];
+        let (status, body) = post(addr, &format!("/ingest?user={user}&item={top}"), "");
+        assert_eq!(status, 200, "shards={shards}: {body}");
+        reference.ingest(Interaction { user, item: top }).unwrap();
+        reference.fold_pending();
+        let (status, after) = get(addr, target);
+        assert_eq!(status, 200);
+        assert!(!served_list(&after).0.contains(&top), "shards={shards}: {top} in {after}");
+        assert_eq!(
+            served_list(&after),
+            engine_list(&reference.recommend(user, 10).unwrap()),
+            "shards={shards}: the answer after the ingest is not the engine's"
+        );
+        assert_eq!(server.stats().inline_hits, 1, "a stale or partial hit was answered inline");
+        assert_eq!(get(addr, target), (200, after.clone()), "shards={shards}");
+        assert_eq!(server.stats().inline_hits, 2, "the recomputed list is a hit again");
+
+        // A new item clears the cache that ranked the smaller catalogue: the
+        // next request ticks on every replica again.
+        let ticks = counter("serve.ticks");
+        assert_eq!(post(addr, "/items", "").0, 201);
+        reference.register_item();
+        reference.fold_pending();
+        let (status, grown) = get(addr, target);
+        assert_eq!(status, 200);
+        assert_eq!(counter("serve.ticks") - ticks, shards as u64, "shards={shards}");
+        assert_eq!(served_list(&grown), engine_list(&reference.recommend(user, 10).unwrap()));
+
+        // Invalid requests are never cached: the batcher's typed 400, twice.
+        let hits = counter("serve.cache.hits");
+        let stale = format!("/recommend?user={}&k=10", artifact().n_users());
+        for target in ["/recommend?user=3&k=0", &stale, "/recommend?user=3&k=0", &stale] {
+            assert_eq!(get(addr, target).0, 400, "shards={shards}: {target}");
+        }
+        assert_eq!(counter("serve.cache.hits"), hits, "shards={shards}: a rejection hit");
+        assert_eq!(server.stats().inline_hits, 2);
+        server.shutdown();
+    }
 }
 
 /// Full mutable-serving surface over the wire: registration returns dense

@@ -10,7 +10,9 @@ use imcat_ckpt::Artifact;
 use imcat_data::{generate, SynthConfig};
 use imcat_models::{Bprmf, RecModel, TrainConfig};
 use imcat_net::ShardedEngine;
-use imcat_serve::{AnnConfig, Engine, Recommendation, ServeConfig, ServeError};
+use imcat_serve::{
+    AnnConfig, Engine, Interaction, Recommendation, ServeConfig, ServeError, ServeStats,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,6 +90,82 @@ fn sharded_merge_bit_identical_at_1_2_4_shards_and_1_4_threads() {
                 assert_bit_identical(g, w, &format!("shards={shards} threads={threads}"));
             }
         }
+    }
+}
+
+/// `(served, cache_hits, cache_misses)` per replica.
+fn footprint(sharded: &ShardedEngine) -> Vec<(u64, u64, u64)> {
+    let of = |s: ServeStats| (s.served, s.cache_hits, s.cache_misses);
+    sharded.shard_stats().into_iter().map(of).collect()
+}
+
+/// The hit lane's reader: silent until every replica holds the key, then
+/// reader == batcher == unsharded, bit for bit, at 1/2/4 shards — and each
+/// replica accounts the reader's hit as one of its own.
+#[test]
+fn reader_matches_batcher_and_unsharded_at_1_2_4_shards() {
+    let _guard = pool_lock().lock().unwrap();
+    let art = artifact();
+    let cfg = ServeConfig::default();
+    let ks = [1usize, 7, art.n_items() + 5];
+    let mut reference = Engine::new(art.clone(), cfg.clone()).unwrap();
+    for shards in [1usize, 2, 4] {
+        let mut sharded = ShardedEngine::new(art, &cfg, shards).unwrap();
+        let mut reader = sharded.reader();
+        for u in 0..art.n_users() as u32 {
+            for &k in &ks {
+                let ctx = format!("shards={shards} user={u} k={k}");
+                assert!(reader.lookup(u, k).is_none(), "{ctx}: a hit before any answer");
+                let batcher = sharded.recommend(u, k).unwrap();
+                let read = reader.lookup(u, k).expect("every replica holds the key now");
+                assert_bit_identical(&read, &batcher, &ctx);
+                assert_bit_identical(&read, &reference.recommend(u, k).unwrap(), &ctx);
+            }
+        }
+        // Per key and replica: the batcher's miss and the reader's hit. The
+        // lookups that found nothing, and these two that never can, count
+        // nowhere.
+        assert!(reader.lookup(0, 0).is_none() && reader.lookup(u32::MAX, 7).is_none());
+        let keys = (art.n_users() * ks.len()) as u64;
+        assert_eq!(footprint(&sharded), vec![(2 * keys, keys, keys); shards], "shards={shards}");
+    }
+}
+
+/// A partial hit — the ingest removed the owning replica's entry, the others
+/// still hold theirs — is no hit: the reader stays silent and leaves no
+/// footprint, the batcher answers (a hit on the replicas that kept the list,
+/// a miss on the owner), and every replica has counted the request once.
+#[test]
+fn a_partial_hit_falls_through_and_is_counted_once() {
+    let _guard = pool_lock().lock().unwrap();
+    let art = artifact();
+    let cfg = ServeConfig::default();
+    for shards in [1usize, 2, 4] {
+        let mut reference = Engine::new(art.clone(), cfg.clone()).unwrap();
+        let mut sharded = ShardedEngine::new(art, &cfg, shards).unwrap();
+        let mut reader = sharded.reader();
+        let (user, k) = (5u32, 10usize);
+        let top = sharded.recommend(user, k).unwrap()[0].item;
+        assert!(reader.lookup(user, k).is_some());
+        assert_eq!(footprint(&sharded), vec![(2, 1, 1); shards]);
+
+        sharded.ingest(Interaction { user, item: top }).unwrap();
+        reference.ingest(Interaction { user, item: top }).unwrap();
+        let before = footprint(&sharded);
+        assert!(reader.lookup(user, k).is_none(), "shards={shards}: a partial hit was answered");
+        assert_eq!(footprint(&sharded), before, "shards={shards}: a failed lookup left a mark");
+
+        let ctx = format!("shards={shards} after ingest");
+        let batcher = sharded.recommend(user, k).unwrap();
+        assert!(batcher.iter().all(|r| r.item != top), "{ctx}: {top} still served");
+        assert_bit_identical(&batcher, &reference.recommend(user, k).unwrap(), &ctx);
+        let after = footprint(&sharded);
+        let owner = after.iter().position(|s| s.2 == 2).expect("the owner recomputed");
+        for (s, (now, was)) in after.iter().zip(&before).enumerate() {
+            let (hit, miss) = if s == owner { (0, 1) } else { (1, 0) };
+            assert_eq!((now.0 - was.0, now.1 - was.1, now.2 - was.2), (1, hit, miss), "{ctx}");
+        }
+        assert_bit_identical(&reader.lookup(user, k).expect("whole again"), &batcher, &ctx);
     }
 }
 

@@ -2,7 +2,12 @@
 //!
 //! Hand-rolled (the container has no crates.io access): a `HashMap` from key
 //! to slab slot plus an intrusive doubly-linked list over the slab, so both
-//! lookup and eviction are O(1). Capacity 0 disables caching entirely.
+//! lookup and eviction are O(1). A second intrusive chain links the slots of
+//! one user's cutoffs, so per-user invalidation costs that user's entries and
+//! not a scan: it runs under the lock every connection worker reads through
+//! (`engine.rs`). For the same reason both maps and the slab are sized at
+//! construction, so filling the cache grows (and rehashes) no table under
+//! that lock. Capacity 0 disables caching entirely.
 
 use std::collections::HashMap;
 
@@ -18,12 +23,16 @@ struct Node {
     value: Vec<Recommendation>,
     prev: usize,
     next: usize,
+    /// Next slot holding a list of the same user (`NIL` ends the chain).
+    peer: usize,
 }
 
 /// Bounded least-recently-used cache of recommendation lists with hit/miss
 /// accounting.
 pub struct LruCache {
     map: HashMap<CacheKey, usize>,
+    /// First slot of each cached user's chain of cutoffs (`Node::peer`).
+    users: HashMap<u32, usize>,
     slab: Vec<Node>,
     /// Slab slots vacated by [`LruCache::remove_user`], reused before the
     /// slab grows.
@@ -40,6 +49,7 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::with_capacity(capacity.min(1 << 20)),
+            users: HashMap::with_capacity(capacity.min(1 << 20)),
             slab: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             head: NIL,
@@ -118,15 +128,17 @@ impl LruCache {
             // Reuse the LRU slot.
             let victim = self.tail;
             self.detach(victim);
+            self.unlink_user(victim);
             self.map.remove(&self.slab[victim].key);
             self.slab[victim].key = key;
             self.slab[victim].value = value;
             victim
         } else {
-            self.slab.push(Node { key, value, prev: NIL, next: NIL });
+            self.slab.push(Node { key, value, prev: NIL, next: NIL, peer: NIL });
             self.slab.len() - 1
         };
         self.map.insert(key, slot);
+        self.slab[slot].peer = self.users.insert(key.0, slot).unwrap_or(NIL);
         self.attach_front(slot);
     }
 
@@ -134,6 +146,7 @@ impl LruCache {
     /// the engine's lifetime, not one artifact generation).
     pub fn clear(&mut self) {
         self.map.clear();
+        self.users.clear();
         self.slab.clear();
         self.free.clear();
         self.head = NIL;
@@ -141,18 +154,37 @@ impl LruCache {
     }
 
     /// Drops every cached list belonging to `user` (all `k` cutoffs),
-    /// leaving other users' entries hot. O(len) scan — invalidation is per
-    /// ingested interaction, which is far rarer than lookups. Returns the
-    /// number of entries removed.
+    /// leaving other users' entries hot, in time proportional to that user's
+    /// entries. Returns the number of entries removed.
     pub fn remove_user(&mut self, user: u32) -> usize {
-        let keys: Vec<CacheKey> = self.map.keys().filter(|k| k.0 == user).copied().collect();
-        for key in &keys {
-            let slot = self.map.remove(key).expect("key just listed");
+        let mut slot = self.users.remove(&user).unwrap_or(NIL);
+        let mut removed = 0;
+        while slot != NIL {
+            self.map.remove(&self.slab[slot].key);
             self.detach(slot);
             self.slab[slot].value = Vec::new();
             self.free.push(slot);
+            removed += 1;
+            slot = self.slab[slot].peer;
         }
-        keys.len()
+        removed
+    }
+
+    /// Takes `slot` out of its user's chain (walks that user's cutoffs).
+    fn unlink_user(&mut self, slot: usize) {
+        let (user, next) = (self.slab[slot].key.0, self.slab[slot].peer);
+        let head = *self.users.get(&user).expect("a cached key's user has a chain");
+        if head != slot {
+            let mut at = head;
+            while self.slab[at].peer != slot {
+                at = self.slab[at].peer;
+            }
+            self.slab[at].peer = next;
+        } else if next == NIL {
+            self.users.remove(&user);
+        } else {
+            self.users.insert(user, next);
+        }
     }
 
     fn detach(&mut self, slot: usize) {
@@ -187,9 +219,112 @@ impl LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn recs(n: u32) -> Vec<Recommendation> {
         vec![Recommendation { item: n, score: n as f32 }]
+    }
+
+    /// The cache as a plain list, most recently used first: the oracle.
+    /// `remove_user` is the O(entries) scan the per-user chain replaced.
+    struct ScanLru {
+        entries: Vec<(CacheKey, Vec<Recommendation>)>,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: CacheKey) -> Option<Vec<Recommendation>> {
+            let at = self.entries.iter().position(|(k, _)| *k == key)?;
+            let entry = self.entries.remove(at);
+            self.entries.insert(0, entry);
+            Some(self.entries[0].1.clone())
+        }
+
+        fn put(&mut self, key: CacheKey, value: Vec<Recommendation>) {
+            if self.capacity == 0 {
+                return;
+            }
+            if let Some(at) = self.entries.iter().position(|(k, _)| *k == key) {
+                self.entries.remove(at);
+            } else if self.entries.len() == self.capacity {
+                self.entries.pop();
+            }
+            self.entries.insert(0, (key, value));
+        }
+
+        fn remove_user(&mut self, user: u32) -> usize {
+            let keys: Vec<CacheKey> =
+                self.entries.iter().map(|(k, _)| *k).filter(|k| k.0 == user).collect();
+            self.entries.retain(|(k, _)| !keys.contains(k));
+            keys.len()
+        }
+    }
+
+    /// Map, recency list, user chains and free list describe one set of
+    /// entries, and the recency list is the oracle's, in order.
+    fn assert_consistent(c: &LruCache, oracle: &ScanLru) {
+        let mut listed = Vec::new();
+        let (mut slot, mut prev) = (c.head, NIL);
+        while slot != NIL {
+            assert_eq!(c.slab[slot].prev, prev, "back link of slot {slot}");
+            assert_eq!(c.map.get(&c.slab[slot].key), Some(&slot), "map entry of slot {slot}");
+            listed.push((c.slab[slot].key, c.slab[slot].value.clone()));
+            (prev, slot) = (slot, c.slab[slot].next);
+        }
+        assert_eq!(c.tail, prev);
+        assert_eq!(listed, oracle.entries, "recency order");
+        assert_eq!(c.map.len(), listed.len());
+        assert_eq!(c.map.len() + c.free.len(), c.slab.len());
+        let mut chained = 0;
+        for (&user, &head) in &c.users {
+            assert_ne!(head, NIL, "user {user} has an empty chain");
+            let mut slot = head;
+            while slot != NIL {
+                assert_eq!(c.slab[slot].key.0, user, "slot {slot} is on another user's chain");
+                assert_eq!(
+                    c.map.get(&c.slab[slot].key),
+                    Some(&slot),
+                    "chained slot {slot} is dead"
+                );
+                chained += 1;
+                assert!(chained <= c.map.len(), "a user chain has a cycle or a duplicate");
+                slot = c.slab[slot].peer;
+            }
+        }
+        assert_eq!(chained, c.map.len(), "an entry is on no user chain");
+    }
+
+    #[test]
+    fn seeded_churn_matches_the_scan_oracle_after_every_step() {
+        for (seed, capacity) in [(1u64, 0usize), (2, 1), (3, 5), (4, 16), (5, 64)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = LruCache::new(capacity);
+            let mut oracle = ScanLru { entries: Vec::new(), capacity };
+            let mut gets = 0;
+            for step in 0..4000u32 {
+                // Few users and cutoffs, so chains grow, evict and refill.
+                let key = (rng.gen_range(0..12u32), rng.gen_range(1..5usize));
+                match rng.gen_range(0..100u32) {
+                    0..=44 => {
+                        c.put(key, recs(step));
+                        oracle.put(key, recs(step));
+                    }
+                    45..=79 => {
+                        gets += 1;
+                        assert_eq!(c.get(key).map(<[_]>::to_vec), oracle.get(key));
+                    }
+                    80..=97 => assert_eq!(c.remove_user(key.0), oracle.remove_user(key.0)),
+                    _ => {
+                        c.clear();
+                        oracle.entries.clear();
+                    }
+                }
+                assert_eq!(c.contains(key), oracle.entries.iter().any(|(k, _)| *k == key));
+                assert_consistent(&c, &oracle);
+            }
+            assert_eq!(c.hits() + c.misses(), gets, "every `get` is counted exactly once");
+        }
     }
 
     #[test]

@@ -30,6 +30,35 @@
 //! cold users (all-zero embedding, where centroid ranking is meaningless),
 //! fully-masked users, and probes too sparse to fill the requested `k`.
 //!
+//! ## The shared cache
+//!
+//! The result cache (with the lifetime `served`/latency accounting a hit
+//! writes) is the one thing the engine shares with other threads: it sits
+//! behind an `Arc<Mutex<..>>`, and [`Engine::cache_reader`] hands out
+//! [`CacheReader`]s that answer an already-cached `(user, k)` without the
+//! engine — `imcat-net`'s connection workers do. The rules:
+//!
+//! * **One hit path.** `Engine::recommend`, `Engine::recommend_batch` and
+//!   the reader answer a cached key through the same function: same LRU
+//!   promotion, same counters, same accounting, so `served == cache_hits +
+//!   cache_misses` and `serve.requests == serve.cache.hits +
+//!   serve.cache.misses` hold whichever thread answered.
+//! * **A reader's miss is nobody's miss.** A lookup that does not hit
+//!   touches nothing — no counter, no LRU order, no trace id. The request
+//!   goes on to the engine, which counts the miss once.
+//! * **Lock discipline.** The engine takes the lock per cache call and
+//!   never across a scan, a probe or a fold, and never holds two engines'
+//!   locks; a reader over several replicas takes all of theirs in one fixed
+//!   order ([`CacheReader::lookup_all`]). Nothing that can panic on request
+//!   data runs under it, and a poisoned lock is recovered, not propagated.
+//! * **Coherence.** Only the engine's thread puts, and every invalidation
+//!   (`apply`: per-user removal or clear; `fold_pending`; every generation
+//!   swap) happens under the lock inside the mutating call, on that thread.
+//!   So once a mutation has *returned* — and a server only acknowledges a
+//!   write after that — no list computed before it can be served by anyone.
+//!   A read concurrent with a write may be ordered before it, exactly as
+//!   two requests racing into one tick already are.
+//!
 //! ## Telemetry
 //!
 //! Every request mints a trace id through `imcat_obs::trace` — sampled
@@ -47,6 +76,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use imcat_ann::{AnnConfig, AnnDescriptor, AnnIndex, ProbeScratch, DEFAULT_BUILD_SEED};
@@ -176,9 +206,94 @@ pub struct ServeStats {
     pub p99_seconds: f64,
     /// Mean request latency in seconds.
     pub mean_seconds: f64,
-    /// Total time spent answering requests (batched requests all account
-    /// the full tick they completed in).
+    /// Total time spent answering requests (a tick's misses all account the
+    /// full tick they completed in; a hit accounts its own lookup).
     pub busy_seconds: f64,
+}
+
+/// What an engine shares with its [`CacheReader`]s: the result cache and the
+/// lifetime accounting a hit writes, so `served == hits + misses` holds
+/// whichever thread answered.
+struct Results {
+    cache: LruCache,
+    served: u64,
+    latency: Histogram,
+}
+
+impl Results {
+    fn account(&mut self, requests: u64, seconds: f64) {
+        self.served += requests;
+        for _ in 0..requests {
+            self.latency.record(seconds);
+        }
+        OBS_REQUESTS.add(requests);
+        OBS_REQUEST_SECONDS.observe(seconds);
+    }
+
+    /// The hit path — the only one: [`Engine::recommend`],
+    /// [`Engine::recommend_batch`] and [`CacheReader`] all answer a cached
+    /// key here. One counted `get` (LRU promotion, `hits`), a copy of the
+    /// list, `serve.cache.hits`, and one request accounted as taking since
+    /// `t0`. `None` is a miss the cache has counted: the engine calls this
+    /// for a request it will then compute; a reader looks first.
+    fn hit(&mut self, key: CacheKey, t0: Instant) -> Option<Vec<Recommendation>> {
+        let out = self.cache.get(key)?.to_vec();
+        OBS_CACHE_HITS.add(1);
+        self.account(1, t0.elapsed().as_secs_f64());
+        Some(out)
+    }
+}
+
+/// The trace of one answered request, on whichever thread answers it.
+fn request_trace() -> imcat_obs::trace::RequestTrace {
+    imcat_obs::trace::request("serve.request", "serve.request.seconds", false)
+}
+
+/// A panic elsewhere on a thread that holds the guard cannot leave
+/// [`Results`] half-updated (the cache's own methods do not panic on valid
+/// state), so a poisoned lock is recovered: a panicking connection worker
+/// must not take the batcher down with it.
+fn lock(results: &Mutex<Results>) -> MutexGuard<'_, Results> {
+    results.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A clonable, `Send` read handle on an engine's result cache: answers a
+/// request the engine has already answered, from another thread, without
+/// the engine. See the module docs ("The shared cache") for what makes that
+/// safe beside a writer.
+#[derive(Clone)]
+pub struct CacheReader(Arc<Mutex<Results>>);
+
+impl CacheReader {
+    /// The cached answer to `(user, k)`, accounted exactly like a hit inside
+    /// [`Engine::recommend`]. `None` leaves no footprint.
+    pub fn lookup(&self, user: u32, k: usize) -> Option<Vec<Recommendation>> {
+        Self::lookup_all(std::slice::from_ref(self), user, k)?.pop()
+    }
+
+    /// One list per reader, in order — or `None`, with no footprint on any
+    /// of them, unless **every** reader holds `(user, k)`: a replica whose
+    /// entry a write removed must recompute, and the lists of the others
+    /// are only an answer together with its. All locks are taken, in slice
+    /// order, before the first is read, so every caller must pass replicas
+    /// in one global order (engines never hold two, so there is no cycle).
+    pub fn lookup_all(
+        readers: &[CacheReader],
+        user: u32,
+        k: usize,
+    ) -> Option<Vec<Vec<Recommendation>>> {
+        let mut guards: Vec<_> = readers.iter().map(|r| lock(&r.0)).collect();
+        if !guards.iter().all(|g| g.cache.contains((user, k))) {
+            return None;
+        }
+        // One trace per replica, as `Engine::recommend` on each would open;
+        // they close once the locks are released.
+        let _traces: Vec<_> = readers.iter().map(|_| request_trace()).collect();
+        let t0 = Instant::now();
+        let lists = guards.iter_mut().map(|g| g.hit((user, k), t0)).collect();
+        drop(guards);
+        lists
+    }
 }
 
 /// Top-K retrieval engine over one [`Artifact`] generation: the read path
@@ -193,13 +308,13 @@ pub struct ServeStats {
 pub struct Engine {
     stream: StreamState,
     cfg: ServeConfig,
-    cache: LruCache,
+    /// Shared with every [`CacheReader`]; locked per call, never across a
+    /// scan (module docs, "The shared cache").
+    results: Arc<Mutex<Results>>,
     scratch: TopKScratch,
     /// The single-request path's score row, kept between requests.
     scores: Vec<f32>,
     ann: Option<AnnState>,
-    latency: Histogram,
-    served: u64,
     generation: u64,
 }
 
@@ -207,15 +322,26 @@ impl Engine {
     fn assemble(artifact: Artifact, cfg: ServeConfig, ann: Option<AnnState>) -> Self {
         Self {
             stream: StreamState::new(artifact, FoldOptions::from_env()),
-            cache: LruCache::new(cfg.cache_capacity),
+            results: Arc::new(Mutex::new(Results {
+                cache: LruCache::new(cfg.cache_capacity),
+                served: 0,
+                latency: Histogram::default(),
+            })),
             cfg,
             scratch: TopKScratch::default(),
             scores: Vec::new(),
             ann,
-            latency: Histogram::default(),
-            served: 0,
             generation: 0,
         }
+    }
+
+    fn results(&self) -> MutexGuard<'_, Results> {
+        lock(&self.results)
+    }
+
+    /// A read handle on this engine's result cache, for other threads.
+    pub fn cache_reader(&self) -> CacheReader {
+        CacheReader(self.results.clone())
     }
 
     /// Builds an engine over a validated artifact. When [`ServeConfig::ann`]
@@ -303,7 +429,7 @@ impl Engine {
             self.stream = StreamState::new(artifact, self.stream.fold_options);
         }
         self.ann = ann;
-        self.cache.clear();
+        self.results().cache.clear();
         self.generation += 1;
         imcat_obs::counter_add(counter, 1);
         imcat_obs::counter_add("serve.generation.swaps", 1);
@@ -344,11 +470,11 @@ impl Engine {
             StreamEvent::RegisterUser => imcat_obs::counter_add("ingest.users", 1),
             StreamEvent::RegisterItem => {
                 // Cached lists ranked a smaller catalog.
-                self.cache.clear();
+                self.results().cache.clear();
                 imcat_obs::counter_add("ingest.items", 1);
             }
             StreamEvent::Interaction(x) => {
-                self.cache.remove_user(x.user);
+                self.results().cache.remove_user(x.user);
                 OBS_INGESTS.add(1);
             }
         }
@@ -407,13 +533,15 @@ impl Engine {
                 }
             }
         });
+        let mut results = self.results();
         if tick.items_changed {
-            self.cache.clear();
+            results.cache.clear();
         } else {
             for u in tick.users {
-                self.cache.remove_user(u);
+                results.cache.remove_user(u);
             }
         }
+        drop(results);
         imcat_obs::counter_add("ingest.folds", tick.folds as u64);
         tick.folds
     }
@@ -545,15 +673,6 @@ impl Engine {
         out
     }
 
-    fn account(&mut self, requests: u64, seconds: f64) {
-        self.served += requests;
-        for _ in 0..requests {
-            self.latency.record(seconds);
-        }
-        OBS_REQUESTS.add(requests);
-        OBS_REQUEST_SECONDS.observe(seconds);
-    }
-
     /// Validates one request against the live artifact. Rejections are
     /// counted (`serve.rejects`) but cost no scoring work and leave no cache
     /// or latency footprint.
@@ -578,18 +697,18 @@ impl Engine {
     /// breakdown into the live trace store (`/trace/<id>`).
     pub fn recommend(&mut self, user: u32, k: usize) -> Result<Vec<Recommendation>, ServeError> {
         self.validate_request(user, k)?;
-        let _trace = imcat_obs::trace::request("serve.request", "serve.request.seconds", false);
+        let _trace = request_trace();
         let t0 = Instant::now();
-        if let Some(cached) = self.cache.get((user, k)) {
-            let out = cached.to_vec();
-            OBS_CACHE_HITS.add(1);
-            self.account(1, t0.elapsed().as_secs_f64());
+        // One guard per statement: the lock is not held across the scan.
+        let cached = self.results().hit((user, k), t0);
+        if let Some(out) = cached {
             return Ok(out);
         }
         OBS_CACHE_MISSES.add(1);
         let out = self.compute(user, k);
-        self.cache.put((user, k), out.clone());
-        self.account(1, t0.elapsed().as_secs_f64());
+        let mut results = self.results();
+        results.cache.put((user, k), out.clone());
+        results.account(1, t0.elapsed().as_secs_f64());
         Ok(out)
     }
 
@@ -616,13 +735,13 @@ impl Engine {
             Vec::with_capacity(requests.len());
         let mut miss_keys: Vec<CacheKey> = Vec::new();
         let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut misses = 0u64;
+        let mut results = self.results();
         for &(user, k) in requests {
             if let Err(e) = self.validate_request(user, k) {
                 outputs.push(Some(Err(e)));
-            } else if let Some(cached) = self.cache.get((user, k)) {
-                hits += 1;
-                outputs.push(Some(Ok(cached.to_vec())));
+            } else if let Some(cached) = results.hit((user, k), t0) {
+                outputs.push(Some(Ok(cached)));
             } else {
                 misses += 1;
                 outputs.push(None);
@@ -632,6 +751,7 @@ impl Engine {
                 }
             }
         }
+        drop(results);
         // Exact path: one scoring matmul for the whole tick, one row per
         // unique miss user (a user requested at two cutoffs shares a row).
         // With an index, each unique miss goes through the same probe (or
@@ -655,7 +775,7 @@ impl Engine {
                 }
                 None => self.compute(user, k),
             };
-            self.cache.put((user, k), recs.clone());
+            self.results().cache.put((user, k), recs.clone());
             fresh.push(recs);
         }
         let answers = outputs
@@ -664,10 +784,9 @@ impl Engine {
             .map(|(slot, key)| slot.unwrap_or_else(|| Ok(fresh[miss_index[key]].clone())))
             .collect();
         let dt = t0.elapsed().as_secs_f64();
-        if hits + misses > 0 {
-            self.account(hits + misses, dt);
+        if misses > 0 {
+            self.results().account(misses, dt);
         }
-        OBS_CACHE_HITS.add(hits);
         OBS_CACHE_MISSES.add(misses);
         OBS_TICKS.add(1);
         OBS_TICK_SECONDS.observe(dt);
@@ -677,20 +796,52 @@ impl Engine {
     /// Lifetime serving statistics (latency quantiles are log-bucket upper
     /// bounds, matching `imcat-obs` histograms).
     pub fn stats(&self) -> ServeStats {
+        // One guard for the whole snapshot: a second `self.results()` inside
+        // the struct expression would wait on the first for ever.
+        let results = self.results();
         ServeStats {
-            served: self.served,
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            p50_seconds: self.latency.quantile(0.50),
-            p95_seconds: self.latency.quantile(0.95),
-            p99_seconds: self.latency.quantile(0.99),
-            mean_seconds: self.latency.mean(),
-            busy_seconds: self.latency.sum,
+            served: results.served,
+            cache_hits: results.cache.hits(),
+            cache_misses: results.cache.misses(),
+            p50_seconds: results.latency.quantile(0.50),
+            p95_seconds: results.latency.quantile(0.95),
+            p99_seconds: results.latency.quantile(0.99),
+            mean_seconds: results.latency.mean(),
+            busy_seconds: results.latency.sum,
         }
     }
 
     /// Number of currently cached top-K lists.
     pub fn cached_lists(&self) -> usize {
-        self.cache.len()
+        self.results().cache.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A thread that dies holding the cache lock must not take the engine's
+    /// thread, or any other reader, down with it.
+    #[test]
+    fn a_poisoned_cache_lock_is_recovered() {
+        let artifact = Artifact::new(
+            "poison",
+            Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]),
+            Tensor::from_vec(3, 2, vec![0.5, 0.1, 0.2, 0.9, 0.7, 0.7]),
+            vec![vec![], vec![1]],
+        );
+        let mut engine = Engine::new(artifact, ServeConfig::default()).unwrap();
+        let want = engine.recommend(0, 2).unwrap();
+        let results = engine.results.clone();
+        let died = std::thread::spawn(move || {
+            let _guard = results.lock().unwrap();
+            panic!("a worker dies under the lock");
+        })
+        .join();
+        assert!(died.is_err() && engine.results.is_poisoned());
+        assert_eq!(engine.recommend(0, 2).unwrap(), want);
+        assert_eq!(engine.cache_reader().lookup(0, 2), Some(want));
+        assert_eq!(engine.stats().cache_hits, 2);
     }
 }

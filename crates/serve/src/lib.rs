@@ -14,7 +14,9 @@
 //!   `k == 0`) are rejected with a typed [`ServeError`], never an assert:
 //!   request data can't take down a serving worker mid-batch.
 //! * **Caching** — a bounded LRU keeps hot users' lists with hit/miss
-//!   accounting.
+//!   accounting; it is the one state the engine shares, and a
+//!   [`CacheReader`] answers a cached request from another thread through
+//!   the engine's own hit path.
 //! * **Batching** — a tick of concurrent requests costs one `matmul_nt`.
 //! * **ANN retrieval** — [`ServeConfig::ann`] fronts scoring with an
 //!   `imcat-ann` index behind the [`AnnIndex`] trait (exact re-rank,
@@ -41,7 +43,8 @@
 //!   state: apply one [`StreamEvent`], run one two-phase fold tick,
 //!   [`rebuild_artifact`] = "replay, fold once" over those two.
 //! * `rebuild` — the background worker and the crash-safe two-save staging.
-//! * `foldin` — the ridge fold-in solve. `cache` — the LRU.
+//! * `foldin` — the ridge fold-in solve. `cache` — the LRU, with per-user
+//!   chains so that invalidating a user costs that user's entries.
 //!
 //! The ANN lifecycle (build, open-or-rebuild-and-persist, describe) lives
 //! behind `imcat-ann`'s [`AnnConfig`]; nothing here knows which backend is
@@ -56,7 +59,7 @@ mod rebuild;
 mod stream;
 
 pub use cache::LruCache;
-pub use engine::{Engine, Recommendation, ServeConfig, ServeError, ServeStats};
+pub use engine::{CacheReader, Engine, Recommendation, ServeConfig, ServeError, ServeStats};
 pub use foldin::{fold_embedding, FoldOptions};
 pub use imcat_ann::{
     AnnConfig, AnnDescriptor, AnnIndex, AnnKind, BruteIndex, IvfIndex, ProbeScratch,

@@ -11,7 +11,7 @@ use std::process::{Child, ChildStdout, Command, Stdio};
 
 use imcat::net::http::read_response;
 use imcat::obs::Json;
-use imcat::serve::{Artifact, Engine, ServeConfig};
+use imcat::serve::{Artifact, Engine, Interaction, ServeConfig};
 use imcat::tensor::Tensor;
 
 const BIN: &str = env!("CARGO_BIN_EXE_imcat");
@@ -47,12 +47,17 @@ impl Drop for Served {
 
 impl Served {
     fn spawn(artifact: &std::path::Path, extra: &[&str]) -> Self {
+        Self::spawn_sharded(artifact, extra, "1")
+    }
+
+    fn spawn_sharded(artifact: &std::path::Path, extra: &[&str], shards: &str) -> Self {
         let mut child = Command::new(BIN)
             .arg("serve")
             .args(["--artifact", artifact.to_str().expect("utf-8 path")])
             .args(["--addr", "127.0.0.1:0"])
             .args(extra)
             .env("IMCAT_OBS_ADDR", "127.0.0.1:0")
+            .env("IMCAT_NET_SHARDS", shards)
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawn imcat serve");
@@ -72,11 +77,19 @@ impl Served {
     }
 }
 
-fn get(addr: &str, target: &str) -> (u16, String) {
+/// One bodiless request on a fresh `Connection: close` socket.
+fn send(method: &str, addr: &str, target: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-        .expect("write request");
+    write!(
+        stream,
+        "{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: 0\r\n\r\n"
+    )
+    .expect("write request");
     read_response(&mut stream, &mut Vec::new()).expect("read response")
+}
+
+fn get(addr: &str, target: &str) -> (u16, String) {
+    send("GET", addr, target)
 }
 
 fn numbers(doc: &Json, key: &str) -> Vec<u32> {
@@ -119,6 +132,62 @@ fn serve_answers_like_the_engine_it_wraps() {
     let (status, metrics) = get(&telemetry, "/metrics");
     assert_eq!(status, 200);
     assert!(metrics.contains("imcat_net_requests 3"), "front-end counters missing:\n{metrics}");
+}
+
+/// Hit, ingest, hit — through the process, at one shard and at two: a
+/// repeated request is answered from the cache by a connection worker
+/// (`inline_hits`), an acknowledged ingest is in the very next answer, and
+/// that answer is the engine's, bit for bit.
+#[test]
+fn serve_answers_hits_inline_and_never_stale() {
+    let path = saved_artifact("serve_cli_hits.artifact");
+    for shards in ["1", "2"] {
+        let mut served = Served::spawn_sharded(&path, &[], shards);
+        let addr = served.printed_addr("listening");
+        let telemetry = served.printed_addr("telemetry");
+        let mut engine = Engine::new(artifact(), ServeConfig::default()).expect("valid artifact");
+        let (user, target) = (5u32, "/recommend?user=5&k=10");
+        let inline_hits = |addr: &str| {
+            let stats = Json::parse(&get(addr, "/stats").1).expect("stats body is JSON");
+            stats.get("inline_hits").and_then(Json::as_f64)
+        };
+        let check = |body: &str, engine: &mut Engine| {
+            let doc = Json::parse(body).expect("recommend body is JSON");
+            let want = engine.recommend(user, 10).expect("in range");
+            assert_eq!(numbers(&doc, "items"), want.iter().map(|r| r.item).collect::<Vec<_>>());
+            assert_eq!(
+                numbers(&doc, "score_bits"),
+                want.iter().map(|r| r.score.to_bits()).collect::<Vec<_>>(),
+                "shards={shards}: score bits diverged between the process and the engine"
+            );
+            want[0].item
+        };
+
+        let (status, first) = get(&addr, target);
+        assert_eq!(status, 200, "shards={shards}: {first}");
+        let top = check(&first, &mut engine);
+        assert_eq!(inline_hits(&addr), Some(0.0));
+        assert_eq!(get(&addr, target), (200, first), "shards={shards}: the hit differs");
+        assert_eq!(inline_hits(&addr), Some(1.0));
+
+        let (status, body) = send("POST", &addr, &format!("/ingest?user={user}&item={top}"));
+        assert_eq!(status, 200, "shards={shards}: {body}");
+        engine.ingest(Interaction { user, item: top }).expect("in range");
+        let (status, after) = get(&addr, target);
+        assert_eq!(status, 200);
+        assert_ne!(
+            check(&after, &mut engine),
+            top,
+            "shards={shards}: {top} served after its ingest"
+        );
+        assert_eq!(inline_hits(&addr), Some(1.0), "shards={shards}: a stale hit was answered");
+        assert_eq!(get(&addr, target), (200, after));
+        assert_eq!(inline_hits(&addr), Some(2.0));
+
+        let (status, metrics) = get(&telemetry, "/metrics");
+        assert_eq!(status, 200);
+        assert!(metrics.contains("imcat_net_inline_hits 2"), "shards={shards}:\n{metrics}");
+    }
 }
 
 #[test]
