@@ -1,29 +1,19 @@
 #!/usr/bin/env python3
 """Shared CI validation for experiment reports and telemetry sinks.
 
-Every smoke job used to carry its own copy of the same preamble: glob the
-experiment JSON reports, recursively walk them for NaN/inf, check that the
-JSONL telemetry sink exists, and scan its events. This script owns that
-common layer; jobs invoke it with the files they produced plus declarative
-requirements, and keep only their job-specific assertions inline.
+Globs the experiment JSON reports, recursively walks them for NaN/inf, checks
+that the JSONL telemetry sink exists and parses. Gates on *what* a run
+recorded live in the workspace's tests, not here.
 
 Usage:
     python3 ci/validate_jsonl.py \
         --json 'target/experiments/*.json' \
-        --jsonl target/experiments/telemetry.jsonl \
-        --require-kind ann_frontier \
-        --require-hist ann.probe.seconds \
-        --require-gauge ann.recall_at10 \
-        --require-counter-positive serve.shed
+        --jsonl target/experiments/telemetry.jsonl
 
 Checks performed:
   * every --json argument (path or glob) matches at least one file, and
     every value in every matched file is finite (no NaN, no inf)
   * every --jsonl sink exists, parses line-by-line, and is NaN/inf-free
-  * --require-kind KIND: at least one telemetry event of that kind
-  * --require-hist NAME: a hist event with that name and count > 0
-  * --require-gauge NAME: a gauge event with that name
-  * --require-counter-positive NAME: a counter with that name and value > 0
 
 Exits nonzero with a per-failure message if any check fails.
 """
@@ -96,41 +86,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", action="append", default=[], metavar="PATH_OR_GLOB")
     ap.add_argument("--jsonl", action="append", default=[], metavar="PATH")
-    ap.add_argument("--require-kind", action="append", default=[], metavar="KIND")
-    ap.add_argument("--require-hist", action="append", default=[], metavar="NAME")
-    ap.add_argument("--require-gauge", action="append", default=[], metavar="NAME")
-    ap.add_argument(
-        "--require-counter-positive", action="append", default=[], metavar="NAME"
-    )
     args = ap.parse_args()
 
     n_json = check_json(args.json)
     events = load_events(args.jsonl)
-
-    kinds = {e.get("kind") for e in events}
-    for kind in args.require_kind:
-        if kind not in kinds:
-            fail(f"no {kind} events in telemetry")
-
-    hists = {e["name"]: e for e in events if e.get("kind") == "hist" and "name" in e}
-    for name in args.require_hist:
-        h = hists.get(name)
-        if h is None or h.get("count", 0) <= 0:
-            fail(f"{name} histogram missing or empty in telemetry")
-
-    gauges = {e["name"] for e in events if e.get("kind") == "gauge" and "name" in e}
-    for name in args.require_gauge:
-        if name not in gauges:
-            fail(f"{name} gauge missing from telemetry")
-
-    counters = {
-        e["name"]: e.get("value", 0)
-        for e in events
-        if e.get("kind") == "counter" and "name" in e
-    }
-    for name in args.require_counter_positive:
-        if counters.get(name, 0) <= 0:
-            fail(f"{name} counter not recorded or non-positive")
 
     if failures:
         sys.exit(1)

@@ -28,12 +28,12 @@
 //! nothing thread-shaped in it, so builds are bit-identical at any
 //! `IMCAT_THREADS` by construction (the determinism suite asserts it at 1
 //! and 4). Search visits candidates through heaps ordered by the canonical
-//! `(distance asc, id asc)` **total** order ([`DistId`]'s `Ord` uses
+//! `(distance asc, id asc)` **total** order (`DistId`'s `Ord` uses
 //! `total_cmp`), so frontier expansion, result eviction, and the final
 //! candidate set are all deterministic; only the exact re-rank fans out over
 //! the `imcat-par` pool, with the same fixed grain the other backends use.
 //! At `ef_search >= n_items` the probe bypasses the graph entirely and takes
-//! the [`crate::ivf::ProbeScratch::set_brute`] path, making it bit-identical
+//! the `ProbeScratch::set_brute` path, making it bit-identical
 //! to [`crate::index::BruteIndex`] — scores *and* tie order — which the
 //! proptests exercise. Cold (`n = 0`) and unbuilt graphs fall back the same
 //! way.
@@ -539,7 +539,7 @@ impl HnswIndex {
     /// ascending candidate ids, exact f32 scores, remapped mask.
     ///
     /// `ef >= n_items` (and the empty graph) bypasses traversal for the
-    /// exhaustive [`crate::ivf::ProbeScratch::set_brute`] path, bit-identical
+    /// exhaustive `ProbeScratch::set_brute` path, bit-identical
     /// to [`crate::index::BruteIndex`] — including its scan of items the
     /// matrix holds *ahead* of the index during streaming.
     pub fn probe(

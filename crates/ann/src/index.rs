@@ -51,7 +51,7 @@ pub enum AnnKind {
 }
 
 impl AnnKind {
-    /// Parses a backend name as used by `IMCAT_ANN_KIND` and bench flags
+    /// Parses a backend name as `imcat serve --ann` spells it
     /// (`"ivf"`, `"brute"`, `"hnsw"`, case-insensitive). `None` for anything
     /// else.
     pub fn parse(name: &str) -> Option<Self> {
@@ -304,7 +304,7 @@ impl AnnIndex for BruteIndex {
 /// kind are zero/false (e.g. `nlist` under HNSW).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnnDescriptor {
-    /// Backend name as `IMCAT_ANN_KIND` spells it: `ivf`, `brute`, `hnsw`.
+    /// Backend name as [`AnnKind::name`] spells it: `ivf`, `brute`, `hnsw`.
     pub kind: &'static str,
     /// Catalog size the index currently covers.
     pub n_items: usize,

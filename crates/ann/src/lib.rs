@@ -31,7 +31,7 @@
 //! container (living alongside the serving `Artifact` sections in the same
 //! file), and `imcat-serve` consumes it behind `AnnConfig` with brute-force
 //! fallback. See the README "ANN retrieval" section for the operational
-//! knobs and `crates/bench/src/bin/ann_bench.rs` for the recall/QPS
+//! knobs and `crates/bench/src/bin/frontier.rs` for the recall/QPS
 //! frontier methodology.
 
 #![warn(missing_docs)]

@@ -434,7 +434,7 @@ pub fn mean_of(results: &[RunResult], f: impl Fn(&RunResult) -> f64) -> f64 {
 }
 
 /// Normalized Zipf CDF over `n` ranks: rank `r` (0-based) has weight
-/// `1 / (r+1)^s`. The serving benches draw their request streams from it.
+/// `1 / (r+1)^s`. The `frontier` bin draws its request stream from it.
 pub fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
     let mut cdf = Vec::with_capacity(n);
     let mut acc = 0.0f64;

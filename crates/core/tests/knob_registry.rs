@@ -4,8 +4,9 @@
 //! to either side without the other fails here, not in a code review.
 //! A second test scans the workspace's Rust sources: the registry's module
 //! is the only reader of `IMCAT_*` variables (plus `imcat-simd`, which has
-//! no dependencies), and every `IMCAT_*` name a source file spells out is a
-//! registered knob.
+//! no dependencies), every `IMCAT_*` name a source file spells out is a
+//! registered knob, and — the converse — every registered knob is named by at
+//! least one source file that ships (not a test, an example or the registry).
 
 use std::path::{Path, PathBuf};
 
@@ -80,11 +81,17 @@ fn rust_sources() -> Vec<PathBuf> {
 fn sources_read_the_environment_only_through_the_registry() {
     let prefix = concat!("IMCAT", "_");
     let reads = [format!("env::var(\"{prefix}"), format!("var_os(\"{prefix}")];
-    let readers = ["crates/obs/src/knobs.rs", "crates/simd/src/lib.rs"];
+    let registry = "crates/obs/src/knobs.rs";
+    let readers = [registry, "crates/simd/src/lib.rs"];
     let mut scanned = 0;
+    // Knobs named by shipped code: a test, an example or the registry itself
+    // spelling a name does not make it a setting anything reads.
+    let mut read = std::collections::HashSet::new();
     for path in rust_sources() {
         let text = std::fs::read_to_string(&path).expect("source file is UTF-8");
         let shown = path.strip_prefix(ROOT).unwrap_or(&path).display().to_string();
+        let ships = !path.ends_with(registry)
+            && !path.components().any(|c| c.as_os_str() == "tests" || c.as_os_str() == "examples");
         scanned += 1;
         if !readers.iter().any(|r| path.ends_with(r)) {
             for read in &reads {
@@ -104,8 +111,18 @@ fn sources_read_the_environment_only_through_the_registry() {
                     KNOBS.iter().any(|k| k.key == name),
                     "{shown} names {name}, which is not in the knob registry"
                 );
+                if ships {
+                    read.insert(name);
+                }
             }
         }
+    }
+    for knob in KNOBS {
+        assert!(
+            read.contains(knob.key),
+            "{} is registered but no shipped source reads it",
+            knob.key
+        );
     }
     assert!(scanned > 100, "source scan found only {scanned} files: wrong root?");
 }

@@ -1,6 +1,7 @@
 //! Telemetry integration: the instrumented trainer must decompose the epoch
-//! loss into per-term contributions that add back up to the total, record
-//! nonzero op-level counters, and survive a JSONL round-trip.
+//! loss into per-term contributions that add back up to the total, announce
+//! every best-epoch artifact export, record nonzero op-level counters, and
+//! survive a JSONL round-trip.
 
 use imcat_core::{trainer, Imcat, ImcatConfig, TrainerConfig};
 use imcat_models::test_util::tiny_split;
@@ -9,7 +10,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Per-epoch `loss_terms` events must satisfy `uv + vt + ca + kl +
-/// independence == total` (the terms are recorded already scaled).
+/// independence == total` (the terms are recorded already scaled), and each
+/// best-epoch artifact export emits one `artifact` event.
 #[test]
 fn loss_terms_sum_to_total() {
     // The obs registry is process-global; the guard serialises the
@@ -20,23 +22,47 @@ fn loss_terms_sum_to_total() {
     let bb = Bprmf::new(&data, TrainConfig::default(), &mut rng);
     let mut model =
         Imcat::new(bb, &data, ImcatConfig { pretrain_epochs: 1, ..Default::default() }, &mut rng);
-    trainer::train(
+    let dir = std::env::temp_dir().join(format!("imcat-telemetry-artifact-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = trainer::train(
         &mut model,
         &data,
-        &TrainerConfig { max_epochs: 3, eval_every: 1, patience: 10, ..Default::default() },
+        &TrainerConfig {
+            max_epochs: 3,
+            eval_every: 1,
+            patience: 10,
+            artifact_path: Some(dir.join("model.artifact")),
+            ..Default::default()
+        },
     );
+    std::fs::remove_dir_all(&dir).ok();
     let events = imcat_obs::events();
+    let field = |e: &imcat_obs::Event, k: &str| {
+        e.fields
+            .iter()
+            .find(|(name, _)| name == k)
+            .and_then(|(_, v)| v.as_f64())
+            .unwrap_or_else(|| panic!("{} event missing field {k}", e.kind))
+    };
+    // One `artifact` event per best-epoch export: exactly the epochs whose
+    // validation recall beat every earlier one, each with a non-empty file.
+    let mut best = f64::MIN;
+    let mut improved = Vec::new();
+    for &(epoch, recall) in &report.curve {
+        if recall > best {
+            best = recall;
+            improved.push(epoch as f64);
+        }
+    }
+    let exports: Vec<_> = events.iter().filter(|e| e.kind == "artifact").collect();
+    assert!(!improved.is_empty(), "the first evaluation always improves on nothing");
+    assert_eq!(exports.iter().map(|e| field(e, "epoch")).collect::<Vec<_>>(), improved);
+    assert!(exports.iter().all(|e| field(e, "bytes") > 0.0), "an export wrote an empty artifact");
     let loss_events: Vec<_> = events.iter().filter(|e| e.kind == "loss_terms").collect();
     assert_eq!(loss_events.len(), 3, "one loss_terms event per epoch");
     let mut saw_full_objective = false;
     for e in &loss_events {
-        let f = |k: &str| {
-            e.fields
-                .iter()
-                .find(|(name, _)| name == k)
-                .and_then(|(_, v)| v.as_f64())
-                .unwrap_or_else(|| panic!("loss_terms missing field {k}"))
-        };
+        let f = |k: &str| field(e, k);
         let sum = f("uv") + f("vt") + f("ca") + f("kl") + f("independence");
         let total = f("total");
         assert!(

@@ -73,27 +73,13 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_SIMD", Str, "auto", "simd", "Kernel backend override: scalar or avx2"),
     knob!("IMCAT_CKPT_DIR", Str, "unset", "core", "Checkpoint directory (enables checkpointing)"),
     knob!("IMCAT_CKPT_EVERY", Int, "1", "core", "Checkpoint every N epochs"),
-    knob!("IMCAT_SERVE_REQUESTS", Int, "2000", "bench", "serve_bench request count"),
-    knob!("IMCAT_SERVE_ZIPF", Float, "1.1", "bench", "serve_bench user-popularity skew"),
-    knob!("IMCAT_SERVE_K", Int, "20", "bench", "serve_bench top-K cutoff"),
-    knob!("IMCAT_SERVE_BATCH", Int, "32", "bench", "serve_bench batch-tick size"),
-    knob!("IMCAT_SERVE_CACHE", Int, "256", "bench", "serve_bench LRU capacity"),
-    knob!("IMCAT_ANN_REQUESTS", Int, "2000", "bench", "ann_bench request count"),
-    knob!("IMCAT_ANN_K", Int, "10", "bench", "ann_bench ranking cutoff"),
-    knob!("IMCAT_ANN_ZIPF", Float, "1.1", "bench", "ann_bench user-popularity skew"),
-    knob!("IMCAT_ANN_NLIST", Int, "0", "bench", "ann_bench inverted-list count (0 = auto)"),
-    knob!("IMCAT_ANN_KIND", Str, "ivf", "serve", "ANN backend: ivf, brute, or hnsw"),
     knob!("IMCAT_NET_SHARDS", Int, "1", "net", "Engine replicas sharded on the item axis"),
     knob!("IMCAT_NET_WORKERS", Int, "4", "net", "Connection worker threads"),
     knob!("IMCAT_NET_QUEUE", Int, "64", "net", "Bounded admission queue capacity"),
     knob!("IMCAT_NET_BATCH", Int, "64", "net", "Max requests per micro-batch tick"),
     knob!("IMCAT_NET_TICK_US", Int, "200", "net", "Tick linger for the batch to fill, us"),
     knob!("IMCAT_NET_DEADLINE_MS", Int, "2000", "net", "Total per-request deadline, ms"),
-    knob!("IMCAT_INGEST_USERS", Int, "32", "bench", "stream_bench cold users registered live"),
-    knob!("IMCAT_INGEST_BATCH", Int, "8", "bench", "Interactions applied per ingest slice"),
     knob!("IMCAT_INGEST_FOLD_LAMBDA", Float, "0.1", "serve", "Fold-in ridge regularizer"),
-    knob!("IMCAT_REBUILD_AT", Float, "0.5", "bench", "Stream fraction that triggers the rebuild"),
-    knob!("IMCAT_STREAM_REQUESTS", Int, "2000", "bench", "stream_bench recommend-request count"),
 ];
 
 /// Looks `key` up in the registry. Accessors assert registration so an

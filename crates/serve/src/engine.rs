@@ -406,13 +406,6 @@ impl Engine {
         self.stream.fold_options
     }
 
-    /// Overrides the fold-in options. Affects folds from the next tick on;
-    /// already-frozen embeddings stay as they are (and the log keeps the
-    /// rebuild canonical under whatever options it is replayed with).
-    pub fn set_fold_options(&mut self, fold: FoldOptions) {
-        self.stream.fold_options = fold;
-    }
-
     /// Every swap of the serving state funnels through here: new artifact
     /// and/or ANN state in, cache out, generation bumped, one counter per
     /// caller. Replacing the artifact starts a fresh stream state — the

@@ -148,8 +148,9 @@ fn partial_probe_scores_are_exact_and_recall_is_high() {
     }
     // The tiny 60x90 catalog is a worst case for IVF (per-user top-10s
     // scatter across lists that hold ~11 items each); the production-scale
-    // recall bar lives in ann_bench / the ann-smoke CI job. Here we only
-    // require that half the lists recover well over half the true top-10.
+    // recall bar is the `frontier` bin's exit code (CI's bench-smoke). Here
+    // we only require that half the lists recover well over half the true
+    // top-10.
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.6, "recall@10 {recall:.3} unexpectedly low at nprobe=nlist/2");
 }

@@ -6,16 +6,19 @@
 //!   replay run offline — at 1 and 4 threads;
 //! * the two-save generation swap is crash-safe: a loader between the
 //!   stage and the commit sees the *old* generation, after the commit the
-//!   new one;
+//!   new one — with requests answered while the worker runs, on IVF and on
+//!   HNSW, and the ingest / rebuild / swap telemetry moving;
 //! * cold users fold into useful embeddings (their interacted items'
-//!   neighborhood ranks above the rest).
+//!   neighborhood ranks above the rest) under every retrieval backend.
 
 use std::sync::{Mutex, OnceLock};
 
 use imcat_ckpt::Checkpoint;
 use imcat_data::{generate, SplitDataset, SynthConfig};
 use imcat_models::{Bprmf, RecModel, TrainConfig};
-use imcat_serve::{rebuild_artifact, AnnConfig, Artifact, Engine, Interaction, ServeConfig};
+use imcat_serve::{
+    rebuild_artifact, AnnConfig, AnnKind, Artifact, Engine, Interaction, ServeConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -183,85 +186,128 @@ fn replay_rebuild_is_bit_identical_to_offline_build_at_1_and_4_threads() {
 /// stages the next generation (save #1) but before the engine commits
 /// (save #2), a loader must recover the *old* generation, complete and
 /// consistent. After the commit it must see the new one. Requests keep
-/// succeeding throughout.
+/// succeeding throughout — on IVF lists and on a live HNSW graph alike — and
+/// the stream leaves its trail in telemetry: every ingest, rebuild and swap
+/// counter moves and the backend's probe histogram gains samples (deltas,
+/// because the registry is process-global).
 #[test]
 fn generation_swap_is_crash_safe_between_stage_and_commit() {
     let _guard = pool_lock().lock().unwrap();
-    let dir = std::env::temp_dir().join(format!("imcat_stream_swap_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serve.imck");
-    let artifact = trained_artifact(47);
-    artifact.save(&path).unwrap();
-    let cfg = ServeConfig {
-        cache_capacity: 16,
-        ann: Some(AnnConfig { nlist: 8, nprobe: 8, ..AnnConfig::default() }),
-        ..Default::default()
-    };
-    let mut engine = Engine::load(&path, cfg.clone()).unwrap();
-    let old_bytes = artifact_bytes(engine.artifact());
-    drive_stream(&mut engine, 0x1337);
-    let task = engine.spawn_rebuild(Some(path.clone())).unwrap();
-    // Serving continues while the worker runs.
-    while !task.is_finished() {
-        engine.recommend(0, 5).unwrap();
-    }
-    // Crash point: staged but not committed. A fresh load recovers the old
-    // generation bit-for-bit (the staged gen sections are simply ignored).
-    {
-        let recovered = Engine::load(&path, cfg.clone()).unwrap();
-        assert_eq!(
-            artifact_bytes(recovered.artifact()),
-            old_bytes,
-            "loader between stage and commit did not recover the old generation"
+    let _obs = imcat_obs::exclusive(true);
+    let backends = [
+        (AnnConfig { nlist: 8, nprobe: 8, ..AnnConfig::default() }, "ann.probe.seconds"),
+        (AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() }, "ann.hnsw.probe.seconds"),
+    ];
+    for (ann, probe_hist) in backends {
+        let kind = ann.kind.name();
+        let dir =
+            std::env::temp_dir().join(format!("imcat_stream_swap_{kind}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("serve.imck");
+        let artifact = trained_artifact(47);
+        artifact.save(&path).unwrap();
+        let cfg = ServeConfig { cache_capacity: 16, ann: Some(ann), ..Default::default() };
+        let before = imcat_obs::snapshot();
+        let mut engine = Engine::load(&path, cfg.clone()).unwrap();
+        let old_bytes = artifact_bytes(engine.artifact());
+        drive_stream(&mut engine, 0x1337);
+        let gen_before = engine.generation();
+        let task = engine.spawn_rebuild(Some(path.clone())).unwrap();
+        // Serving continues while the worker runs: a request counts once it
+        // has been answered with the worker still going.
+        let mut during_rebuild = 0u32;
+        loop {
+            engine.recommend(during_rebuild % engine.n_users() as u32, 5).unwrap();
+            if task.is_finished() {
+                break;
+            }
+            during_rebuild += 1;
+        }
+        assert!(during_rebuild > 0, "{kind}: no request was answered while the rebuild ran");
+        // Crash point: staged but not committed. A fresh load recovers the old
+        // generation bit-for-bit (the staged gen sections are simply ignored).
+        {
+            let recovered = Engine::load(&path, cfg.clone()).unwrap();
+            assert_eq!(
+                artifact_bytes(recovered.artifact()),
+                old_bytes,
+                "{kind}: loader between stage and commit did not recover the old generation"
+            );
+        }
+        engine.commit_rebuild(task).unwrap();
+        assert!(engine.generation() > gen_before, "{kind}: commit did not bump the generation");
+        let new_bytes = artifact_bytes(engine.artifact());
+        assert_ne!(new_bytes, old_bytes, "{kind}: a nonempty log should change the artifact");
+        // After the commit the pointer names the new generation.
+        {
+            let ck = Checkpoint::load(&path).unwrap();
+            let committed = ck.generation().unwrap();
+            assert!(committed.is_some(), "{kind}: commit did not write a generation pointer");
+            let recovered = Engine::load(&path, cfg).unwrap();
+            assert_eq!(
+                artifact_bytes(recovered.artifact()),
+                new_bytes,
+                "{kind}: loader after commit did not see the new generation"
+            );
+        }
+        let after = imcat_obs::snapshot();
+        for counter in [
+            "ingest.events",
+            "ingest.users",
+            "ingest.folds",
+            "serve.rebuilds",
+            "serve.rebuild.commits",
+            "serve.generation.swaps",
+        ] {
+            assert!(
+                after.counter(counter) > before.counter(counter),
+                "{kind}: {counter} did not move across the stream and the swap"
+            );
+        }
+        assert!(
+            after.hist_count(probe_hist) > before.hist_count(probe_hist),
+            "{kind}: {probe_hist} gained no samples"
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
-    engine.commit_rebuild(task).unwrap();
-    let new_bytes = artifact_bytes(engine.artifact());
-    assert_ne!(new_bytes, old_bytes, "rebuild with a nonempty log should change the artifact");
-    // After the commit the pointer names the new generation.
-    {
-        let ck = Checkpoint::load(&path).unwrap();
-        let committed = ck.generation().unwrap();
-        assert!(committed.is_some(), "commit did not write a generation pointer");
-        let recovered = Engine::load(&path, cfg).unwrap();
-        assert_eq!(
-            artifact_bytes(recovered.artifact()),
-            new_bytes,
-            "loader after commit did not see the new generation"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A cold user who interacts with a warm item neighborhood folds into an
 /// embedding that ranks that neighborhood's remaining items highly — and
 /// their own interacted items are masked out of their recommendations.
+/// Whatever retrieves the candidates: the exact scan, IVF lists, an HNSW
+/// graph.
 #[test]
 fn cold_user_fold_in_reaches_their_neighborhood() {
     let _guard = pool_lock().lock().unwrap();
-    let artifact = trained_artifact(53);
-    let cfg = ServeConfig { cache_capacity: 0, ..Default::default() };
-    let mut engine = Engine::new(artifact, cfg).unwrap();
-    // Pick the warm user with the most training items; the cold user mimics
-    // half their history.
-    let donor = (0..engine.n_users()).max_by_key(|&u| engine.artifact().masks[u].len()).unwrap();
-    let history: Vec<u32> = engine.artifact().masks[donor].clone();
-    assert!(history.len() >= 4, "synthetic data gave no usable donor");
-    let (seen, holdout) = history.split_at(history.len() / 2);
-    let cold = engine.register_user();
-    for &item in seen {
-        engine.ingest(Interaction { user: cold, item }).unwrap();
+    let hnsw = AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() };
+    for ann in [None, Some(AnnConfig::default()), Some(hnsw)] {
+        let kind = ann.map_or("exact", |a| a.kind.name());
+        let artifact = trained_artifact(53);
+        let cfg = ServeConfig { cache_capacity: 0, ann, ..Default::default() };
+        let mut engine = Engine::new(artifact, cfg).unwrap();
+        // Pick the warm user with the most training items; the cold user
+        // mimics half their history.
+        let donor =
+            (0..engine.n_users()).max_by_key(|&u| engine.artifact().masks[u].len()).unwrap();
+        let history: Vec<u32> = engine.artifact().masks[donor].clone();
+        assert!(history.len() >= 4, "synthetic data gave no usable donor");
+        let (seen, holdout) = history.split_at(history.len() / 2);
+        let cold = engine.register_user();
+        for &item in seen {
+            engine.ingest(Interaction { user: cold, item }).unwrap();
+        }
+        engine.fold_pending();
+        let emb: &[f32] = engine.artifact().user_emb.row(cold as usize);
+        assert!(emb.iter().any(|&x| x != 0.0), "{kind}: fold-in left the cold user at zero");
+        let recs = engine.recommend(cold, 10).unwrap();
+        assert!(!recs.is_empty(), "{kind}: nothing recommended");
+        for r in &recs {
+            assert!(!seen.contains(&r.item), "{kind}: recommended an item already consumed");
+        }
+        // Recall@10 against the donor's holdout must beat zero: the fold-in
+        // embedding points into the right neighborhood.
+        let hits = recs.iter().filter(|r| holdout.contains(&r.item)).count();
+        assert!(hits > 0, "{kind}: cold-user fold-in found none of the donor's holdout items");
     }
-    engine.fold_pending();
-    let emb: &[f32] = engine.artifact().user_emb.row(cold as usize);
-    assert!(emb.iter().any(|&x| x != 0.0), "fold-in left the cold user at zero");
-    let recs = engine.recommend(cold, 10).unwrap();
-    assert!(!recs.is_empty());
-    for r in &recs {
-        assert!(!seen.contains(&r.item), "recommended an item the cold user already consumed");
-    }
-    // Recall@10 against the donor's holdout must beat zero: the fold-in
-    // embedding points into the right neighborhood.
-    let hits = recs.iter().filter(|r| holdout.contains(&r.item)).count();
-    assert!(hits > 0, "cold-user fold-in found none of the donor's holdout items");
 }
