@@ -17,10 +17,55 @@
 //! (norms accumulated in f64), the query `[q, 0]`. Graph distances are
 //! squared L2 in that augmented space — monotone decreasing in the inner
 //! product — computed as `l2_sq(q, x) + (q_tail − x_tail)²` so no augmented
-//! copy of the query is ever materialized. The index keeps its own copy of
-//! the base vectors plus tails (the classic HNSW memory model): that makes
-//! streamed inserts and checkpoint loads self-contained, at the cost of one
-//! extra catalog-sized matrix.
+//! copy of the query is ever materialized.
+//!
+//! ## Memory model and adjacency layout
+//!
+//! The index keeps its own copy of the base vectors plus tails (the classic
+//! HNSW memory model): that makes streamed inserts and checkpoint loads
+//! self-contained, at the cost of one extra catalog-sized matrix. Next to it
+//! sits the adjacency, in two shapes:
+//!
+//! - **Level 0**, which every node has and where a probe spends nearly all
+//!   of its time, is flat `u32` rows with a fixed stride of `2m + 2` words
+//!   per node: a neighbour count, then `2m + 1` slots — the `2m` degree cap
+//!   plus room for the one transient overflow link that triggers a
+//!   re-selection. Expanding a node is one contiguous read, not three
+//!   dependent pointer loads through nested `Vec`s. The rows sit in
+//!   fixed-size blocks of `BLOCK_NODES` (512) nodes (one small, always-cached
+//!   table of block pointers in front): a streamed insert past the last
+//!   block allocates one more block and never moves a row. A single array
+//!   would have to be copied whole when it outgrows its capacity — on the
+//!   first insert after a build, beside the vector store's own doubling —
+//!   and that copy made peak RSS depend on where the allocator found room.
+//! - **Upper levels** (a node reaches level `l ≥ 1` with probability
+//!   `m^-l`, ~6 % of nodes at `m = 16`) stay nested: `upper[id][l − 1]`.
+//!
+//! Per node that is `4·dim` (vector) + 4 (tail) + 4 (level) + `4·(2m + 2)`
+//! (level 0) + 24 (the empty upper-level `Vec` most nodes carry) bytes, plus
+//! the rare upper lists and the unused rows of the last block: ~424 B at
+//! `dim = 64`, `m = 16`. The persisted `ann.hnsw.links` stream is the same
+//! per-node, level-major list it always was; the rows are only how memory
+//! holds it.
+//!
+//! ## Batched scoring keeps the traversal order
+//!
+//! Every distance goes through `imcat_simd::l2_sq_gather`, which returns
+//! `l2_sq`'s own bits per pair, and the `dt²` tail is added after it exactly
+//! as before, so a batch changes how fast a distance is computed, never its
+//! value. Expanding a node collects its unvisited neighbours *in link order*
+//! (marking them visited as before), scores them with one gather call, then
+//! offers them to the result set in that same order — the pushes, evictions
+//! and frontier contents of one-at-a-time scoring, so the final candidates
+//! and the `hops` / `visited` counts are unchanged by construction. (Link
+//! order is the simple choice, not a fragile one: the result set after a
+//! batch is the best `ef` of it plus the batch in any order, and the extra
+//! frontier entry another order can leave — a node accepted, then evicted
+//! within the batch — sorts behind the worst result, so it can only end the
+//! search, never be expanded.) The greedy descent (a minimum over the
+//! batch), the diversity check of the neighbour selection (groups of four,
+//! stopping at the first group with a violation) and the degree-overflow
+//! re-selection score the same way.
 //!
 //! ## Determinism
 //!
@@ -43,11 +88,12 @@
 //! Four versioned sections — `ann.hnsw.meta` / `ann.hnsw.vecs` /
 //! `ann.hnsw.levels` / `ann.hnsw.links` — ride the artifact container with
 //! the same all-or-nothing discipline as `ann.*`: decode re-validates every
-//! structural invariant (degree caps, id ranges, level monotonicity, entry
-//! point identity, finite geometry) and any violation rejects the whole
-//! index, which the engine then rebuilds under `.prev` rotation.
+//! structural invariant (degree bound and caps, id ranges, level
+//! monotonicity, entry point identity, finite geometry) and any violation
+//! rejects the whole index, which the engine then rebuilds under `.prev`
+//! rotation. The degree bound is checked before it sizes anything.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 
@@ -75,35 +121,48 @@ const HNSW_VERSION: u32 = 1;
 const MAX_LEVEL: u32 = 30;
 /// Sentinel entry point of an empty graph.
 const NO_ENTRY: u32 = u32::MAX;
+/// The degree bounds a graph may have: what
+/// [`AnnConfig::resolved_m`] clamps to, and what decode accepts.
+pub(crate) const M_RANGE: std::ops::RangeInclusive<usize> = 2..=128;
+/// Nodes per level-0 block (a power of two, so locating a row is a shift
+/// and a mask): 70 KiB of rows at `m = 16`, so the spare rows of a graph's
+/// last block stay a small fraction of it.
+const BLOCK_NODES: usize = 512;
+/// Neighbours the diversity check scores per gather call.
+const DIVERSITY_GROUP: usize = 4;
 
 /// `(distance, id)` under the canonical total order: distance ascending
 /// (`total_cmp`, so NaN sorts deterministically too), ties to the lower id.
 /// Everything the search touches — frontier pops, worst-result eviction,
 /// final ordering — goes through this `Ord`, which is what makes graph
 /// traversal bit-deterministic.
-#[derive(Clone, Copy, Debug)]
-struct DistId {
-    d: f32,
-    id: u32,
-}
+///
+/// Packed into one `u64` whose integer order *is* that order: the high half
+/// is the distance's `total_cmp` key (the sign-magnitude bits turned two's
+/// complement, then offset to unsigned), the low half the id. A heap
+/// comparison is then one integer compare instead of two branches, and the
+/// distance comes back out bit for bit (the key map is a bijection).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct DistId(u64);
 
-impl PartialEq for DistId {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl DistId {
+    #[inline]
+    fn new(d: f32, id: u32) -> Self {
+        // `f32::total_cmp`'s own key: flip the magnitude bits of negatives.
+        let bits = d.to_bits() as i32;
+        let key = bits ^ (((bits >> 31) as u32) >> 1) as i32;
+        Self(u64::from((key as u32) ^ (1 << 31)) << 32 | u64::from(id))
     }
-}
 
-impl Eq for DistId {}
-
-impl PartialOrd for DistId {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    #[inline]
+    fn d(self) -> f32 {
+        let key = ((self.0 >> 32) as u32 ^ (1 << 31)) as i32;
+        f32::from_bits((key ^ (((key >> 31) as u32) >> 1) as i32) as u32)
     }
-}
 
-impl Ord for DistId {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.d.total_cmp(&other.d).then(self.id.cmp(&other.id))
+    #[inline]
+    fn id(self) -> u32 {
+        self.0 as u32
     }
 }
 
@@ -113,27 +172,160 @@ impl Ord for DistId {
 struct Ctx<'a> {
     vecs: &'a [f32],
     tails: &'a [f32],
-    dim: usize,
     q: &'a [f32],
     qtail: f32,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// The query anchored at stored node `id`: distances between items, as
+    /// construction measures them.
+    fn at_node(vecs: &'a [f32], tails: &'a [f32], dim: usize, id: u32) -> Self {
+        let i = id as usize;
+        Ctx { vecs, tails, q: &vecs[i * dim..(i + 1) * dim], qtail: tails[i] }
+    }
+
     /// Squared augmented-L2 distance from the query to item `id`.
     #[inline]
     fn dist(&self, id: u32) -> f32 {
         let i = id as usize;
+        let dim = self.q.len();
         let dt = self.qtail - self.tails[i];
-        imcat_simd::l2_sq(self.q, &self.vecs[i * self.dim..(i + 1) * self.dim]) + dt * dt
+        imcat_simd::l2_sq(self.q, &self.vecs[i * dim..(i + 1) * dim]) + dt * dt
+    }
+
+    /// [`Ctx::dist`] of every id into `out` (one gather call; the same bits
+    /// pair for pair).
+    #[inline]
+    fn dists(&self, ids: &[u32], out: &mut [f32]) {
+        imcat_simd::l2_sq_gather(self.q, self.vecs, ids, out);
+        for (o, &id) in out.iter_mut().zip(ids) {
+            let dt = self.qtail - self.tails[id as usize];
+            *o += dt * dt;
+        }
+    }
+
+    /// [`Ctx::dists`] into a reused buffer, sized to `ids`.
+    #[inline]
+    fn dists_into<'b>(&self, ids: &[u32], buf: &'b mut Vec<f32>) -> &'b [f32] {
+        buf.resize(ids.len(), 0.0);
+        self.dists(ids, buf);
+        buf
     }
 }
 
-/// Squared augmented-L2 distance between items `a` and `b`.
-#[inline]
-fn dist_items(vecs: &[f32], tails: &[f32], dim: usize, a: u32, b: u32) -> f32 {
-    let (ia, ib) = (a as usize, b as usize);
-    let dt = tails[ia] - tails[ib];
-    imcat_simd::l2_sq(&vecs[ia * dim..(ia + 1) * dim], &vecs[ib * dim..(ib + 1) * dim]) + dt * dt
+/// Graph adjacency: level 0 as fixed-stride rows in fixed-size blocks, upper
+/// levels nested (layout and reasoning in the module docs). Insertion order
+/// is kept at every level — it is part of the deterministic build and is
+/// persisted verbatim.
+#[derive(Clone, Debug)]
+struct Links {
+    /// Words per level-0 row: a count, then `2m + 1` neighbour slots.
+    stride: usize,
+    /// Level-0 rows, [`BLOCK_NODES`] per block: node `id`'s row is
+    /// `base[id / BLOCK_NODES][(id % BLOCK_NODES) * stride..][..stride]`.
+    base: Vec<Box<[u32]>>,
+    /// `upper[id][l - 1]` = node `id`'s level-`l` list; `upper[id].len()` is
+    /// the node's level.
+    upper: Vec<Vec<Vec<u32>>>,
+}
+
+impl Links {
+    /// An empty adjacency for degree bound `m`, with room for `nodes`.
+    fn with_capacity(m: usize, nodes: usize) -> Self {
+        let base = Vec::with_capacity(nodes.div_ceil(BLOCK_NODES));
+        Self { stride: 2 * m + 2, base, upper: Vec::with_capacity(nodes) }
+    }
+
+    /// Number of nodes.
+    fn len(&self) -> usize {
+        self.upper.len()
+    }
+
+    /// Appends a node of top level `level` with every list empty.
+    fn push_node(&mut self, level: u32) {
+        if self.upper.len() == self.base.len() * BLOCK_NODES {
+            self.base.push(vec![0; BLOCK_NODES * self.stride].into_boxed_slice());
+        }
+        self.upper.push(vec![Vec::new(); level as usize]);
+    }
+
+    /// Node `id`'s level-0 row: the count, then the slots.
+    #[inline]
+    fn row(&self, id: u32) -> &[u32] {
+        let i = id as usize;
+        &self.base[i / BLOCK_NODES][i % BLOCK_NODES * self.stride..][..self.stride]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, id: u32) -> &mut [u32] {
+        let i = id as usize;
+        &mut self.base[i / BLOCK_NODES][i % BLOCK_NODES * self.stride..][..self.stride]
+    }
+
+    /// Node `id`'s neighbours at `level`, in insertion order.
+    #[inline]
+    fn get(&self, id: u32, level: usize) -> &[u32] {
+        if level == 0 {
+            let row = self.row(id);
+            &row[1..=row[0] as usize]
+        } else {
+            &self.upper[id as usize][level - 1]
+        }
+    }
+
+    /// Appends `nb` to node `id`'s list at `level`; returns the new length.
+    /// At level 0 the list may reach `2m + 1` (one past the cap) and no
+    /// further — the caller re-selects an overflowing list at once.
+    fn push(&mut self, id: u32, level: usize, nb: u32) -> usize {
+        if level == 0 {
+            let row = self.row_mut(id);
+            let len = row[0] as usize + 1;
+            row[len] = nb;
+            row[0] = len as u32;
+            len
+        } else {
+            let lst = &mut self.upper[id as usize][level - 1];
+            lst.push(nb);
+            lst.len()
+        }
+    }
+
+    /// Replaces node `id`'s list at `level` with `nbs` (at level 0, at most
+    /// `2m + 1` of them).
+    fn set(&mut self, id: u32, level: usize, nbs: &[u32]) {
+        if level == 0 {
+            let row = self.row_mut(id);
+            row[1..=nbs.len()].copy_from_slice(nbs);
+            row[0] = nbs.len() as u32;
+        } else {
+            let lst = &mut self.upper[id as usize][level - 1];
+            lst.clear();
+            lst.extend_from_slice(nbs);
+        }
+    }
+
+    /// Hints the cache to fetch node `id`'s level-0 row ahead of its
+    /// expansion (x86_64 only; a no-op elsewhere). Never reads through the
+    /// hint; an id out of range is ignored.
+    #[inline]
+    fn prefetch(&self, id: u32) {
+        let i = id as usize;
+        let Some(row) =
+            self.base.get(i / BLOCK_NODES).and_then(|b| b.get(i % BLOCK_NODES * self.stride..))
+        else {
+            return;
+        };
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `_mm_prefetch` is a hint — it never faults and reads
+        // nothing the program observes — and the pointer is the start of a
+        // live slice of a block. SSE is part of the x86_64 baseline.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(row.as_ptr() as *const i8);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = row;
+    }
 }
 
 /// The heuristic neighbor selection of the HNSW paper (algorithm 4):
@@ -142,29 +334,41 @@ fn dist_items(vecs: &[f32], tails: &[f32], dim: usize, a: u32, b: u32) -> f32 {
 /// kept (so the kept set spreads across directions instead of clustering),
 /// then fill any remaining capacity from the pruned ones in the same order
 /// (`keepPrunedConnections` — it keeps duplicate-heavy catalogs connected:
-/// all-equal distances never prune).
+/// all-equal distances never prune). The kept neighbours are scored against
+/// a candidate [`DIVERSITY_GROUP`] at a time, and the check stops at the
+/// first group holding a violation — the same verdict as stopping at the
+/// violation itself, since every distance is what a lone call returns.
+/// `pruned` is scratch for the set-aside candidates.
 fn select_neighbors(
     vecs: &[f32],
     tails: &[f32],
     dim: usize,
-    cands: &[(f32, u32)],
+    cands: &[DistId],
     cap: usize,
     out: &mut Vec<u32>,
+    pruned: &mut Vec<u32>,
 ) {
     out.clear();
-    let mut pruned: Vec<u32> = Vec::new();
-    for &(d, c) in cands {
+    pruned.clear();
+    let mut group = [0.0f32; DIVERSITY_GROUP];
+    for &e in cands {
         if out.len() >= cap {
             break;
         }
-        let diversified = out.iter().all(|&s| dist_items(vecs, tails, dim, c, s) >= d);
+        let (d, c) = (e.d(), e.id());
+        let ctx = Ctx::at_node(vecs, tails, dim, c);
+        let diversified = out.chunks(DIVERSITY_GROUP).all(|kept| {
+            let ds = &mut group[..kept.len()];
+            ctx.dists(kept, ds);
+            ds.iter().all(|&x| x >= d)
+        });
         if diversified {
             out.push(c);
         } else {
             pruned.push(c);
         }
     }
-    for &c in &pruned {
+    for &c in pruned.iter() {
         if out.len() >= cap {
             break;
         }
@@ -173,21 +377,26 @@ fn select_neighbors(
 }
 
 /// Reusable graph-traversal state: visited stamps, the best-first frontier
-/// (min-heap), the bounded result set (max-heap of size `ef`), and the
-/// drained, canonically ordered output. One per probe scratch (and one kept
-/// inside the index for construction/inserts); reuse never changes results —
-/// stamps invalidate wholesale, heaps and buffers are cleared per search.
+/// (min-heap), the bounded result set (max-heap of size `ef`), the batch
+/// buffers, and the drained, canonically ordered output. One per probe
+/// scratch (and one kept inside the index for construction/inserts); reuse
+/// never changes results — stamps invalidate wholesale, heaps and buffers are
+/// cleared per search.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct GraphSearch {
     /// Per-node visited stamp; a node is visited iff `seen[id] == stamp`.
     stamp: u32,
     seen: Vec<u32>,
-    /// Frontier, popped nearest-first (canonical order via [`DistId`]).
+    /// Frontier, popped nearest-first (canonical order via `DistId`).
     cand: BinaryHeap<Reverse<DistId>>,
     /// Running best `ef` results, worst on top for O(log ef) eviction.
     found: BinaryHeap<DistId>,
-    /// Result of the last `search_layer`, sorted `(dist asc, id asc)`.
-    out: Vec<(f32, u32)>,
+    /// Unvisited neighbours of the node being expanded, in link order.
+    batch: Vec<u32>,
+    /// Distances aligned with `batch` (or with a greedy step's neighbours).
+    dists: Vec<f32>,
+    /// Result of the last `search_layer`, in canonical order.
+    out: Vec<DistId>,
     /// Candidate-id staging buffer for the probe handoff.
     ids: Vec<u32>,
     /// Nodes expanded (frontier pops + greedy steps) since the last reset.
@@ -209,109 +418,115 @@ impl GraphSearch {
         self.stamp += 1;
     }
 
-    /// Marks `id` visited; false if it already was.
-    #[inline]
-    fn mark(&mut self, id: u32) -> bool {
-        let slot = &mut self.seen[id as usize];
-        if *slot == self.stamp {
-            false
-        } else {
-            *slot = self.stamp;
-            true
-        }
-    }
-
     /// Greedy descent at one level: repeatedly move to the canonically
     /// smallest `(dist, id)` among the current node's neighbors until no
     /// neighbor improves on the current position. Moving strictly decreases
     /// the canonical pair, so the walk terminates; scanning every neighbor
     /// before moving makes the result independent of link storage order.
-    fn greedy(
-        &mut self,
-        ctx: &Ctx<'_>,
-        links: &[Vec<Vec<u32>>],
-        level: usize,
-        start: (f32, u32),
-    ) -> (f32, u32) {
-        let (mut bd, mut bi) = start;
+    fn greedy(&mut self, ctx: &Ctx<'_>, links: &Links, level: usize, start: DistId) -> DistId {
+        let mut best = start;
         loop {
             self.hops += 1;
-            let mut improved = false;
-            for &nb in &links[bi as usize][level] {
-                self.visited += 1;
-                let d = ctx.dist(nb);
-                if d.total_cmp(&bd).then(nb.cmp(&bi)) == Ordering::Less {
-                    bd = d;
-                    bi = nb;
-                    improved = true;
-                }
+            let nbs = links.get(best.id(), level);
+            self.visited += nbs.len() as u64;
+            let here = best;
+            for (&nb, &d) in nbs.iter().zip(ctx.dists_into(nbs, &mut self.dists)) {
+                best = best.min(DistId::new(d, nb));
             }
-            if !improved {
-                return (bd, bi);
+            if best == here {
+                return best;
             }
         }
     }
 
     /// Best-first beam search at one level from entry points `eps`
     /// (pre-scored), keeping the `ef` canonically best nodes seen. Leaves
-    /// the results in `self.out` sorted `(dist asc, id asc)`.
+    /// the results in `self.out`, best first.
     fn search_layer(
         &mut self,
         ctx: &Ctx<'_>,
-        links: &[Vec<Vec<u32>>],
+        links: &Links,
         level: usize,
         ef: usize,
-        eps: &[(f32, u32)],
+        eps: &[DistId],
     ) {
         self.reset_marks(links.len());
-        self.cand.clear();
-        self.found.clear();
-        for &(d, id) in eps {
-            if !self.mark(id) {
-                continue;
+        let Self { stamp, seen, cand, found, batch, dists, out, hops, visited, .. } = self;
+        let stamp = *stamp;
+        cand.clear();
+        found.clear();
+        for &e in eps {
+            let slot = &mut seen[e.id() as usize];
+            if *slot != stamp {
+                *slot = stamp;
+                offer(found, cand, e, ef);
             }
-            self.offer(DistId { d, id }, ef);
         }
-        while let Some(Reverse(c)) = self.cand.pop() {
-            if self.found.len() >= ef {
-                let worst = *self.found.peek().expect("found nonempty when full");
+        while let Some(Reverse(c)) = cand.pop() {
+            if found.len() >= ef {
+                let worst = *found.peek().expect("found nonempty when full");
                 if worst < c {
                     break;
                 }
             }
-            self.hops += 1;
-            for &nb in &links[c.id as usize][level] {
-                if !self.mark(nb) {
-                    continue;
+            if let Some(Reverse(next)) = cand.peek() {
+                links.prefetch(next.id());
+            }
+            *hops += 1;
+            batch.clear();
+            for &nb in links.get(c.id(), level) {
+                let slot = &mut seen[nb as usize];
+                if *slot != stamp {
+                    *slot = stamp;
+                    batch.push(nb);
                 }
-                self.visited += 1;
-                self.offer(DistId { d: ctx.dist(nb), id: nb }, ef);
+            }
+            *visited += batch.len() as u64;
+            for (&id, &d) in batch.iter().zip(ctx.dists_into(batch, dists)) {
+                offer(found, cand, DistId::new(d, id), ef);
             }
         }
-        self.out.clear();
-        while let Some(e) = self.found.pop() {
-            self.out.push((e.d, e.id));
-        }
-        self.out.reverse();
+        // The set `found` holds is what the search produced; sorting it is
+        // the pop order reversed, without a sift per element.
+        out.clear();
+        out.extend(found.drain());
+        out.sort_unstable();
     }
+}
 
-    /// Offers one scored node to the bounded result set (and, if accepted,
-    /// to the frontier). Eviction compares through the canonical total
-    /// order, so ties break to the lower id deterministically.
-    #[inline]
-    fn offer(&mut self, e: DistId, ef: usize) {
-        if self.found.len() < ef {
-            self.found.push(e);
-            self.cand.push(Reverse(e));
-        } else {
-            let worst = *self.found.peek().expect("found nonempty when full");
-            if e < worst {
-                self.found.pop();
-                self.found.push(e);
-                self.cand.push(Reverse(e));
-            }
+/// Offers one scored node to the bounded result set (and, if accepted, to
+/// the frontier). Eviction compares through the canonical total order, so
+/// ties break to the lower id deterministically; replacing the worst in
+/// place leaves the same set as a pop and a push.
+#[inline]
+fn offer(
+    found: &mut BinaryHeap<DistId>,
+    cand: &mut BinaryHeap<Reverse<DistId>>,
+    e: DistId,
+    ef: usize,
+) {
+    if found.len() < ef {
+        found.push(e);
+        cand.push(Reverse(e));
+    } else if let Some(mut worst) = found.peek_mut() {
+        if e < *worst {
+            *worst = e;
+            cand.push(Reverse(e));
         }
     }
+}
+
+/// Reusable buffers of [`HnswIndex::link_node`]: the search itself, then
+/// the per-level entry points, selections and overflow re-selection.
+#[derive(Clone, Debug, Default)]
+struct LinkScratch {
+    search: GraphSearch,
+    eps: Vec<DistId>,
+    sel: Vec<u32>,
+    kept: Vec<u32>,
+    /// An overflowing list, scored from its owner.
+    cands: Vec<DistId>,
+    pruned: Vec<u32>,
 }
 
 /// An HNSW graph index over one frozen item-embedding matrix.
@@ -334,9 +549,8 @@ pub struct HnswIndex {
     tails: Vec<f32>,
     /// Per-item top level.
     levels: Vec<u32>,
-    /// `links[id][level]` = neighbor ids, insertion-ordered (the order is
-    /// part of the deterministic build and is persisted verbatim).
-    links: Vec<Vec<Vec<u32>>>,
+    /// The adjacency lists of every node at every level it has.
+    links: Links,
     /// Entry node ([`NO_ENTRY`] when the graph is empty). Always a node of
     /// the maximal level.
     entry: u32,
@@ -344,7 +558,7 @@ pub struct HnswIndex {
     max_level: u32,
     /// Construction scratch, reused across inserts. Not part of the
     /// persisted identity.
-    scratch: GraphSearch,
+    scratch: LinkScratch,
 }
 
 impl HnswIndex {
@@ -370,16 +584,14 @@ impl HnswIndex {
             vecs: Vec::with_capacity(n_items * dim),
             tails: Vec::with_capacity(n_items),
             levels: Vec::with_capacity(n_items),
-            links: Vec::with_capacity(n_items),
+            links: Links::with_capacity(m, n_items),
             entry: NO_ENTRY,
             max_level: 0,
-            scratch: GraphSearch::default(),
+            scratch: LinkScratch::default(),
         };
-        let mut search = GraphSearch::default();
         for (i, &n2) in norms2.iter().enumerate() {
-            idx.push_node(items.row(i), mips_tail(phi2, n2), &mut search);
+            idx.push_node(items.row(i), mips_tail(phi2, n2));
         }
-        idx.scratch = search;
         drop(sp);
         imcat_obs::counter_add("ann.builds", 1);
         idx
@@ -401,15 +613,15 @@ impl HnswIndex {
     /// Appends one node (vector copy, tail, level, empty lists) and links it
     /// into the graph. The single write path shared by [`HnswIndex::build`]
     /// and [`HnswIndex::insert`].
-    fn push_node(&mut self, row: &[f32], tail: f32, search: &mut GraphSearch) {
+    fn push_node(&mut self, row: &[f32], tail: f32) {
         let id = self.n_items as u32;
         let level = Self::level_for(self.seed, id, self.m);
         self.vecs.extend_from_slice(row);
         self.tails.push(tail);
         self.levels.push(level);
-        self.links.push(vec![Vec::new(); level as usize + 1]);
+        self.links.push_node(level);
         self.n_items += 1;
-        self.link_node(id, search);
+        self.link_node(id);
     }
 
     /// Wires node `id` into the graph: greedy-descend the layers above its
@@ -417,9 +629,20 @@ impl HnswIndex {
     /// `ef_construction`-wide beam, pick up to `m` diversified forward
     /// neighbors, and add the reverse links (re-selecting any neighbor whose
     /// list overflows its degree cap).
-    fn link_node(&mut self, id: u32, search: &mut GraphSearch) {
-        let Self { dim, m, ef_construction, vecs, tails, levels, links, entry, max_level, .. } =
-            self;
+    fn link_node(&mut self, id: u32) {
+        let Self {
+            dim,
+            m,
+            ef_construction,
+            vecs,
+            tails,
+            levels,
+            links,
+            entry,
+            max_level,
+            scratch,
+            ..
+        } = self;
         let (dim, m, efc) = (*dim, *m, *ef_construction);
         let vecs: &[f32] = vecs;
         let tails: &[f32] = tails;
@@ -429,39 +652,36 @@ impl HnswIndex {
             *max_level = node_level;
             return;
         }
-        let i = id as usize;
-        let ctx = Ctx { vecs, tails, dim, q: &vecs[i * dim..(i + 1) * dim], qtail: tails[i] };
-        let mut ep = {
-            let e = *entry;
-            (ctx.dist(e), e)
-        };
+        let LinkScratch { search, eps, sel, kept, cands, pruned } = scratch;
+        let ctx = Ctx::at_node(vecs, tails, dim, id);
+        let mut ep = DistId::new(ctx.dist(*entry), *entry);
         let mut lev = *max_level;
         while lev > node_level {
             ep = search.greedy(&ctx, links, lev as usize, ep);
             lev -= 1;
         }
-        let mut eps = vec![ep];
-        let mut sel: Vec<u32> = Vec::new();
+        eps.clear();
+        eps.push(ep);
         for lev in (0..=node_level.min(*max_level)).rev() {
             let lev = lev as usize;
-            search.search_layer(&ctx, links, lev, efc, &eps);
-            select_neighbors(vecs, tails, dim, &search.out, m, &mut sel);
+            search.search_layer(&ctx, links, lev, efc, eps);
+            select_neighbors(vecs, tails, dim, &search.out, m, sel, pruned);
             let cap = if lev == 0 { 2 * m } else { m };
-            for &nb in &sel {
-                let lst = &mut links[nb as usize][lev];
-                lst.push(id);
-                if lst.len() > cap {
+            for &nb in sel.iter() {
+                if links.push(nb, lev, id) > cap {
                     // Degree overflow: re-run the selection heuristic from
                     // the neighbor's point of view over its whole list.
-                    let mut cands: Vec<(f32, u32)> =
-                        lst.iter().map(|&x| (dist_items(vecs, tails, dim, nb, x), x)).collect();
-                    cands.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    let mut kept = Vec::new();
-                    select_neighbors(vecs, tails, dim, &cands, cap, &mut kept);
-                    links[nb as usize][lev] = kept;
+                    let lst = links.get(nb, lev);
+                    let owner = Ctx::at_node(vecs, tails, dim, nb);
+                    let ds = owner.dists_into(lst, &mut search.dists);
+                    cands.clear();
+                    cands.extend(lst.iter().zip(ds).map(|(&x, &d)| DistId::new(d, x)));
+                    cands.sort_unstable();
+                    select_neighbors(vecs, tails, dim, cands, cap, kept, pruned);
+                    links.set(nb, lev, kept);
                 }
             }
-            links[i][lev] = std::mem::take(&mut sel);
+            links.set(id, lev, sel);
             eps.clear();
             eps.extend_from_slice(&search.out);
         }
@@ -483,9 +703,7 @@ impl HnswIndex {
     pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
         check_insert(self.dim, self.n_items, id, embedding)?;
         let tail = mips_tail(self.phi2, norm2(embedding));
-        let mut search = std::mem::take(&mut self.scratch);
-        self.push_node(embedding, tail, &mut search);
-        self.scratch = search;
+        self.push_node(embedding, tail);
         if imcat_obs::enabled() {
             imcat_obs::counter_add("ann.inserts", 1);
             imcat_obs::counter_add("ann.hnsw.inserts", 1);
@@ -573,15 +791,15 @@ impl HnswIndex {
         let search = &mut scratch.graph;
         search.hops = 0;
         search.visited = 0;
-        let ctx = Ctx { vecs: &self.vecs, tails: &self.tails, dim: self.dim, q: query, qtail: 0.0 };
-        let mut ep = (ctx.dist(self.entry), self.entry);
+        let ctx = Ctx { vecs: &self.vecs, tails: &self.tails, q: query, qtail: 0.0 };
+        let mut ep = DistId::new(ctx.dist(self.entry), self.entry);
         for lev in (1..=self.max_level).rev() {
             ep = search.greedy(&ctx, &self.links, lev as usize, ep);
         }
         search.search_layer(&ctx, &self.links, 0, ef, &[ep]);
         let mut ids = std::mem::take(&mut search.ids);
         ids.clear();
-        ids.extend(search.out.iter().map(|&(_, id)| id));
+        ids.extend(search.out.iter().map(|e| e.id()));
         let (hops, visited) = (search.hops, search.visited);
         scratch.set_candidates(&ids, query, items, mask);
         scratch.graph.ids = ids;
@@ -595,13 +813,14 @@ impl HnswIndex {
     }
 
     /// Structural validation mirroring [`crate::ivf::IvfIndex::validate`]:
-    /// consistent array lengths, finite geometry, levels under the ceiling,
-    /// degree caps respected, neighbor ids in range / non-self / reachable
-    /// at their level, and a coherent entry point. Decode goes through this,
-    /// so a graph that loads is a graph the engine can trust blindly.
+    /// a degree bound in range, consistent array lengths, finite geometry,
+    /// levels under the ceiling, degree caps respected, neighbor ids in range
+    /// / non-self / reachable at their level, and a coherent entry point.
+    /// Decode goes through this, so a graph that loads is a graph the engine
+    /// can trust blindly.
     pub fn validate(&self) -> io::Result<()> {
-        if self.m < 2 {
-            return Err(bad(format!("hnsw degree bound m = {} below minimum 2", self.m)));
+        if !M_RANGE.contains(&self.m) {
+            return Err(bad(format!("hnsw degree bound m = {} outside {M_RANGE:?}", self.m)));
         }
         if self.ef_construction < self.m {
             return Err(bad("hnsw ef_construction below m"));
@@ -621,7 +840,10 @@ impl HnswIndex {
         if self.tails.iter().any(|t| !t.is_finite() || *t < 0.0) {
             return Err(bad("hnsw tails must be finite and non-negative"));
         }
-        if self.levels.len() != self.n_items || self.links.len() != self.n_items {
+        if self.levels.len() != self.n_items
+            || self.links.len() != self.n_items
+            || self.links.stride != 2 * self.m + 2
+        {
             return Err(bad("hnsw level/link arrays do not cover the catalog"));
         }
         if self.n_items == 0 {
@@ -637,14 +859,15 @@ impl HnswIndex {
         if self.max_level != top || self.levels[self.entry as usize] != top {
             return Err(bad("hnsw entry point is not at the maximal level"));
         }
-        for (id, (lists, &level)) in self.links.iter().zip(&self.levels).enumerate() {
+        for (id, &level) in self.levels.iter().enumerate() {
             if level > MAX_LEVEL {
                 return Err(bad(format!("hnsw node {id} level {level} above ceiling")));
             }
-            if lists.len() != level as usize + 1 {
+            if self.links.upper[id].len() != level as usize {
                 return Err(bad(format!("hnsw node {id} link arrays contradict its level")));
             }
-            for (lev, lst) in lists.iter().enumerate() {
+            for lev in 0..=level as usize {
+                let lst = self.links.get(id as u32, lev);
                 let cap = if lev == 0 { 2 * self.m } else { self.m };
                 if lst.len() > cap {
                     return Err(bad(format!("hnsw node {id} exceeds its level-{lev} degree cap")));
@@ -698,8 +921,9 @@ impl HnswIndex {
         // every level 0..=levels[id], a count then that many neighbor ids —
         // insertion order preserved verbatim (it is part of the identity).
         let mut flat: Vec<u32> = Vec::new();
-        for lists in &self.links {
-            for lst in lists {
+        for (id, &level) in self.levels.iter().enumerate() {
+            for lev in 0..=level as usize {
+                let lst = self.links.get(id as u32, lev);
                 flat.push(lst.len() as u32);
                 flat.extend_from_slice(lst);
             }
@@ -724,7 +948,7 @@ impl HnswIndex {
             return Err(bad(format!("unsupported hnsw index version {version}")));
         }
         let seed = meta.u64()?;
-        let m = meta.u64()? as usize;
+        let m = meta.u64()?;
         let ef_construction = meta.u64()? as usize;
         let dim = meta.u64()? as usize;
         let n_items = meta.u64()? as usize;
@@ -732,6 +956,11 @@ impl HnswIndex {
         let entry = meta.u32()?;
         let max_level = meta.u32()?;
         meta.finish()?;
+        // Before `m` sizes the adjacency (or overflows `2 * m`).
+        let m = usize::try_from(m)
+            .ok()
+            .filter(|m| M_RANGE.contains(m))
+            .ok_or_else(|| bad(format!("hnsw degree bound m = {m} outside {M_RANGE:?}")))?;
         if dim == 0 {
             return Err(bad("zero-dim hnsw index"));
         }
@@ -762,29 +991,7 @@ impl HnswIndex {
         let mut ge = Decoder::new(ck.require_resolved(SEC_HNSW_LINKS)?);
         let flat = ge.u32s()?;
         ge.finish()?;
-        let mut links = Vec::with_capacity(n_items);
-        let mut cursor = 0usize;
-        for &level in &levels {
-            if level > MAX_LEVEL {
-                return Err(bad(format!("hnsw level {level} above ceiling")));
-            }
-            let mut lists = Vec::with_capacity(level as usize + 1);
-            for _ in 0..=level {
-                let count =
-                    *flat.get(cursor).ok_or_else(|| bad("hnsw adjacency stream truncated"))?
-                        as usize;
-                cursor += 1;
-                if cursor + count > flat.len() {
-                    return Err(bad("hnsw adjacency stream truncated"));
-                }
-                lists.push(flat[cursor..cursor + count].to_vec());
-                cursor += count;
-            }
-            links.push(lists);
-        }
-        if cursor != flat.len() {
-            return Err(bad("hnsw adjacency stream carries trailing data"));
-        }
+        let links = Links::from_stream(&flat, &levels, m)?;
         let idx = Self {
             dim,
             n_items,
@@ -798,10 +1005,54 @@ impl HnswIndex {
             links,
             entry,
             max_level,
-            scratch: GraphSearch::default(),
+            scratch: LinkScratch::default(),
         };
         idx.validate()?;
         Ok(Some(idx))
+    }
+}
+
+impl Links {
+    /// The adjacency the persisted stream describes: for every node of
+    /// `levels`, for every level it has, a count then that many ids. The
+    /// stream must hold a count per node per level before anything is
+    /// allocated, and every count must fit its degree cap before it is
+    /// copied into the fixed-stride rows; ids are left to
+    /// [`HnswIndex::validate`].
+    fn from_stream(flat: &[u32], levels: &[u32], m: usize) -> io::Result<Self> {
+        let mut counts = 0usize;
+        for &level in levels {
+            if level > MAX_LEVEL {
+                return Err(bad(format!("hnsw level {level} above ceiling")));
+            }
+            counts += level as usize + 1;
+        }
+        if counts > flat.len() {
+            return Err(bad("hnsw adjacency stream truncated"));
+        }
+        let mut links = Self::with_capacity(m, levels.len());
+        let mut cursor = 0usize;
+        for (id, &level) in levels.iter().enumerate() {
+            links.push_node(level);
+            for lev in 0..=level as usize {
+                let count =
+                    *flat.get(cursor).ok_or_else(|| bad("hnsw adjacency stream truncated"))?
+                        as usize;
+                cursor += 1;
+                if count > if lev == 0 { 2 * m } else { m } {
+                    return Err(bad(format!("hnsw node {id} exceeds its level-{lev} degree cap")));
+                }
+                let lst = flat
+                    .get(cursor..cursor + count)
+                    .ok_or_else(|| bad("hnsw adjacency stream truncated"))?;
+                links.set(id as u32, lev, lst);
+                cursor += count;
+            }
+        }
+        if cursor != flat.len() {
+            return Err(bad("hnsw adjacency stream carries trailing data"));
+        }
+        Ok(links)
     }
 }
 
@@ -840,5 +1091,74 @@ impl crate::index::AnnIndex for HnswIndex {
 
     fn matches(&self, cfg: &AnnConfig, n_items: usize, dim: usize, seed: u64) -> bool {
         cfg.kind == AnnKind::Hnsw && HnswIndex::matches(self, cfg, n_items, dim, seed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Ordering;
+
+    use super::{Ctx, DistId};
+
+    /// The unpacked order, kept as the oracle: `total_cmp` on the distance,
+    /// ties to the lower id.
+    fn oracle(a: (f32, u32), b: (f32, u32)) -> Ordering {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+    }
+
+    /// A batch of graph distances is the one-at-a-time expression, bit for
+    /// bit: `l2_sq(q, x) + dt * dt`, with `dt²` rounded on its own before
+    /// the add — from a stored node and from a query, over ids in any order.
+    #[test]
+    fn batched_distances_are_the_per_pair_expression() {
+        let (dim, n) = (13, 40);
+        let vecs: Vec<f32> =
+            (0..n * dim).map(|i| ((i * 7919) % 2001) as f32 / 1000.0 - 1.0).collect();
+        let tails: Vec<f32> = (0..n).map(|i| ((i * 104_729) % 997) as f32 / 997.0 * 3.0).collect();
+        let ids: Vec<u32> = (0..n as u32).rev().chain([5, 5, 0]).collect();
+        let query = Ctx { vecs: &vecs, tails: &tails, q: &vecs[..dim], qtail: 0.0 };
+        for ctx in [Ctx::at_node(&vecs, &tails, dim, 3), query] {
+            let mut out = vec![f32::NAN; ids.len()];
+            ctx.dists(&ids, &mut out);
+            for (&id, &o) in ids.iter().zip(&out) {
+                let i = id as usize;
+                let dt = ctx.qtail - tails[i];
+                let want = imcat_simd::l2_sq(ctx.q, &vecs[i * dim..(i + 1) * dim]) + dt * dt;
+                assert_eq!(o.to_bits(), want.to_bits(), "id {id}");
+                assert_eq!(ctx.dist(id).to_bits(), want.to_bits(), "id {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_order_is_total_cmp_then_id_and_round_trips() {
+        let ds = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xff80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            0.0,
+            -0.0,
+            1.0e-40,
+            -1.0e-40,
+            f32::MIN_POSITIVE,
+            1.0,
+            -1.0,
+            3.5,
+        ];
+        let ids = [0u32, 1, 7, u32::MAX - 1, u32::MAX];
+        let pairs: Vec<(f32, u32)> =
+            ds.iter().flat_map(|&d| ids.iter().map(move |&id| (d, id))).collect();
+        for &a in &pairs {
+            let packed = DistId::new(a.0, a.1);
+            assert_eq!((packed.d().to_bits(), packed.id()), (a.0.to_bits(), a.1), "{a:?}");
+            for &b in &pairs {
+                assert_eq!(packed.cmp(&DistId::new(b.0, b.1)), oracle(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 }

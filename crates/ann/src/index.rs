@@ -323,6 +323,18 @@ pub struct AnnDescriptor {
 }
 
 impl AnnDescriptor {
+    /// The width a probe of this index takes: `ef_search` for the graph and
+    /// `nprobe` for the lists, each what [`AnnConfig::resolved_probe_width`]
+    /// resolves to, and 0 for brute force, which ignores it. A method, not a
+    /// field, so the `/stats` rendering is unchanged.
+    pub fn probe_width(&self) -> usize {
+        if self.m > 0 {
+            self.ef_search
+        } else {
+            self.nprobe
+        }
+    }
+
     /// The `/stats` rendering: `kind` and `n_items`, then exactly the
     /// parameters that apply to the kind (the ones [`AnnConfig::describe`]
     /// resolved; an applicable list count or degree bound is never zero).

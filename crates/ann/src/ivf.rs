@@ -53,6 +53,7 @@ use imcat_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::hnsw::M_RANGE;
 use crate::index::{bad, check_insert, mips_tail, norm2};
 use crate::kmeans::{assign_nearest, kmeans_centers};
 
@@ -125,6 +126,12 @@ pub struct AnnConfig {
 }
 
 impl AnnConfig {
+    /// The default configuration of one backend: every parameter auto, the
+    /// IVF lists unquantized. What `imcat serve --ann <kind>` runs.
+    pub fn for_kind(kind: crate::index::AnnKind) -> Self {
+        Self { kind, ..Self::default() }
+    }
+
     /// The list count this configuration resolves to for an `n_items`
     /// catalog (auto: `~2·√n_items`, clamped to `[1, n_items]`).
     pub fn resolved_nlist(&self, n_items: usize) -> usize {
@@ -149,7 +156,7 @@ impl AnnConfig {
     /// earn dense graphs), clamped to `[2, 128]`.
     pub fn resolved_m(&self, n_items: usize) -> usize {
         let auto = if n_items < 1024 { 8 } else { 16 };
-        (if self.m > 0 { self.m } else { auto }).clamp(2, 128)
+        (if self.m > 0 { self.m } else { auto }).clamp(*M_RANGE.start(), *M_RANGE.end())
     }
 
     /// The HNSW construction beam this configuration resolves to: the

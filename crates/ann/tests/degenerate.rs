@@ -9,7 +9,7 @@ use imcat_tensor::Tensor;
 const KINDS: [AnnKind; 3] = [AnnKind::Brute, AnnKind::Ivf, AnnKind::Hnsw];
 
 fn cfg_for(kind: AnnKind) -> AnnConfig {
-    AnnConfig { kind, ..AnnConfig::default() }
+    AnnConfig::for_kind(kind)
 }
 
 /// Probe fingerprint: compact candidate ids, score bits, remapped mask.

@@ -4,8 +4,12 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use imcat_ann::{kmeans_centers, AnnConfig, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED};
+use imcat_ann::hnsw::{SEC_HNSW_LEVELS, SEC_HNSW_LINKS, SEC_HNSW_META, SEC_HNSW_VECS};
+use imcat_ann::{
+    kmeans_centers, AnnConfig, AnnKind, HnswIndex, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED,
+};
 use imcat_ckpt::{fnv1a64, Checkpoint};
+use imcat_simd::Backend;
 use imcat_tensor::{normal, Tensor};
 use proptest::prelude::Gen;
 use rand::rngs::StdRng;
@@ -144,6 +148,94 @@ fn ivf_build_bytes_are_pinned() {
                 "threads={threads}: quantized build drifted"
             );
         });
+    }
+}
+
+/// Like [`dyadic`], but multiples of 1/1000 in `[-1, 1]`: still the same
+/// matrix on every machine, but sums of their squares round, so the two SIMD
+/// backends' summation orders give different distance bits (over dyadic
+/// values both are exact and would pin the same graph).
+fn decimal(rows: usize, cols: usize, salt: u64) -> Tensor {
+    let mut gen = Gen::new(salt);
+    let data = (0..rows * cols).map(|_| gen.below(2001) as f32 / 1000.0 - 1.0).collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// FNV-1a64 over the graph's sections, concatenated in a fixed order.
+fn graph_fnv(idx: &HnswIndex) -> u64 {
+    let mut ck = Checkpoint::new();
+    idx.add_to_checkpoint(&mut ck);
+    let mut bytes = Vec::new();
+    for name in [SEC_HNSW_META, SEC_HNSW_VECS, SEC_HNSW_LEVELS, SEC_HNSW_LINKS] {
+        bytes.extend_from_slice(ck.get(name).unwrap_or_default());
+    }
+    fnv1a64(&bytes)
+}
+
+/// Probes `idx` with a fixed query set at two lossy widths and returns the
+/// FNV-1a64 of every probe's candidates and score bits, plus the `hops` and
+/// `visited` totals the probes reported.
+fn probe_pins(idx: &HnswIndex, items: &Tensor, salt: u64) -> (u64, u64, u64) {
+    let queries = decimal(16, items.cols(), salt);
+    let mut scratch = ProbeScratch::default();
+    let mut bytes = Vec::new();
+    let _obs = imcat_obs::exclusive(true);
+    for q in 0..queries.rows() {
+        for ef in [10usize, 40] {
+            idx.probe(queries.row(q), items, &[], 10, ef, &mut scratch);
+            for (&id, s) in scratch.candidates().iter().zip(scratch.scores()) {
+                bytes.extend_from_slice(&id.to_le_bytes());
+                bytes.extend_from_slice(&s.to_bits().to_le_bytes());
+            }
+        }
+    }
+    let snap = imcat_obs::snapshot();
+    (fnv1a64(&bytes), snap.counter("ann.hnsw.hops"), snap.counter("ann.hnsw.visited"))
+}
+
+/// The graph bytes are a format too, and the traversal is part of what a
+/// probe returns: a faster `HnswIndex` must build the same graph and walk it
+/// the same way. Values recorded at the commit before the graph moved onto a
+/// flat level-0 adjacency and `imcat_simd::l2_sq_gather`, once per SIMD
+/// backend (graph distances and probe scores run on the process backend; the
+/// graphs happen to agree here, the score bits do not), and re-recorded only
+/// at a parent commit. `hops` and `visited` count frontier pops and distance
+/// evaluations, so a traversal that offers the same nodes in another order
+/// moves them even where the candidates survive. A small explicit `m` whose
+/// level-0 lists overflow all the time, then the auto `m` (16 past 1024
+/// items) over a width with whole 8-lane chunks and a tail.
+#[test]
+fn hnsw_graph_and_probes_are_pinned() {
+    let _guard = pool_lock().lock().unwrap();
+    let small = (
+        decimal(300, 13, 4),
+        AnnConfig { kind: AnnKind::Hnsw, m: 3, ef_construction: 12, ..AnnConfig::default() },
+    );
+    let auto = (decimal(1100, 20, 5), AnnConfig::for_kind(AnnKind::Hnsw));
+    // (graph FNV, (probe FNV, hops, visited)) for `small`, then `auto`.
+    let pins = match imcat_simd::backend() {
+        Backend::Avx2 => [
+            (0xc366_49ce_7484_0516, (0x124d_e08f_f5c5_10a1, 1044, 2955)),
+            (0x6002_8021_87fe_edc0, (0xc862_c8a5_5648_3882, 977, 12837)),
+        ],
+        Backend::Scalar => [
+            (0xc366_49ce_7484_0516, (0x041e_03e2_ecbc_b9e5, 1044, 2955)),
+            (0x6002_8021_87fe_edc0, (0x5df4_dc93_1b7a_2b01, 977, 12837)),
+        ],
+    };
+    for (((items, cfg), salt), (graph, probes)) in [small, auto].iter().zip([6, 7]).zip(pins) {
+        for threads in [1usize, 4] {
+            with_threads(threads, || {
+                let idx = HnswIndex::build(items, cfg, DEFAULT_BUILD_SEED);
+                let m = idx.m();
+                assert_eq!(graph_fnv(&idx), graph, "m={m} threads={threads}: graph bytes drifted");
+                assert_eq!(
+                    probe_pins(&idx, items, salt),
+                    probes,
+                    "m={m} threads={threads}: probe output or traversal drifted"
+                );
+            });
+        }
     }
 }
 

@@ -313,5 +313,26 @@ proptest! {
         meta[0] ^= 0xff;
         ck.insert(SEC_HNSW_META, meta);
         prop_assert!(HnswIndex::from_checkpoint(&ck).is_err(), "wrong version accepted");
+
+        // A degree bound outside `[2, 128]`: one past the `resolved_m` clamp,
+        // one that would size a vast adjacency, one whose `2 * m` overflows.
+        // The meta header is a u32 version, a u64 seed, then `m` and
+        // `ef_construction` as u64s; the beam is raised with the bound, so
+        // the `ef_construction >= m` check cannot be what rejects it.
+        for bad_m in [129u64, 1 << 62, (1 << 63) + 1] {
+            let mut ck = Checkpoint::new();
+            idx.add_to_checkpoint(&mut ck);
+            let mut meta = ck.get(SEC_HNSW_META).unwrap().to_vec();
+            meta[12..20].copy_from_slice(&bad_m.to_le_bytes());
+            meta[20..28].copy_from_slice(&bad_m.to_le_bytes());
+            ck.insert(SEC_HNSW_META, meta);
+            let err = HnswIndex::from_checkpoint(&ck).err();
+            prop_assert_eq!(
+                err.map(|e| e.kind()),
+                Some(std::io::ErrorKind::InvalidData),
+                "m = {} not rejected as invalid data",
+                bad_m
+            );
+        }
     }
 }

@@ -184,19 +184,17 @@ fn main() {
     // IVF: powers of two up to nlist, plus nlist itself (the brute-parity
     // anchor). HNSW: powers of two from 16, capped below the catalog, where
     // the probe degenerates to brute force. Both plus the auto default.
-    let ivf = AnnConfig::default();
-    let hnsw = AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() };
-    let nlist = ivf.resolved_nlist(n_items);
-    let sweeps = [
-        (ivf, sweep(1, nlist, &[nlist, ivf.resolved_probe_width(n_items)])),
-        (hnsw, sweep(16, n_items.min(1025), &[hnsw.resolved_probe_width(n_items)])),
-    ];
-    for (base, widths) in sweeps {
-        let mode = base.kind.name();
-        let default = base.resolved_probe_width(n_items);
-        logln!(log, "{}", base.describe(n_items).to_json().render());
+    for kind in [AnnKind::Ivf, AnnKind::Hnsw] {
+        let base = AnnConfig::for_kind(kind);
+        let described = base.describe(n_items);
+        let (mode, default) = (kind.name(), described.probe_width());
+        let widths = match kind {
+            AnnKind::Hnsw => sweep(16, n_items.min(1025), &[default]),
+            _ => sweep(1, described.nlist, &[described.nlist, default]),
+        };
+        logln!(log, "{}", described.to_json().render());
         for width in widths {
-            let mut engine = load(Some(match base.kind {
+            let mut engine = load(Some(match kind {
                 AnnKind::Hnsw => AnnConfig { ef_search: width, ..base },
                 _ => AnnConfig { nprobe: width, ..base },
             }));

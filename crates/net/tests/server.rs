@@ -417,7 +417,7 @@ fn stats_ann_entry_has_exact_keys_per_backend() {
         let to = from + body[from..].find("],\"n_users\"").expect("ann array precedes n_users");
         body[from..to].to_string()
     };
-    let of = |kind| Some(AnnConfig { kind, ..AnnConfig::default() });
+    let of = |kind| Some(AnnConfig::for_kind(kind));
 
     assert_eq!(ann_entry(None), "null", "no index is a null entry");
     let n = Json::Num(n_items as f64);
@@ -442,6 +442,15 @@ fn stats_ann_entry_has_exact_keys_per_backend() {
         ("ef_search", Json::Num(cfg.resolved_ef_search(n_items) as f64)),
     ]);
     assert_eq!(ann_entry(of(AnnKind::Hnsw)), hnsw.render());
+
+    // The probe width is a method of the descriptor, never a `/stats` key.
+    let ivf_width = cfg.resolved_nprobe(n_items);
+    let hnsw_width = cfg.resolved_ef_search(n_items);
+    for (kind, width) in
+        [(AnnKind::Brute, 0), (AnnKind::Ivf, ivf_width), (AnnKind::Hnsw, hnsw_width)]
+    {
+        assert_eq!(AnnConfig::for_kind(kind).describe(n_items).probe_width(), width, "{kind:?}");
+    }
 }
 
 /// Bytes that cannot be framed as a request are answered, not dropped: a

@@ -622,7 +622,7 @@ fn ann_descriptor_reports_resolved_parameters() {
 
     let hnsw = Engine::new(artifact, hnsw_cfg(0)).unwrap();
     let d = hnsw.ann_descriptor().unwrap();
-    let cfg = AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() };
+    let cfg = AnnConfig::for_kind(AnnKind::Hnsw);
     assert_eq!((d.kind, d.n_items), ("hnsw", n));
     assert_eq!(d.m, cfg.resolved_m(n));
     assert_eq!(d.ef_construction, cfg.resolved_ef_construction(n));

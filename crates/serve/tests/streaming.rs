@@ -196,7 +196,7 @@ fn generation_swap_is_crash_safe_between_stage_and_commit() {
     let _obs = imcat_obs::exclusive(true);
     let backends = [
         (AnnConfig { nlist: 8, nprobe: 8, ..AnnConfig::default() }, "ann.probe.seconds"),
-        (AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() }, "ann.hnsw.probe.seconds"),
+        (AnnConfig::for_kind(AnnKind::Hnsw), "ann.hnsw.probe.seconds"),
     ];
     for (ann, probe_hist) in backends {
         let kind = ann.kind.name();
@@ -280,7 +280,7 @@ fn generation_swap_is_crash_safe_between_stage_and_commit() {
 #[test]
 fn cold_user_fold_in_reaches_their_neighborhood() {
     let _guard = pool_lock().lock().unwrap();
-    let hnsw = AnnConfig { kind: AnnKind::Hnsw, ..AnnConfig::default() };
+    let hnsw = AnnConfig::for_kind(AnnKind::Hnsw);
     for ann in [None, Some(AnnConfig::default()), Some(hnsw)] {
         let kind = ann.map_or("exact", |a| a.kind.name());
         let artifact = trained_artifact(53);

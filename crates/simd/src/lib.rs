@@ -3,8 +3,9 @@
 //! Every matmul, batch scorer, and ANN probe in the workspace bottoms out in
 //! the same handful of inner loops: f32 `dot` (and [`dot_rows`], the same
 //! dot against a contiguous block of rows with several rows in flight),
-//! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance (and
-//! [`l2_sq_cols`], its one-against-many form), and an L1 norm. This crate
+//! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance (and two
+//! one-against-many forms: [`l2_sq_gather`] over rows picked by id,
+//! [`l2_sq_cols`] over columns), and an L1 norm. This crate
 //! owns those loops and picks one of two backends once per process:
 //!
 //! - [`Backend::Scalar`] — the plain sequential loops the workspace has
@@ -27,6 +28,14 @@
 //! invariance, sharded serving) are safe because the backend is a pure
 //! function of environment + hardware, identical in every process on the
 //! same host — and `IMCAT_SIMD=scalar` recovers the historical bits exactly.
+//!
+//! The block forms [`dot_rows`] and [`l2_sq_gather`] add no arithmetic of
+//! their own: each output is its per-pair kernel's bits on the same backend
+//! (`out[j].to_bits() == l2_sq(q, row(ids[j])).to_bits()`), the AVX2 form
+//! just keeps four of those chains in flight. [`l2_sq_gather`] checks every
+//! id against the table before it reads a row; it is the distance kernel of
+//! the HNSW graph, where the rows a node's neighbour list names are
+//! scattered through the vector store.
 //!
 //! One kernel stands apart: [`l2_sq_cols`], one point against the columns of
 //! a dim-major matrix (the k-means assignment step, centres as columns). It
@@ -260,6 +269,68 @@ pub fn l2_sq_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// One query against rows gathered by id: `out[j] = l2_sq(q, row(ids[j]))`
+/// with `row(i) = table[i * q.len()..(i + 1) * q.len()]`, under the process
+/// backend.
+///
+/// Every pair runs exactly [`l2_sq`]'s operation sequence, so
+/// `out[j].to_bits() == l2_sq(q, row(ids[j])).to_bits()` on every input and
+/// backend, whatever the ids: repeated, descending, scattered. It is
+/// [`dot_rows`]' idea for rows that are not contiguous — the backend is
+/// resolved once per call, and the AVX2 form keeps four rows in flight on
+/// independent registers — and it is the distance kernel of the HNSW graph,
+/// which scores a node's unvisited neighbours in one call.
+///
+/// Panics, before reading any row, unless `ids.len() == out.len()` and every
+/// id names a whole row of `table`.
+#[inline]
+pub fn l2_sq_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+    l2_sq_gather_with(backend(), q, table, ids, out)
+}
+
+/// [`l2_sq_gather`] under an explicit backend.
+#[inline]
+pub fn l2_sq_gather_with(bk: Backend, q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+    assert_eq!(ids.len(), out.len(), "l2_sq_gather: {} ids for {} outputs", ids.len(), out.len());
+    if let Some(&top) = ids.iter().max() {
+        assert!(
+            (top as usize + 1).checked_mul(q.len()).is_some_and(|end| end <= table.len()),
+            "l2_sq_gather: row {top} of width {} is outside a table of {} elements",
+            q.len(),
+            table.len()
+        );
+    }
+    match bk {
+        Backend::Scalar => scalar::l2_sq_gather(q, table, ids, out),
+        Backend::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2_detected() {
+                // SAFETY: AVX2+FMA presence was just checked.
+                unsafe { avx2::l2_sq_gather(q, table, ids, out) };
+                return;
+            }
+            portable::l2_sq_gather(q, table, ids, out)
+        }
+    }
+}
+
+/// `out[j] = l2_sq(q, row(ids[j]))` one id after the other: the scalar
+/// oracle's and the portable mirror's form of [`l2_sq_gather`] (rows are
+/// independent, so how many are in flight never shows in the bits). Rows are
+/// sliced, so an id the dispatcher would refuse panics here too.
+fn l2_sq_each_id(
+    l2_sq: impl Fn(&[f32], &[f32]) -> f32,
+    q: &[f32],
+    table: &[f32],
+    ids: &[u32],
+    out: &mut [f32],
+) {
+    let d = q.len();
+    for (o, &id) in out.iter_mut().zip(ids) {
+        *o = l2_sq(q, &table[id as usize * d..][..d]);
+    }
+}
+
 /// Columns [`l2_sq_cols`] keeps in flight: one lane each, 32 independent
 /// accumulators (four 8-lane registers under AVX2). The matrix it reads is
 /// padded to whole blocks of this many columns.
@@ -410,6 +481,11 @@ pub mod scalar {
         acc
     }
 
+    /// [`l2_sq`] of `q` against each row `ids` names, one after the other.
+    pub fn l2_sq_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+        super::l2_sq_each_id(l2_sq, q, table, ids, out)
+    }
+
     /// [`l2_sq`] of `x` against each of the first `out.len()` columns of a
     /// dim-major matrix, a block of columns at a time, each column on its own
     /// accumulator in [`l2_sq`]'s exact operation order: the baseline-ISA copy
@@ -514,6 +590,13 @@ pub mod portable {
             total = d.mul_add(d, total);
         }
         total
+    }
+
+    /// Eight-lane fused [`l2_sq`] against each row `ids` names. The
+    /// intrinsic kernel keeps several rows in flight; each row's lanes,
+    /// reduction tree and tail are this loop's, so the two agree bitwise.
+    pub fn l2_sq_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+        super::l2_sq_each_id(l2_sq, q, table, ids, out)
     }
 
     /// Eight-lane `|x|` accumulation (plain adds: the intrinsic path uses
@@ -697,6 +780,74 @@ pub mod avx2 {
             total = d.mul_add(d, total);
         }
         total
+    }
+
+    /// [`l2_sq`] of `q` against each row `ids` names, four rows
+    /// (`IN_FLIGHT`) at a time: one load of the query chunk feeds that many
+    /// independent subtract + FMA chains. Each chain is `l2_sq`'s own (same
+    /// `q − row` operand order, chunk order, reduction tree — see
+    /// `hsum256x4` — and scalar `mul_add` tail), so every `out[j]` is
+    /// bit-identical to `l2_sq(q, row(ids[j]))`. A short last group repeats
+    /// its last row to fill the four chains (a few cached loads) and writes
+    /// only its own outputs. Rows are sliced out of `table` with bounds
+    /// checks, so an id outside it panics instead of reading past it.
+    /// `ids.len()` must equal `out.len()` (outputs left over by a mismatch
+    /// are not written).
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA support.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn l2_sq_gather(q: &[f32], table: &[f32], ids: &[u32], out: &mut [f32]) {
+        let d = q.len();
+        let chunks = d / 8;
+        let qp = q.as_ptr();
+        for (group, outs) in ids.chunks(IN_FLIGHT).zip(out.chunks_mut(IN_FLIGHT)) {
+            let last = group.len() - 1;
+            let row = |r: usize| &table[group[r.min(last)] as usize * d..][..d];
+            let rows = [row(0), row(1), row(2), row(3)];
+            let mut acc = [_mm256_setzero_ps(); IN_FLIGHT];
+            for c in 0..chunks {
+                // SAFETY (bounds): `c * 8 + 8 <= chunks * 8 <= d`, and `q`
+                // and every `rows[r]` are exactly `d` floats long (the slice
+                // above checked the row), so each eight-float load at offset
+                // `c * 8` lies inside its slice. Unaligned loads, so no
+                // alignment requirement.
+                let qv = _mm256_loadu_ps(qp.add(c * 8));
+                for (acc, row) in acc.iter_mut().zip(rows) {
+                    let dv = _mm256_sub_ps(qv, _mm256_loadu_ps(row.as_ptr().add(c * 8)));
+                    *acc = _mm256_fmadd_ps(dv, dv, *acc);
+                }
+            }
+            let mut sums = [0.0f32; IN_FLIGHT];
+            // SAFETY (bounds): `sums` holds exactly the four floats stored.
+            _mm_storeu_ps(sums.as_mut_ptr(), hsum256x4(acc));
+            for ((o, mut total), row) in outs.iter_mut().zip(sums).zip(rows) {
+                for (x, y) in q[chunks * 8..].iter().zip(&row[chunks * 8..]) {
+                    let dv = x - y;
+                    total = dv.mul_add(dv, total);
+                }
+                *o = total;
+            }
+        }
+    }
+
+    /// [`hsum256`] of four registers at once, lane `r` of the result being
+    /// `hsum256(v[r])` bit for bit: the same adds with the same operands in
+    /// the same order (`lo + hi`, then `(l0+l4) + (l2+l6)` and
+    /// `(l1+l5) + (l3+l7)`, then the first of those plus the second), with
+    /// the shuffles moved so that one add serves four rows.
+    ///
+    /// # Safety
+    /// Requires AVX2 support.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum256x4(v: [__m256; IN_FLIGHT]) -> __m128 {
+        // Row r: [l0+l4, l1+l5, l2+l6, l3+l7].
+        let s = v.map(|v| _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1)));
+        // [s0: (l0+l4)+(l2+l6), s1: same, s0: (l1+l5)+(l3+l7), s1: same].
+        let s01 = _mm_add_ps(_mm_unpacklo_ps(s[0], s[1]), _mm_unpackhi_ps(s[0], s[1]));
+        let s23 = _mm_add_ps(_mm_unpacklo_ps(s[2], s[3]), _mm_unpackhi_ps(s[2], s[3]));
+        _mm_add_ps(_mm_movelh_ps(s01, s23), _mm_movehl_ps(s23, s01))
     }
 
     /// 8-lane `|x|` accumulation (sign-mask `andnot`, plain adds).

@@ -14,6 +14,9 @@
 //!    *both* backends (it is the one kernel whose fast form keeps the scalar
 //!    oracle's bits), at awkward column counts and widths, and on special
 //!    values; padding is never reported; a wrong shape panics.
+//! 6. `l2_sq_gather` is `l2_sq`, pair for pair and bit for bit, in all three
+//!    forms, over id lists with repeats, descending runs and the last row, and
+//!    on special values; a bad id panics before any row is read.
 
 use imcat_simd::{portable, scalar, Backend};
 use proptest::prelude::*;
@@ -468,8 +471,193 @@ fn l2_sq_cols_shape_mismatch_panics_with_a_message() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Contract 6: l2_sq_gather == per-pair l2_sq on gathered rows, bitwise.
+// ---------------------------------------------------------------------------
+
+/// Widths around the 8-lane chunk and the serving width.
+const GATHER_DIMS: &[usize] = &[0, 1, 7, 8, 9, 63, 64, 65];
+/// Id counts around the rows-in-flight group (4), and a long odd one.
+const GATHER_COUNTS: &[usize] = &[0, 1, 3, 4, 5, 33];
+/// Rows in the gathered table.
+const GATHER_ROWS: usize = 40;
+
+/// `len` ids into a table of `rows` rows that walk down from the last row,
+/// repeat the id before them, jump anywhere and hit row 0 in turn — so a
+/// group of four holds descending, repeated and scattered rows at once, and
+/// a single id is the last row.
+fn gather_ids(seed: u64, len: usize, rows: usize) -> Vec<u32> {
+    let mut gen = Gen::new(seed);
+    let mut ids: Vec<u32> = Vec::with_capacity(len);
+    for j in 0..len {
+        let id = match j % 4 {
+            0 => rows - 1 - (j / 4) % rows,
+            1 => ids[j - 1] as usize,
+            2 => gen.below(rows as u64) as usize,
+            _ => 0,
+        };
+        ids.push(id as u32);
+    }
+    ids
+}
+
+/// Every backend's and the process dispatcher's `out[j]` is that backend's
+/// `l2_sq(q, row(ids[j]))`, bit for bit, into an output poisoned with a
+/// value no distance takes.
+fn assert_gather_is_l2_sq(q: &[f32], table: &[f32], ids: &[u32]) {
+    let d = q.len();
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        let mut out = vec![-1.0f32; ids.len()];
+        imcat_simd::l2_sq_gather_with(bk, q, table, ids, &mut out);
+        for (j, (&id, o)) in ids.iter().zip(&out).enumerate() {
+            let want = imcat_simd::l2_sq_with(bk, q, row(table, d, id as usize));
+            assert_eq!(o.to_bits(), want.to_bits(), "{bk:?} d={d} ids={ids:?} out {j}");
+        }
+    }
+    let mut out = vec![-1.0f32; ids.len()];
+    imcat_simd::l2_sq_gather(q, table, ids, &mut out);
+    for (&id, o) in ids.iter().zip(&out) {
+        assert_eq!(o.to_bits(), imcat_simd::l2_sq(q, row(table, d, id as usize)).to_bits());
+    }
+}
+
+#[test]
+fn l2_sq_gather_matches_per_pair_l2_sq_bitwise_on_both_backends() {
+    for &d in GATHER_DIMS {
+        for &len in GATHER_COUNTS {
+            let seed = (d * 1000 + len) as u64;
+            let (q, table) = (vector(0x9a ^ seed, d), vector(0x9b0 ^ seed, d * GATHER_ROWS));
+            assert_gather_is_l2_sq(&q, &table, &gather_ids(seed, len, GATHER_ROWS));
+        }
+    }
+}
+
+#[test]
+fn scalar_l2_sq_gather_matches_naive_loop_bitwise() {
+    for &d in GATHER_DIMS {
+        for &len in GATHER_COUNTS {
+            let seed = (d * 1000 + len) as u64;
+            let (q, table) = (vector(0x9c ^ seed, d), vector(0x9d0 ^ seed, d * GATHER_ROWS));
+            let ids = gather_ids(seed, len, GATHER_ROWS);
+            let mut out = vec![f32::NAN; len];
+            scalar::l2_sq_gather(&q, &table, &ids, &mut out);
+            for (j, &id) in ids.iter().enumerate() {
+                let mut naive = 0.0f32;
+                for i in 0..d {
+                    let diff = q[i] - table[id as usize * d + i];
+                    naive += diff * diff;
+                }
+                assert_eq!(out[j].to_bits(), naive.to_bits(), "d={d} ids={ids:?} out {j}");
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_l2_sq_gather_matches_portable_mirror_bitwise() {
+    if !imcat_simd::avx2_detected() {
+        eprintln!("skipping: host has no AVX2+FMA");
+        return;
+    }
+    for &d in GATHER_DIMS {
+        for &len in GATHER_COUNTS {
+            let seed = (d * 1000 + len) as u64;
+            let (q, table) = (vector(0x9e ^ seed, d), vector(0x9f0 ^ seed, d * GATHER_ROWS));
+            let ids = gather_ids(seed, len, GATHER_ROWS);
+            let mut intrinsic = vec![f32::NAN; len];
+            let mut mirror = vec![f32::NAN; len];
+            // SAFETY: avx2_detected() checked above; every id is a row of `table`.
+            unsafe { imcat_simd::avx2::l2_sq_gather(&q, &table, &ids, &mut intrinsic) };
+            portable::l2_sq_gather(&q, &table, &ids, &mut mirror);
+            for j in 0..len {
+                assert_eq!(intrinsic[j].to_bits(), mirror[j].to_bits(), "d={d} ids={ids:?} {j}");
+            }
+        }
+    }
+}
+
+/// NaN (both signs), infinities (whose difference is NaN), signed zeros and
+/// subnormals take the same path through the gathered chains as through
+/// `l2_sq`: same subtraction order, same fused chain, same tail.
+#[test]
+fn l2_sq_gather_matches_l2_sq_on_special_values() {
+    let special = [
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-40,
+        f32::MIN_POSITIVE,
+        -3.5,
+        0.1,
+    ];
+    let mut gen = Gen::new(0x6a_5bec1a1);
+    let mut draw = |n: usize| -> Vec<f32> {
+        (0..n).map(|_| special[gen.below(special.len() as u64) as usize]).collect()
+    };
+    for d in [1usize, 8, 13, 64, 65] {
+        for len in [1usize, 4, 5, 33] {
+            let (q, table) = (draw(d), draw(d * GATHER_ROWS));
+            let ids = gather_ids((d * 100 + len) as u64, len, GATHER_ROWS);
+            assert_gather_is_l2_sq(&q, &table, &ids);
+            #[cfg(target_arch = "x86_64")]
+            if imcat_simd::avx2_detected() {
+                let mut intrinsic = vec![-1.0f32; len];
+                let mut mirror = vec![-1.0f32; len];
+                // SAFETY: avx2_detected() checked above; every id is a row of `table`.
+                unsafe { imcat_simd::avx2::l2_sq_gather(&q, &table, &ids, &mut intrinsic) };
+                portable::l2_sq_gather(&q, &table, &ids, &mut mirror);
+                for j in 0..len {
+                    assert!(same_f32(intrinsic[j], mirror[j]), "d={d} ids={ids:?} {j}");
+                }
+            }
+        }
+    }
+}
+
+/// An id past the table's last row — at the end of a list whose other ids
+/// are fine, or `u32::MAX` — and an output of the wrong length are refused
+/// on every backend before any row is read: the poisoned output is still
+/// untouched after the panic.
+#[test]
+fn l2_sq_gather_out_of_range_id_panics_before_any_read() {
+    let q = vector(1, 8);
+    let table = vector(2, 8 * 5);
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        for (ids, outs) in [
+            (vec![0u32, 1, 2, 3, 4, 4, 5], 7usize),
+            (vec![u32::MAX], 1),
+            (vec![5, 0, 0, 0], 4),
+            (vec![0, 1], 3),
+        ] {
+            let mut out = vec![-1.0f32; outs];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                imcat_simd::l2_sq_gather_with(bk, &q, &table, &ids, &mut out);
+            }));
+            let msg = caught.expect_err("a bad id or shape must panic");
+            let msg = msg.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("l2_sq_gather"), "{bk:?}: unhelpful message: {msg}");
+            assert!(out.iter().all(|&o| o == -1.0), "{bk:?} ids={ids:?}: wrote before panicking");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random widths, id counts and tables: the gathered kernel is `l2_sq`,
+    /// bit for bit, on whichever implementation each backend dispatches to.
+    #[test]
+    fn prop_l2_sq_gather_is_l2_sq(
+        seed in 0u64..u64::MAX, d in 0usize..100, len in 0usize..40, rows in 1usize..50,
+    ) {
+        let ids = gather_ids(seed, len, rows);
+        assert_gather_is_l2_sq(&vector(seed, d), &vector(seed ^ 0x6a7, d * rows), &ids);
+    }
 
     /// Random shapes: the block kernel is `dot`, bit for bit, on whichever
     /// implementation each backend dispatches to on this host.

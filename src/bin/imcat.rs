@@ -360,7 +360,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         Some(name) => {
             let kind = AnnKind::parse(name)
                 .ok_or_else(|| format!("unknown --ann backend '{name}' (ivf | hnsw | brute)"))?;
-            Some(AnnConfig { kind, ..AnnConfig::default() })
+            Some(AnnConfig::for_kind(kind))
         }
     };
     imcat::obs::init_from_env();
