@@ -309,6 +309,28 @@ fn streaming_mutations_round_trip_over_the_wire() {
     server.shutdown();
 }
 
+/// The batcher folds after every mutating tick, and a tick refolds only the
+/// users it brought evidence: with a cold user present, a warm user's
+/// ingest refolds nobody and each of the cold user's refolds them alone.
+#[test]
+fn a_mutating_tick_refolds_only_users_with_new_evidence() {
+    let _guard = net_lock().lock().unwrap();
+    let _obs = imcat_obs::exclusive(true);
+    let server = start(NetConfig { shards: 1, ..Default::default() });
+    let addr = server.addr();
+    let folds = || imcat_obs::snapshot().counter("ingest.folds");
+    let (status, body) = post(addr, "/users", "");
+    assert_eq!(status, 201, "register user: {body}");
+    let cold = Json::parse(&body).unwrap().get("user").and_then(Json::as_f64).unwrap() as u32;
+    for (user, item, want) in [(cold, 3, 1), (0, 4, 0), (cold, 5, 1), (1, 6, 0)] {
+        let before = folds();
+        let (status, body) = post(addr, &format!("/ingest?user={user}&item={item}"), "");
+        assert_eq!(status, 200, "ingest ({user}, {item}): {body}");
+        assert_eq!(folds() - before, want, "ingest ({user}, {item}) moved ingest.folds");
+    }
+    server.shutdown();
+}
+
 /// Admission control: with one worker and a one-deep connection queue, a
 /// third concurrent connection is shed with a fast 503 by the acceptor —
 /// and the counter records it.

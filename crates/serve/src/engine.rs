@@ -407,10 +407,11 @@ impl Engine {
     }
 
     /// Every swap of the serving state funnels through here: new artifact
-    /// and/or ANN state in, cache out, generation bumped, one counter per
-    /// caller. Replacing the artifact starts a fresh stream state — the
-    /// incoming artifact *is* the next generation's base and the old log is
-    /// consumed (rebuild) or superseded (reload).
+    /// and/or ANN state in, cache out, generation bumped (the
+    /// `generation.id` gauge), one counter per caller. Replacing the
+    /// artifact starts a fresh stream state — the incoming artifact *is* the
+    /// next generation's base and the old log is consumed (rebuild) or
+    /// superseded (reload).
     fn swap_generation(
         &mut self,
         artifact: Option<Artifact>,
@@ -424,6 +425,7 @@ impl Engine {
         self.ann = ann;
         self.results().cache.clear();
         self.generation += 1;
+        imcat_obs::gauge_set("generation.id", self.generation as f64);
         imcat_obs::counter_add(counter, 1);
         imcat_obs::counter_add("serve.generation.swaps", 1);
         Ok(())
@@ -508,12 +510,15 @@ impl Engine {
         xs.iter().map(|&x| self.ingest(x)).collect()
     }
 
-    /// One fold tick (`StreamState::fold`): finalizes every
-    /// registered-but-cold item and inserts it into the ANN index, then
-    /// refolds every post-base user from the updated item matrix. Items fold
-    /// **once** — their embeddings and int8 codes stay frozen until the next
-    /// generation, which is what keeps the certified-skip bound sound.
-    /// Returns the number of embeddings written.
+    /// One fold tick (`StreamState::fold`) over the events since the last
+    /// one: finalizes every registered-but-cold item and inserts it into the
+    /// ANN index, then refolds the post-base users with new evidence from
+    /// the updated item matrix. Items fold **once** — their embeddings and
+    /// int8 codes stay frozen until the next generation, which is what keeps
+    /// the certified-skip bound sound. A finalized item clears the result
+    /// cache; otherwise only the refolded users' lists are evicted, so a
+    /// user the tick brought nothing keeps their cached answers. Sets the
+    /// `ingest.log.len` gauge. Returns the number of embeddings written.
     pub fn fold_pending(&mut self) -> usize {
         let ann = &mut self.ann;
         let tick = self.stream.fold(|id, emb| {
@@ -536,6 +541,7 @@ impl Engine {
         }
         drop(results);
         imcat_obs::counter_add("ingest.folds", tick.folds as u64);
+        imcat_obs::gauge_set("ingest.log.len", self.stream.log().len() as f64);
         tick.folds
     }
 

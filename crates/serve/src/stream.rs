@@ -18,9 +18,18 @@
 //! (`frozen_items`); a registered item's embedding is written (and handed to
 //! the caller for its index insert) at its first fold tick and never touched
 //! again until the next generation. Users are not indexed, so they refold
-//! freely at every tick as their evidence grows.
+//! whenever their evidence grows.
+//!
+//! A fold tick costs what changed since the last one. The state keeps a
+//! cursor over the log prefix earlier ticks consumed and, for every post-base
+//! user, the item ids of their interactions in arrival order (4 B each). A
+//! tick reads only the log past the cursor and refolds only the users it
+//! names. That is the same artifact, bit for bit, as refolding every user
+//! from the whole log: items fold once and before users, so each evidence
+//! row of a user the window does not name is the row it was at their last
+//! fold, and [`fold_embedding`] of the same rows in the same order returns
+//! the same bits. A test keeps the whole-log tick as the oracle.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
@@ -75,7 +84,8 @@ pub(crate) struct FoldTick {
     pub folds: usize,
     /// Whether any item was finalized — every ranked list is stale then.
     pub items_changed: bool,
-    /// Users whose embedding was (re)written, ascending.
+    /// Users whose embedding was (re)written — exactly the post-base users
+    /// with an interaction since the last tick — ascending.
     pub users: Vec<u32>,
 }
 
@@ -92,6 +102,11 @@ pub(crate) struct StreamState {
     base_users: usize,
     /// Arrival-ordered mutations since `base`.
     log: Vec<StreamEvent>,
+    /// `log[..folded]` has been consumed by fold ticks.
+    folded: usize,
+    /// `evidence[u - base_users]`: the items post-base user `u` interacted
+    /// with in `log[..folded]`, in arrival order, duplicates kept.
+    evidence: Vec<Vec<u32>>,
     /// Items `0..frozen_items` have final embeddings (and are covered by the
     /// caller's index); items past it are registered but still cold (zero
     /// row) until the next fold tick.
@@ -109,6 +124,8 @@ impl StreamState {
             frozen_items: artifact.n_items(),
             artifact,
             log: Vec::new(),
+            folded: 0,
+            evidence: Vec::new(),
             fold_options,
         }
     }
@@ -157,39 +174,45 @@ impl StreamState {
         Ok(())
     }
 
-    /// One fold tick, in two ordered phases. **A:** every
-    /// registered-but-cold item is finalized in ascending id — ridge fold-in
-    /// ([`fold_embedding`]) against its interacting users' rows as they
-    /// stand (a still-cold user is a zero row and contributes nothing), zero
-    /// row if it has no evidence — and handed to `on_item` (the engine's
-    /// index insert). **B:** every post-base user with evidence refolds, in
-    /// ascending id, against the item matrix with the phase-A rows in place.
-    /// Evidence rows are visited in log-arrival order, duplicates kept (a
-    /// repeated interaction is weighted evidence).
+    /// One fold tick over the events since the last one (the window), in two
+    /// ordered phases. **A:** every registered-but-cold item is finalized in
+    /// ascending id — ridge fold-in ([`fold_embedding`]) against its
+    /// interacting users' rows as they stand (a still-cold user is a zero
+    /// row and contributes nothing), zero row if it has no evidence — and
+    /// handed to `on_item` (the engine's index insert). Such an item was
+    /// registered inside the window, so all of its evidence is too. **B:**
+    /// every post-base user with an interaction in the window refolds, in
+    /// ascending id, from their whole evidence list against the item matrix
+    /// with the phase-A rows in place. Evidence rows are visited in
+    /// log-arrival order, duplicates kept (a repeated interaction is
+    /// weighted evidence). Users the window does not name keep their rows:
+    /// those are already the fold of the same rows (module docs).
     pub fn fold(&mut self, mut on_item: impl FnMut(u32, &[f32])) -> FoldTick {
         let n_items = self.artifact.n_items();
         let mut tick =
             FoldTick { folds: 0, items_changed: n_items > self.frozen_items, users: Vec::new() };
-        if self.log.is_empty() && !tick.items_changed {
+        if self.folded == self.log.len() && !tick.items_changed {
             return tick;
         }
         let _sp = imcat_obs::span("serve.fold.seconds");
         let art = Arc::make_mut(&mut self.artifact);
         let dim = art.dim();
-        let mut item_users: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut user_items: HashMap<u32, Vec<u32>> = HashMap::new();
-        for ev in &self.log {
+        let mut item_users: Vec<Vec<u32>> = vec![Vec::new(); n_items - self.frozen_items];
+        self.evidence.resize_with(art.n_users() - self.base_users, Vec::new);
+        for ev in &self.log[self.folded..] {
             if let StreamEvent::Interaction(x) = *ev {
-                if (x.item as usize) >= self.frozen_items {
-                    item_users.entry(x.item).or_default().push(x.user);
+                let (user, item) = (x.user as usize, x.item as usize);
+                if item >= self.frozen_items {
+                    item_users[item - self.frozen_items].push(x.user);
                 }
-                if (x.user as usize) >= self.base_users {
-                    user_items.entry(x.user).or_default().push(x.item);
+                if user >= self.base_users {
+                    self.evidence[user - self.base_users].push(x.item);
+                    tick.users.push(x.user);
                 }
             }
         }
-        for id in self.frozen_items..n_items {
-            let evidence = item_users.get(&(id as u32)).map(Vec::as_slice).unwrap_or(&[]);
+        self.folded = self.log.len();
+        for (id, evidence) in (self.frozen_items..n_items).zip(&item_users) {
             let rows: Vec<&[f32]> =
                 evidence.iter().map(|&u| art.user_emb.row(u as usize)).collect();
             let emb = fold_embedding(&rows, dim, &self.fold_options);
@@ -198,11 +221,13 @@ impl StreamState {
             on_item(id as u32, &emb);
         }
         self.frozen_items = n_items;
-        tick.users = user_items.keys().copied().collect();
         tick.users.sort_unstable();
+        tick.users.dedup();
         for &u in &tick.users {
-            let rows: Vec<&[f32]> =
-                user_items[&u].iter().map(|&i| art.item_emb.row(i as usize)).collect();
+            let rows: Vec<&[f32]> = self.evidence[u as usize - self.base_users]
+                .iter()
+                .map(|&i| art.item_emb.row(i as usize))
+                .collect();
             let emb = fold_embedding(&rows, dim, &self.fold_options);
             art.user_emb.row_mut(u as usize).copy_from_slice(&emb);
         }
@@ -235,4 +260,148 @@ pub fn rebuild_artifact(
     let artifact = Arc::try_unwrap(state.artifact).unwrap_or_else(|shared| (*shared).clone());
     artifact.validate()?;
     Ok(artifact)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeSet, HashMap};
+
+    use imcat_ann::{AnnConfig, DEFAULT_BUILD_SEED};
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The fold tick before it became incremental, kept as the oracle: it
+    /// rescans the whole log and refolds every post-base user with evidence.
+    fn oracle_fold(state: &mut StreamState, mut on_item: impl FnMut(u32, &[f32])) -> FoldTick {
+        let n_items = state.artifact.n_items();
+        let mut tick =
+            FoldTick { folds: 0, items_changed: n_items > state.frozen_items, users: Vec::new() };
+        if state.log.is_empty() && !tick.items_changed {
+            return tick;
+        }
+        let art = Arc::make_mut(&mut state.artifact);
+        let dim = art.dim();
+        let mut item_users: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut user_items: HashMap<u32, Vec<u32>> = HashMap::new();
+        for ev in &state.log {
+            if let StreamEvent::Interaction(x) = *ev {
+                if (x.item as usize) >= state.frozen_items {
+                    item_users.entry(x.item).or_default().push(x.user);
+                }
+                if (x.user as usize) >= state.base_users {
+                    user_items.entry(x.user).or_default().push(x.item);
+                }
+            }
+        }
+        for id in state.frozen_items..n_items {
+            let evidence = item_users.get(&(id as u32)).map(Vec::as_slice).unwrap_or(&[]);
+            let rows: Vec<&[f32]> =
+                evidence.iter().map(|&u| art.user_emb.row(u as usize)).collect();
+            let emb = fold_embedding(&rows, dim, &state.fold_options);
+            tick.folds += !rows.is_empty() as usize;
+            art.item_emb.row_mut(id).copy_from_slice(&emb);
+            on_item(id as u32, &emb);
+        }
+        state.frozen_items = n_items;
+        tick.users = user_items.keys().copied().collect();
+        tick.users.sort_unstable();
+        for &u in &tick.users {
+            let rows: Vec<&[f32]> =
+                user_items[&u].iter().map(|&i| art.item_emb.row(i as usize)).collect();
+            let emb = fold_embedding(&rows, dim, &state.fold_options);
+            art.user_emb.row_mut(u as usize).copy_from_slice(&emb);
+        }
+        tick.folds += tick.users.len();
+        tick
+    }
+
+    /// An untrained artifact of exactly representable dyadic values.
+    fn hand_built(n_users: usize, n_items: usize, dim: usize) -> Artifact {
+        let grid = |rows: usize, salt: usize| {
+            let cell = |i: usize| ((i * 7 + salt * 3) % 11) as f32 * 0.125 - 0.5;
+            Tensor::from_vec(rows, dim, (0..rows * dim).map(cell).collect())
+        };
+        let masks = (0..n_users)
+            .map(|u| (0..n_items as u32).filter(|&i| (u + i as usize) & 3 == 0).collect())
+            .collect();
+        Artifact::new("hand-built", grid(n_users, 1), grid(n_items, 2), masks)
+    }
+
+    fn bytes(state: &StreamState) -> Vec<u8> {
+        state.artifact().to_checkpoint().to_bytes()
+    }
+
+    fn bits(emb: &[f32]) -> Vec<u32> {
+        emb.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random logs with fold ticks at random points, with and without an
+        /// index taking the items' inserts: after every tick the incremental
+        /// state holds the oracle's bytes, has handed the index the same
+        /// items with the same bits, and refolded exactly the post-base
+        /// users with an interaction since the last tick.
+        #[test]
+        fn incremental_fold_equals_the_whole_log_oracle(seed in 0u64..1_000_000) {
+            let mut gen = Gen::new(seed);
+            let base = hand_built(
+                1 + gen.below(5) as usize,
+                2 + gen.below(8) as usize,
+                1 + gen.below(6) as usize,
+            );
+            let base_users = base.n_users() as u32;
+            let mut index = (gen.below(2) == 0)
+                .then(|| AnnConfig { nlist: 2, ..AnnConfig::default() })
+                .map(|cfg| cfg.build_index(&base.item_emb, DEFAULT_BUILD_SEED));
+            let opts = FoldOptions::default();
+            let mut live = StreamState::new(base.clone(), opts);
+            let mut oracle = StreamState::new(base, opts);
+            let mut window = BTreeSet::new();
+            let steps = gen.below(60);
+            for step in 0..=steps {
+                let ev = match gen.below(10) {
+                    _ if step == steps => None,
+                    0 => Some(StreamEvent::RegisterUser),
+                    1 => Some(StreamEvent::RegisterItem),
+                    2 | 3 => None,
+                    _ => Some(StreamEvent::Interaction(Interaction {
+                        user: gen.below(live.artifact().n_users() as u64) as u32,
+                        item: gen.below(live.artifact().n_items() as u64) as u32,
+                    })),
+                };
+                if let Some(ev) = ev {
+                    live.apply(ev).unwrap();
+                    oracle.apply(ev).unwrap();
+                    if let StreamEvent::Interaction(x) = ev {
+                        if x.user >= base_users {
+                            window.insert(x.user);
+                        }
+                    }
+                    continue;
+                }
+                let mut inserted = Vec::new();
+                let tick = live.fold(|id, emb| {
+                    inserted.push((id, bits(emb)));
+                    if let Some(index) = index.as_mut() {
+                        index.insert(id, emb).unwrap();
+                    }
+                });
+                let mut want_inserted = Vec::new();
+                let want =
+                    oracle_fold(&mut oracle, |id, emb| want_inserted.push((id, bits(emb))));
+                prop_assert!(bytes(&live) == bytes(&oracle), "step {step}: bytes differ");
+                prop_assert_eq!(&inserted, &want_inserted, "step {}", step);
+                prop_assert_eq!(tick.items_changed, want.items_changed);
+                let window: Vec<u32> = std::mem::take(&mut window).into_iter().collect();
+                prop_assert_eq!(&tick.users, &window, "step {}: refolded users", step);
+                prop_assert_eq!(tick.folds - tick.users.len(), want.folds - want.users.len());
+                if let Some(index) = &index {
+                    prop_assert_eq!(index.n_items(), live.artifact().n_items());
+                }
+            }
+        }
+    }
 }

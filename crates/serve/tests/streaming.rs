@@ -9,16 +9,21 @@
 //!   new one — with requests answered while the worker runs, on IVF and on
 //!   HNSW, and the ingest / rebuild / swap telemetry moving;
 //! * cold users fold into useful embeddings (their interacted items'
-//!   neighborhood ranks above the rest) under every retrieval backend.
+//!   neighborhood ranks above the rest) under every retrieval backend;
+//! * a fold tick evicts only the users it refolded (all lists when an item
+//!   froze), and the log-length and generation gauges follow the state;
+//! * the live artifact after each of a fixed stream's fold ticks is pinned
+//!   by hash at 1 and 4 threads.
 
 use std::sync::{Mutex, OnceLock};
 
-use imcat_ckpt::Checkpoint;
+use imcat_ckpt::{fnv1a64, Checkpoint};
 use imcat_data::{generate, SplitDataset, SynthConfig};
 use imcat_models::{Bprmf, RecModel, TrainConfig};
 use imcat_serve::{
     rebuild_artifact, AnnConfig, AnnKind, Artifact, Engine, Interaction, ServeConfig,
 };
+use imcat_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -309,5 +314,154 @@ fn cold_user_fold_in_reaches_their_neighborhood() {
         // embedding points into the right neighborhood.
         let hits = recs.iter().filter(|r| holdout.contains(&r.item)).count();
         assert!(hits > 0, "{kind}: cold-user fold-in found none of the donor's holdout items");
+    }
+}
+
+/// A fold tick evicts what it changed and nothing else: a cold user the
+/// tick brought nothing keeps their cached list (a hit, no tick), a cold
+/// user with new evidence is evicted and re-served from their new row, and
+/// a finalized item still clears every list. The `ingest.log.len` gauge
+/// follows the log at every tick and `generation.id` every swap.
+#[test]
+fn fold_ticks_evict_only_users_with_new_evidence() {
+    let _guard = pool_lock().lock().unwrap();
+    let _obs = imcat_obs::exclusive(true);
+    let counter = |name: &str| imcat_obs::snapshot().counter(name);
+    let gauge = |name: &str| {
+        let snap = imcat_obs::snapshot();
+        snap.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    };
+    let cfg = ServeConfig { cache_capacity: 16, ..Default::default() };
+    let mut engine = Engine::new(dyadic_artifact(6, 9, 6), cfg).unwrap();
+    let reader = engine.cache_reader();
+    let x = |user, item| Interaction { user, item };
+    let (quiet, busy) = (engine.register_user(), engine.register_user());
+    for i in [x(quiet, 1), x(quiet, 2), x(busy, 3)] {
+        engine.ingest(i).unwrap();
+    }
+    assert_eq!(engine.fold_pending(), 2);
+    assert_eq!(gauge("ingest.log.len"), Some(5.0));
+    let quiet_list = engine.recommend(quiet, 4).unwrap();
+    let busy_list = engine.recommend(busy, 4).unwrap();
+
+    // New evidence for `busy` and for a warm user only.
+    engine.ingest(x(busy, 4)).unwrap();
+    engine.ingest(x(0, 5)).unwrap();
+    assert_eq!(engine.fold_pending(), 1, "only `busy` refolds");
+    assert_eq!(gauge("ingest.log.len"), Some(7.0));
+    let (hits, ticks) = (counter("serve.cache.hits"), counter("serve.ticks"));
+    assert_eq!(reader.lookup(quiet, 4), Some(quiet_list), "the quiet user's list was evicted");
+    assert_eq!(counter("serve.cache.hits") - hits, 1);
+    assert_eq!(counter("serve.ticks") - ticks, 0);
+    assert_eq!(reader.lookup(busy, 4), None, "the refolded user's list survived their fold");
+    let busy_now = engine.recommend(busy, 4).unwrap();
+    let fresh =
+        Engine::new(engine.artifact().clone(), ServeConfig::default()).unwrap().recommend(busy, 4);
+    assert_eq!(lists_bits(&busy_now), lists_bits(&fresh.unwrap()), "not served from the new row");
+    assert_ne!(lists_bits(&busy_now), lists_bits(&busy_list));
+
+    // A registered item: a list ranked before its fold is stale after it.
+    engine.register_item();
+    engine.recommend(quiet, 4).unwrap();
+    assert!(reader.lookup(quiet, 4).is_some());
+    engine.fold_pending();
+    assert_eq!(engine.cached_lists(), 0, "a finalized item left a list cached");
+    assert_eq!(gauge("ingest.log.len"), Some(8.0));
+
+    assert_eq!(gauge("generation.id"), None, "no swap yet");
+    let task = engine.spawn_rebuild(None).unwrap();
+    engine.commit_rebuild(task).unwrap();
+    assert_eq!(gauge("generation.id"), Some(1.0));
+    engine.set_ann(None);
+    assert_eq!(gauge("generation.id"), Some(engine.generation() as f64));
+    assert_eq!(engine.generation(), 2);
+    assert_eq!(gauge("ingest.log.len"), Some(0.0), "the swap consumed the log");
+}
+
+/// An untrained artifact whose every value is an exactly representable
+/// dyadic rational: no libm, no RNG, identical on every machine.
+fn dyadic_artifact(n_users: usize, n_items: usize, dim: usize) -> Artifact {
+    let grid = |rows: usize, salt: usize| {
+        let cell = |i: usize| ((i * 5 + salt * 3) % 13) as f32 * 0.125 - 0.75;
+        Tensor::from_vec(rows, dim, (0..rows * dim).map(cell).collect())
+    };
+    let masks = (0..n_users)
+        .map(|u| (0..n_items as u32).filter(|&i| (u + i as usize) % 4 == 1).collect())
+        .collect();
+    Artifact::new("dyadic", grid(n_users, 1), grid(n_items, 2), masks)
+}
+
+/// The live artifact after each tick of a fixed stream with seven
+/// `fold_pending` ticks: a warm-only window, windows with and without
+/// cold-user evidence, a cold item registered mid-stream, a cold item
+/// frozen with no evidence, repeated interactions and an empty window.
+/// Recorded at 1 and 4 threads before fold ticks became incremental.
+#[test]
+fn live_artifact_bytes_across_fold_ticks_are_pinned_at_1_and_4_threads() {
+    let _guard = pool_lock().lock().unwrap();
+    let pins: [u64; 7] = [
+        0x36f0_bd60_a2ba_b08a,
+        0x5846_6335_0087_d21b,
+        0xed75_f913_3ad3_71c4,
+        0x667c_97c8_5e5c_80d9,
+        0xf424_7103_ee2b_494e,
+        0xf92a_9d06_a0ac_5b58,
+        0xf92a_9d06_a0ac_5b58,
+    ];
+    let x = |user, item| Interaction { user, item };
+    for threads in [1usize, 4] {
+        let got: Vec<u64> = with_threads(threads, || {
+            let cfg = ServeConfig {
+                cache_capacity: 8,
+                ann: Some(AnnConfig::for_kind(AnnKind::Hnsw)),
+                ..Default::default()
+            };
+            let mut engine = Engine::new(dyadic_artifact(6, 9, 6), cfg).unwrap();
+            let mut ticks = Vec::new();
+            let mut tick = |engine: &mut Engine| {
+                engine.fold_pending();
+                ticks.push(fnv1a64(&artifact_bytes(engine.artifact())));
+            };
+            // 1: warm users only, one interaction repeated.
+            for i in [x(0, 3), x(1, 4), x(0, 3)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 2: cold user 6 arrives with a repeated interaction.
+            assert_eq!(engine.register_user(), 6);
+            for i in [x(6, 1), x(6, 1), x(6, 5), x(2, 7)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 3: cold user 7 and cold item 9 mid-stream, with warm and cold
+            // evidence for the item; user 6 gets nothing.
+            assert_eq!(engine.register_user(), 7);
+            engine.ingest(x(3, 2)).unwrap();
+            assert_eq!(engine.register_item(), 9);
+            for i in [x(2, 9), x(7, 9), x(7, 0), x(4, 9)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 4: cold users present, warm evidence only (one on item 9).
+            for i in [x(5, 8), x(1, 9)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 5: item 10 freezes with no evidence; user 6 learns of item 9.
+            assert_eq!(engine.register_item(), 10);
+            for i in [x(6, 9), x(6, 1)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 6: evidence for the zero row of item 10, cold and warm.
+            for i in [x(7, 10), x(0, 10)] {
+                engine.ingest(i).unwrap();
+            }
+            tick(&mut engine);
+            // 7: nothing happened since the last tick.
+            tick(&mut engine);
+            ticks
+        });
+        assert_eq!(got, pins, "threads={threads}: live artifact bytes drifted");
     }
 }
