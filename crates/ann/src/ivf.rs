@@ -243,21 +243,22 @@ impl ProbeScratch {
     }
 
     /// Fills the scratch with the exhaustive candidate set `0..n_items`,
-    /// exact scores (the same `imcat_simd::dot` kernel and pool fan-out the
-    /// IVF re-rank uses, so bit-identical to it at `nprobe == nlist`), and
-    /// the mask verbatim (candidate index == item id). The whole probe of
+    /// exact scores (one `imcat_simd::dot_rows` call per pooled chunk of
+    /// contiguous rows, whose every element is `imcat_simd::dot`'s bits — so
+    /// bit-identical to the IVF re-rank at `nprobe == nlist`), and the mask
+    /// verbatim (candidate index == item id). The whole probe of
     /// [`crate::index::BruteIndex`].
     pub(crate) fn set_brute(&mut self, query: &[f32], items: &Tensor, mask: &[u32]) {
         self.certified = false;
         let n = items.rows();
+        let d = items.cols();
         self.cand.clear();
         self.cand.extend(0..n as u32);
         self.scores.clear();
         self.scores.resize(n, 0.0);
         imcat_par::global().parallel_chunks_mut(&mut self.scores, SCORE_GRAIN, |ci, slots| {
-            for (off, slot) in slots.iter_mut().enumerate() {
-                *slot = imcat_simd::dot(query, items.row(ci * SCORE_GRAIN + off));
-            }
+            let first = ci * SCORE_GRAIN * d;
+            imcat_simd::dot_rows(query, &items.as_slice()[first..first + slots.len() * d], slots);
         });
         self.mask.clear();
         self.mask.extend_from_slice(mask);

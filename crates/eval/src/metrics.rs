@@ -4,7 +4,8 @@
 //! The ranking primitive is [`top_n_masked_with`]: one pass over a score row
 //! that keeps a running floor under the canonical (score descending, index
 //! ascending) order, so a row of any length is selected from in O(`n`)
-//! memory and nearly every score costs one comparison.
+//! memory and nearly every score costs one lane of a branch-free
+//! 16-score comparison.
 
 use imcat_data::SplitDataset;
 use imcat_tensor::Tensor;
@@ -148,6 +149,21 @@ pub struct TopKScratch {
     top: Vec<u32>,
 }
 
+/// Scores [`top_n_masked_with`] tests against its floor in one go.
+const FLOOR_CHUNK: usize = 16;
+
+/// Whether every score in `chunk` is IEEE-less than `floor`, with no branch
+/// per score (the fixed width lets it compile to a few vector compares).
+///
+/// IEEE `s < f` holds only when neither side is NaN and `s` is numerically
+/// below `f` — never for `+0.0` against `-0.0` — and then `total_cmp` puts
+/// `s` below `f` as well. So every score of a chunk this accepts is one the
+/// per-element floor test would have dropped.
+#[inline]
+fn all_below(chunk: &[f32; FLOOR_CHUNK], floor: f32) -> bool {
+    chunk.iter().fold(true, |all, &s| all & (s < floor))
+}
+
 /// The top-`n` unmasked item indices of one score row, reusing `scratch`.
 /// `mask` must be strictly ascending (training-item lists are).
 ///
@@ -169,6 +185,18 @@ pub struct TopKScratch {
 /// consulted only for the few scores that clear the floor. Dropping a
 /// candidate that is not in the head leaves a set that still contains the
 /// head, so the list is the one a full sort would give.
+///
+/// Once a floor exists, the row is tested 16 scores at a time, with no
+/// branch per score: a chunk whose every score is IEEE-less than the floor
+/// is dropped whole, since each of those scores is one the per-element
+/// `total_cmp` test would drop (and the floor only rises). A chunk holding a
+/// survivor, a NaN, a score equal to the floor or a `+0.0` over a `-0.0`
+/// floor — and a ragged last chunk — goes through the per-element test
+/// unchanged. On a random 100k-score row (k = 10, one thread) that took the
+/// selection from 64–80 µs to 14 µs. The worst case is an ascending row,
+/// where every chunk has a survivor and each score pays one extra compare:
+/// 1.56 ms against 1.51 ms (medians of seven, +3 %), nearly all of it the
+/// buffer cuts.
 pub fn top_n_masked_with<'a>(
     scores: &[f32],
     mask: &[u32],
@@ -187,16 +215,25 @@ pub fn top_n_masked_with<'a>(
     // Indices ascend, so a later score that merely equals the floor's loses
     // the index tie-break: clearing the floor means a strictly greater score.
     let mut floor: Option<f32> = None;
-    for (j, &s) in scores.iter().enumerate() {
-        if floor.is_some_and(|f| s.total_cmp(&f).is_le()) || mask.binary_search(&(j as u32)).is_ok()
-        {
-            continue;
+    for (c, chunk) in scores.chunks(FLOOR_CHUNK).enumerate() {
+        if let (Some(f), Ok(whole)) = (floor, <&[f32; FLOOR_CHUNK]>::try_from(chunk)) {
+            if all_below(whole, f) {
+                continue;
+            }
         }
-        ranked.push((j as u32, s));
-        if ranked.len() == full {
-            ranked.select_nth_unstable_by(n - 1, canon);
-            ranked.truncate(n);
-            floor = Some(ranked[n - 1].1);
+        for (off, &s) in chunk.iter().enumerate() {
+            let j = c * FLOOR_CHUNK + off;
+            if floor.is_some_and(|f| s.total_cmp(&f).is_le())
+                || mask.binary_search(&(j as u32)).is_ok()
+            {
+                continue;
+            }
+            ranked.push((j as u32, s));
+            if ranked.len() == full {
+                ranked.select_nth_unstable_by(n - 1, canon);
+                ranked.truncate(n);
+                floor = Some(ranked[n - 1].1);
+            }
         }
     }
     // Exact ordering of the head, under the same tie-free comparator.

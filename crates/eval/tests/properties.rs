@@ -167,19 +167,53 @@ fn oracle_rows(gen: &mut Gen, len: usize) -> Vec<(&'static str, Vec<f32>)> {
     tied.reverse();
     rows.push(("descending with ties", tied));
     rows.push(("uniform", (0..len).map(|_| gen.unit_f64() as f32 * 20.0 - 10.0).collect()));
+    rows.extend(seam_rows(len));
+    rows
+}
+
+/// Rows built against the chunked floor test (chunks of 16 scores): the
+/// first 32 scores all equal a floor value, so a floor exists by the third
+/// chunk for every cutoff up to 16; every later score is below it — a chunk
+/// the test may skip whole — except one hidden score at the start or end of
+/// the third chunk or at the end of the row (a ragged last chunk at most
+/// lengths). The hidden score is one only the per-element `total_cmp` test
+/// gets right: `+0.0` under a `-0.0` floor (IEEE-equal, yet it outranks the
+/// floor), a NaN (unordered, yet it outranks every number), or a score equal
+/// to the floor (it loses the index tie-break and must be dropped).
+fn seam_rows(len: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let cases = [
+        ("+0 hidden under a -0 floor", -0.0f32, -1.0f32, 0.0f32),
+        ("NaN hidden under the floor", 2.5, 0.5, f32::NAN),
+        ("floor value hidden under the floor", 2.5, 0.5, 2.5),
+    ];
+    let mut at: Vec<usize> =
+        [32, 47, len.saturating_sub(1)].into_iter().filter(|&p| (32..len).contains(&p)).collect();
+    at.dedup();
+    let mut rows = Vec::new();
+    for (shape, floor, below, hidden) in cases {
+        for &p in &at {
+            let mut row: Vec<f32> = (0..len).map(|j| if j < 32 { floor } else { below }).collect();
+            row[p] = hidden;
+            rows.push((shape, row));
+        }
+    }
     rows
 }
 
 /// The one-pass selection returns the oracle's list, element for element,
 /// on every combination of row shape, mask shape and cutoff — including the
 /// masks a bounded buffer gets wrong if it admits masked candidates and
-/// filters them at the end (a mask over exactly the head starves the list).
+/// filters them at the end (a mask over exactly the head starves the list),
+/// and the [`seam_rows`] a chunked floor test gets wrong if it skips a chunk
+/// on anything weaker than IEEE `s < floor` for every score.
 #[test]
 fn one_pass_selection_matches_the_materialising_oracle() {
     let mut gen = Gen::new(0x5e1ec7);
     let mut scratch = TopKScratch::default();
     let mut compared = 0usize;
-    for len in [0usize, 1, 2, 3, 9, 40, 257] {
+    // Around the 16-score chunk of the floor test (whole, one short, one
+    // over, and a ragged last chunk), and the lengths from before it.
+    for len in [0usize, 1, 2, 3, 9, 15, 16, 17, 31, 32, 33, 40, 100, 257] {
         for (shape, scores) in oracle_rows(&mut gen, len) {
             let all: Vec<u32> = (0..len as u32).collect();
             let mut masks: Vec<(&str, Vec<u32>)> = vec![

@@ -2,7 +2,8 @@
 //!
 //! Every matmul, batch scorer, and ANN probe in the workspace bottoms out in
 //! the same handful of inner loops: f32 `dot` (and [`dot_rows`], the same
-//! dot against a contiguous block of rows with several rows in flight),
+//! dot against a contiguous block of rows with several rows in flight, and
+//! [`dot_rows2`], two queries against one block),
 //! `axpy`, a fused int8 [`dot_i8_scaled`], squared L2 distance (and two
 //! one-against-many forms: [`l2_sq_gather`] over rows picked by id,
 //! [`l2_sq_cols`] over columns), and an L1 norm. This crate
@@ -29,11 +30,13 @@
 //! function of environment + hardware, identical in every process on the
 //! same host — and `IMCAT_SIMD=scalar` recovers the historical bits exactly.
 //!
-//! The block forms [`dot_rows`] and [`l2_sq_gather`] add no arithmetic of
-//! their own: each output is its per-pair kernel's bits on the same backend
-//! (`out[j].to_bits() == l2_sq(q, row(ids[j])).to_bits()`), the AVX2 form
-//! just keeps four of those chains in flight. [`l2_sq_gather`] checks every
-//! id against the table before it reads a row; it is the distance kernel of
+//! The block forms [`dot_rows`], [`dot_rows2`] and [`l2_sq_gather`] add no
+//! arithmetic of their own: each output is its per-pair kernel's bits on the
+//! same backend (`out[j].to_bits() == l2_sq(q, row(ids[j])).to_bits()`), the
+//! AVX2 form just keeps four of those chains in flight — eight for
+//! [`dot_rows2`], two queries against each row load (see there for input
+//! NaN payloads). [`l2_sq_gather`] checks every id against the table before
+//! it reads a row; it is the distance kernel of
 //! the HNSW graph, where the rows a node's neighbour list names are
 //! scattered through the vector store.
 //!
@@ -151,7 +154,9 @@ pub fn dot_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
 /// of once per pair, the query chunk is loaded once for several rows, and
 /// those rows accumulate on independent registers, so the FMA pipeline is
 /// not left waiting on one dependent chain per pair. This is the kernel of
-/// the exact scan (`Tensor::matmul_nt{,_rows}`, `Engine::score_user`).
+/// the single-query exact scan (`Engine::score_user`, the brute-force ANN
+/// probe) and of an odd last row in `Tensor::matmul_nt{,_rows}`, whose
+/// other rows go through [`dot_rows2`].
 ///
 /// Panics unless `rows.len() == a.len() * out.len()`.
 #[inline]
@@ -179,6 +184,69 @@ pub fn dot_rows_with(bk: Backend, a: &[f32], rows: &[f32], out: &mut [f32]) {
                 return;
             }
             portable::dot_rows(a, rows, out)
+        }
+    }
+}
+
+/// Two queries against one contiguous block of rows:
+/// `out0[j] = dot(a0, row_j)` and `out1[j] = dot(a1, row_j)`, with `row_j` as
+/// in [`dot_rows`], under the process backend.
+///
+/// Every pair runs exactly [`dot`]'s operation sequence, so both outputs are
+/// bit-identical to two [`dot_rows`] calls on every input that holds no NaN
+/// — a NaN an operation makes (`inf * 0`, `inf - inf`) is the one default
+/// NaN, so those agree too. Where two different input NaNs meet in one FMA
+/// or add, which one survives is the compiler's choice of operand order (it
+/// may swap the multiplicands of a fused multiply-add): the output is a NaN
+/// exactly where [`dot`]'s is, but its sign and payload may differ. Serving
+/// never meets that case, since an artifact with a non-finite embedding is
+/// refused. What the pairing buys is one load of each row chunk feeding both
+/// queries' FMAs: the AVX2 form keeps 2 × 4 independent chains in flight
+/// where [`dot_rows`] keeps four, and reads the block from L1 half as often
+/// per score. This is the kernel of the multi-row NT product
+/// (`Tensor::matmul_nt{,_rows}`: the serving tick, the evaluator's score
+/// rows, the contrastive logits).
+///
+/// Panics, before reading anything, unless `a0.len() == a1.len()`,
+/// `out0.len() == out1.len()` and `rows.len() == a0.len() * out0.len()`.
+#[inline]
+pub fn dot_rows2(a0: &[f32], a1: &[f32], rows: &[f32], out0: &mut [f32], out1: &mut [f32]) {
+    dot_rows2_with(backend(), a0, a1, rows, out0, out1)
+}
+
+/// [`dot_rows2`] under an explicit backend.
+pub fn dot_rows2_with(
+    bk: Backend,
+    a0: &[f32],
+    a1: &[f32],
+    rows: &[f32],
+    out0: &mut [f32],
+    out1: &mut [f32],
+) {
+    assert!(
+        a0.len() == a1.len()
+            && out0.len() == out1.len()
+            && Some(rows.len()) == a0.len().checked_mul(out0.len()),
+        "dot_rows2: queries of {} and {} dims, {} row elements and outputs of {} and {} \
+         are not two queries against {} rows of {} dims",
+        a0.len(),
+        a1.len(),
+        rows.len(),
+        out0.len(),
+        out1.len(),
+        out0.len(),
+        a0.len()
+    );
+    match bk {
+        Backend::Scalar => scalar::dot_rows2(a0, a1, rows, out0, out1),
+        Backend::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            if avx2_detected() {
+                // SAFETY: AVX2+FMA presence was just checked.
+                unsafe { avx2::dot_rows2(a0, a1, rows, out0, out1) };
+                return;
+            }
+            portable::dot_rows2(a0, a1, rows, out0, out1)
         }
     }
 }
@@ -454,6 +522,13 @@ pub mod scalar {
         super::dot_each_row(dot, a, rows, out)
     }
 
+    /// [`dot_rows`] for `a0` into `out0`, then for `a1` into `out1` (shapes
+    /// as [`super::dot_rows2`] checks them).
+    pub fn dot_rows2(a0: &[f32], a1: &[f32], rows: &[f32], out0: &mut [f32], out1: &mut [f32]) {
+        dot_rows(a0, rows, out0);
+        dot_rows(a1, rows, out1);
+    }
+
     /// Sequential `y[i] += s * x[i]`, no fusing.
     pub fn axpy(s: f32, x: &[f32], y: &mut [f32]) {
         for i in 0..x.len() {
@@ -545,6 +620,14 @@ pub mod portable {
     /// tail are this loop's, so the two agree bitwise.
     pub fn dot_rows(a: &[f32], rows: &[f32], out: &mut [f32]) {
         super::dot_each_row(dot, a, rows, out)
+    }
+
+    /// Eight-lane fused [`dot_rows`] for `a0` into `out0`, then for `a1`
+    /// into `out1`. The intrinsic kernel interleaves the two queries' chains;
+    /// each chain is this loop's, so the two agree bitwise.
+    pub fn dot_rows2(a0: &[f32], a1: &[f32], rows: &[f32], out0: &mut [f32], out1: &mut [f32]) {
+        dot_rows(a0, rows, out0);
+        dot_rows(a1, rows, out1);
     }
 
     /// Elementwise fused `y[i] = fma(s, x[i], y[i])`.
@@ -713,6 +796,82 @@ pub mod avx2 {
             }
         }
         super::dot_each_row(|a, row| dot(a, row), a, blocks.remainder(), groups.into_remainder());
+    }
+
+    /// [`dot`] of `a0` and of `a1` against each row of a contiguous block,
+    /// four rows (`IN_FLIGHT`) at a time: one load of a row chunk feeds one
+    /// FMA per query, so 2 × 4 independent chains are in flight. Each chain
+    /// is `dot`'s own (same operand order, chunk order, reduction tree — see
+    /// `hsum256x4` — and scalar `mul_add` tail), so `out0[j]` and `out1[j]`
+    /// are bit-identical to `dot(a0, row_j)` and `dot(a1, row_j)` (input NaN
+    /// payloads aside, as [`super::dot_rows2`] says); rows past the last full
+    /// group go through `dot` itself. The shapes are
+    /// [`super::dot_rows2`]'s: `a1` is sliced to `a0.len()` (so a shorter one
+    /// panics), and rows or outputs beyond the shortest of the three are
+    /// ignored, never read or written out of bounds.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA support.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dot_rows2(
+        a0: &[f32],
+        a1: &[f32],
+        rows: &[f32],
+        out0: &mut [f32],
+        out1: &mut [f32],
+    ) {
+        let d = a0.len();
+        if d == 0 {
+            // As in `dot_rows`: an empty dot is `hsum256(0) == 0.0`.
+            out0.fill(0.0);
+            out1.fill(0.0);
+            return;
+        }
+        let a1 = &a1[..d];
+        let chunks = d / 8;
+        let (p0, p1) = (a0.as_ptr(), a1.as_ptr());
+        let mut blocks = rows.chunks_exact(IN_FLIGHT * d);
+        let mut groups0 = out0.chunks_exact_mut(IN_FLIGHT);
+        let mut groups1 = out1.chunks_exact_mut(IN_FLIGHT);
+        for ((block, group0), group1) in blocks.by_ref().zip(groups0.by_ref()).zip(groups1.by_ref())
+        {
+            let bp = block.as_ptr();
+            let mut acc0 = [_mm256_setzero_ps(); IN_FLIGHT];
+            let mut acc1 = [_mm256_setzero_ps(); IN_FLIGHT];
+            for c in 0..chunks {
+                // SAFETY (bounds): `c * 8 + 8 <= chunks * 8 <= d`, and `a0`
+                // and `a1` are both exactly `d` floats long (`a1` was sliced
+                // to `d` above), so the eight floats at `p0 + c * 8` and at
+                // `p1 + c * 8` lie inside them; for `r < IN_FLIGHT` the eight
+                // at `bp + r * d + c * 8` end at or before
+                // `r * d + d <= IN_FLIGHT * d`, which is `block.len()` exactly
+                // (`chunks_exact`). Unaligned loads, so no alignment
+                // requirement.
+                let av0 = _mm256_loadu_ps(p0.add(c * 8));
+                let av1 = _mm256_loadu_ps(p1.add(c * 8));
+                for r in 0..IN_FLIGHT {
+                    let bv = _mm256_loadu_ps(bp.add(r * d + c * 8));
+                    acc0[r] = _mm256_fmadd_ps(av0, bv, acc0[r]);
+                    acc1[r] = _mm256_fmadd_ps(av1, bv, acc1[r]);
+                }
+            }
+            for (a, acc, group) in [(a0, acc0, group0), (a1, acc1, group1)] {
+                let mut sums = [0.0f32; IN_FLIGHT];
+                // SAFETY (bounds): `sums` holds exactly the four floats stored.
+                _mm_storeu_ps(sums.as_mut_ptr(), hsum256x4(acc));
+                for (r, (o, mut total)) in group.iter_mut().zip(sums).enumerate() {
+                    for (x, y) in
+                        a[chunks * 8..].iter().zip(&block[r * d + chunks * 8..(r + 1) * d])
+                    {
+                        total = x.mul_add(*y, total);
+                    }
+                    *o = total;
+                }
+            }
+        }
+        let rest = blocks.remainder();
+        super::dot_each_row(|a, row| dot(a, row), a0, rest, groups0.into_remainder());
+        super::dot_each_row(|a, row| dot(a, row), a1, rest, groups1.into_remainder());
     }
 
     /// Fused 8-lane `y += s * x`.

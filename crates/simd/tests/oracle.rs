@@ -17,6 +17,10 @@
 //! 6. `l2_sq_gather` is `l2_sq`, pair for pair and bit for bit, in all three
 //!    forms, over id lists with repeats, descending runs and the last row, and
 //!    on special values; a bad id panics before any row is read.
+//! 7. `dot_rows2` is `dot` for both of its queries, pair for pair and bit for
+//!    bit, in all three forms and at every awkward width and row count, and on
+//!    special values (input NaN payloads: a NaN where `dot`'s is); a wrong
+//!    shape panics before anything is read.
 
 use imcat_simd::{portable, scalar, Backend};
 use proptest::prelude::*;
@@ -646,8 +650,194 @@ fn l2_sq_gather_out_of_range_id_panics_before_any_read() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Contract 7: dot_rows2 == per-pair dot for both queries, bitwise.
+// ---------------------------------------------------------------------------
+
+/// Widths around the 8-lane chunk and the serving width.
+const PAIR_DIMS: &[usize] = &[0, 1, 7, 8, 9, 63, 64, 65];
+
+/// Every (width, row count) shape with two queries and a block of rows.
+fn pair_blocks() -> impl Iterator<Item = (Vec<f32>, Vec<f32>, Vec<f32>, usize)> {
+    PAIR_DIMS.iter().flat_map(|&d| {
+        ROW_COUNTS.iter().map(move |&n| {
+            let seed = (d * 1000 + n) as u64;
+            (vector(0x2a ^ seed, d), vector(0x2b ^ seed, d), vector(0x2c0 ^ seed, d * n), n)
+        })
+    })
+}
+
+/// `dot_rows2_with(bk, ..)` into NaN-poisoned outputs (a skipped element
+/// cannot pass): both outputs, in order.
+fn rows2(bk: Backend, a0: &[f32], a1: &[f32], rows: &[f32], n: usize) -> [Vec<f32>; 2] {
+    let (mut out0, mut out1) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+    imcat_simd::dot_rows2_with(bk, a0, a1, rows, &mut out0, &mut out1);
+    [out0, out1]
+}
+
+/// Both of `outs` are `bk`'s per-pair `dot` of their query against every row.
+fn assert_rows2_is_dot(bk: Backend, queries: [&[f32]; 2], rows: &[f32], outs: &[Vec<f32>; 2]) {
+    for (q, (a, out)) in queries.iter().zip(outs).enumerate() {
+        let d = a.len();
+        for (j, o) in out.iter().enumerate() {
+            let want = imcat_simd::dot_with(bk, a, row(rows, d, j));
+            assert_eq!(o.to_bits(), want.to_bits(), "{bk:?} d={d} query {q} row {j}");
+        }
+    }
+}
+
+#[test]
+fn dot_rows2_matches_per_pair_dot_bitwise_on_both_backends() {
+    for (a0, a1, rows, n) in pair_blocks() {
+        for bk in [Backend::Scalar, Backend::Avx2] {
+            let outs = rows2(bk, &a0, &a1, &rows, n);
+            assert_rows2_is_dot(bk, [&a0, &a1], &rows, &outs);
+        }
+        let (mut out0, mut out1) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        imcat_simd::dot_rows2(&a0, &a1, &rows, &mut out0, &mut out1);
+        assert_rows2_is_dot(imcat_simd::backend(), [&a0, &a1], &rows, &[out0, out1]);
+    }
+}
+
+#[test]
+fn scalar_dot_rows2_matches_naive_loop_bitwise() {
+    for (a0, a1, rows, n) in pair_blocks() {
+        let d = a0.len();
+        let (mut out0, mut out1) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        scalar::dot_rows2(&a0, &a1, &rows, &mut out0, &mut out1);
+        for (a, out) in [(&a0, &out0), (&a1, &out1)] {
+            for (j, o) in out.iter().enumerate() {
+                let mut naive = 0.0f32;
+                for i in 0..d {
+                    naive += a[i] * rows[j * d + i];
+                }
+                assert_eq!(o.to_bits(), naive.to_bits(), "d={d} n={n} row {j}");
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn avx2_dot_rows2_matches_portable_mirror_bitwise() {
+    if !imcat_simd::avx2_detected() {
+        eprintln!("skipping: host has no AVX2+FMA");
+        return;
+    }
+    for (a0, a1, rows, n) in pair_blocks() {
+        let (mut i0, mut i1) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        let (mut m0, mut m1) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        // SAFETY: avx2_detected() checked above; `rows` is `n` rows of `a0.len()`.
+        unsafe { imcat_simd::avx2::dot_rows2(&a0, &a1, &rows, &mut i0, &mut i1) };
+        portable::dot_rows2(&a0, &a1, &rows, &mut m0, &mut m1);
+        for j in 0..n {
+            assert_eq!(i0[j].to_bits(), m0[j].to_bits(), "d={} n={n} query 0 row {j}", a0.len());
+            assert_eq!(i1[j].to_bits(), m1[j].to_bits(), "d={} n={n} query 1 row {j}", a0.len());
+        }
+    }
+}
+
+/// Signed zeros and infinities, subnormals, and magnitudes whose products
+/// overflow take the same path through each query's chains as through `dot`,
+/// bit for bit — including the NaNs `inf * 0` and `inf - inf` make, which are
+/// all the one default NaN. Input NaN payloads of both signs come out as a
+/// NaN exactly where `dot`'s does; which of two NaNs meeting in one FMA
+/// survives is the compiler's operand order (it may swap multiplicands), so
+/// only there are the bits not compared. Outputs are poisoned with NaN.
+#[test]
+fn dot_rows2_matches_dot_bitwise_on_special_values() {
+    let finite_or_inf = [
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        -3.0e38,
+        0.0,
+        -0.0,
+        1.0e-40,
+        -1.0e-40,
+        f32::MIN_POSITIVE,
+        -3.5,
+    ];
+    let nan_payloads =
+        [f32::NAN, -f32::NAN, f32::from_bits(0x7fc0_1234), f32::from_bits(0xffa0_0001)];
+    let mut gen = Gen::new(0x2_5bec1a1);
+    let mut draw = |n: usize, values: &[f32]| -> Vec<f32> {
+        (0..n).map(|_| values[gen.below(values.len() as u64) as usize]).collect()
+    };
+    let with_nans: Vec<f32> = finite_or_inf.iter().chain(&nan_payloads).copied().collect();
+    for d in [1usize, 8, 13, 64, 65] {
+        for n in [1usize, 4, 9] {
+            let (a0, a1, rows) =
+                (draw(d, &finite_or_inf), draw(d, &finite_or_inf), draw(d * n, &finite_or_inf));
+            for bk in [Backend::Scalar, Backend::Avx2] {
+                let outs = rows2(bk, &a0, &a1, &rows, n);
+                assert_rows2_is_dot(bk, [&a0, &a1], &rows, &outs);
+            }
+            let (a0, a1, rows) =
+                (draw(d, &with_nans), draw(d, &with_nans), draw(d * n, &with_nans));
+            for bk in [Backend::Scalar, Backend::Avx2] {
+                let outs = rows2(bk, &a0, &a1, &rows, n);
+                for (q, (a, out)) in [&a0, &a1].iter().zip(&outs).enumerate() {
+                    for (j, &o) in out.iter().enumerate() {
+                        let want = imcat_simd::dot_with(bk, a, row(&rows, d, j));
+                        assert!(
+                            same_f32(o, want),
+                            "{bk:?} d={d} query {q} row {j}: {o:?} != {want:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Queries of different widths, outputs of different lengths, or a block
+/// that is not `out0.len()` rows of `a0.len()` are refused up front on every
+/// backend: the poisoned outputs are still untouched after the panic.
+#[test]
+fn dot_rows2_shape_mismatch_panics_with_a_message() {
+    let (a, short) = (vector(1, 8), vector(3, 7));
+    let rows = vector(2, 8 * 4);
+    for bk in [Backend::Scalar, Backend::Avx2] {
+        for (a1, rows, outs0, outs1) in [
+            (&short[..], &rows[..], 4usize, 4usize),
+            (&a[..], &rows[..31], 4, 4),
+            (&a[..], &rows[..], 3, 3),
+            (&a[..], &rows[..], 4, 3),
+            (&a[..], &rows[..], 4, 5),
+            (&a[..], &rows[..0], 1, 1),
+        ] {
+            let (mut out0, mut out1) = (vec![-1.0f32; outs0], vec![-1.0f32; outs1]);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                imcat_simd::dot_rows2_with(bk, &a, a1, rows, &mut out0, &mut out1);
+            }));
+            let msg = caught.expect_err("a wrong shape must panic");
+            let msg = msg.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("dot_rows2"), "{bk:?}: unhelpful message: {msg}");
+            assert!(out0.iter().chain(&out1).all(|&o| o == -1.0), "{bk:?}: wrote before panicking");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random shapes: both queries of the paired kernel are `dot`, bit for
+    /// bit, on whichever implementation each backend dispatches to.
+    #[test]
+    fn prop_dot_rows2_is_dot(seed in 0u64..u64::MAX, d in 0usize..200, n in 0usize..40) {
+        let (a0, a1) = (vector(seed, d), vector(seed ^ 0xa1, d));
+        let rows = vector(seed ^ 0x2dd, d * n);
+        for bk in [Backend::Scalar, Backend::Avx2] {
+            let outs = rows2(bk, &a0, &a1, &rows, n);
+            for (q, (a, out)) in [&a0, &a1].iter().zip(&outs).enumerate() {
+                for (j, o) in out.iter().enumerate() {
+                    let want = imcat_simd::dot_with(bk, a, row(&rows, d, j));
+                    prop_assert_eq!(o.to_bits(), want.to_bits(), "{:?} d={} query {} row {}", bk, d, q, j);
+                }
+            }
+        }
+    }
 
     /// Random widths, id counts and tables: the gathered kernel is `l2_sq`,
     /// bit for bit, on whichever implementation each backend dispatches to.

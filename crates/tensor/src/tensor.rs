@@ -10,10 +10,11 @@
 //! product (`matmul_nt`, `matmul_nt_rows`: all-item scoring, contrastive
 //! logits, the serving tick) additionally runs **item-major**: the second
 //! operand is swept in cache-sized blocks of rows and every output row of a
-//! group is scored against a block, through `imcat_simd::dot_rows`, before
-//! the next block is loaded — see `Tensor::nt_product`. Every element of
-//! every product is the bits of one fixed kernel sequence, so no result
-//! depends on the thread count or on the blocking.
+//! group is scored against a block, two output rows per
+//! `imcat_simd::dot_rows2` call, before the next block is loaded — see
+//! `Tensor::nt_product`. Every element of every product is the bits of one
+//! fixed kernel sequence, so no result depends on the thread count or on
+//! the blocking.
 
 use std::fmt;
 
@@ -336,12 +337,16 @@ impl Tensor {
     ///
     /// The sweep is item-major. `other` is cut into blocks of
     /// [`nt_block_rows`] rows, small enough to stay in L1, and every output
-    /// row of a group is scored against a block (one `imcat_simd::dot_rows`
-    /// call each) before the next block is touched — so `other` streams from
-    /// memory once per group of output rows, not once per output row. The
-    /// pool splits over output rows and each worker sweeps the blocks for
-    /// its own; every element is one `dot` whatever the split, so the result
-    /// does not depend on the thread count.
+    /// row of a group is scored against a block before the next block is
+    /// touched — so `other` streams from memory once per group of output
+    /// rows, not once per output row. Output rows are scored in pairs, one
+    /// `imcat_simd::dot_rows2` call per pair and block, so each row chunk
+    /// loaded from L1 feeds two queries' FMA chains; an odd last row of a
+    /// group takes `imcat_simd::dot_rows`. Both are `dot`, pair for pair and
+    /// bit for bit, so which rows share a call never shows. The pool splits
+    /// over output rows and each worker sweeps the blocks for its own; every
+    /// element is one `dot` whatever the split, so the result does not
+    /// depend on the thread count.
     fn nt_product(
         &self,
         m: usize,
@@ -358,11 +363,19 @@ impl Tensor {
         let body = |row0: usize, o_rows: &mut [f32]| {
             for (b, block) in other.data.chunks(block_rows * k).enumerate() {
                 let cols = b * block_rows..b * block_rows + block.len() / k;
-                for (off, o_row) in o_rows.chunks_mut(n).enumerate() {
-                    imcat_simd::dot_rows(
-                        self.row(row_of(row0 + off)),
+                for (p, pair) in o_rows.chunks_mut(2 * n).enumerate() {
+                    let i = row0 + 2 * p;
+                    if pair.len() == n {
+                        imcat_simd::dot_rows(self.row(row_of(i)), block, &mut pair[cols.clone()]);
+                        continue;
+                    }
+                    let (o0, o1) = pair.split_at_mut(n);
+                    imcat_simd::dot_rows2(
+                        self.row(row_of(i)),
+                        self.row(row_of(i + 1)),
                         block,
-                        &mut o_row[cols.clone()],
+                        &mut o0[cols.clone()],
+                        &mut o1[cols.clone()],
                     );
                 }
             }
@@ -509,8 +522,10 @@ mod tests {
     /// Both NT products are one `imcat_simd::dot` per element, bit for bit,
     /// at every awkward shape: inner widths around the 8-lane chunk, item
     /// counts one below / at / above a block boundary and off the kernel's
-    /// four-row group, repeated and unsorted row selections — and at pool
-    /// sizes 1 and 4, since the split over output rows must not show.
+    /// four-row group, output row counts that pair up evenly or leave an odd
+    /// row for `dot_rows`, repeated and unsorted row selections — and at pool
+    /// sizes 1 and 4, since the split over output rows (and so which rows
+    /// share a `dot_rows2` call) must not show.
     #[test]
     fn matmul_nt_rows_matches_copy_then_matmul_nt_bitwise() {
         let fill = |rows: usize, cols: usize, salt: usize| {
@@ -530,7 +545,7 @@ mod tests {
                 for n in [block - 1, block, block + 1, 2 * block + 3] {
                     let a = fill(23, k, 1);
                     let b = fill(n, k, 2);
-                    for m in [1usize, 3, 8, 17] {
+                    for m in [1usize, 2, 3, 4, 8, 17] {
                         let what = format!("threads={threads} k={k} n={n} m={m}");
                         // Unsorted, with repeats once `m` passes 4.
                         let rows: Vec<u32> =
