@@ -9,8 +9,9 @@
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin ablation_design`
 
-use imcat_bench::{logln, preset_by_key, run_trials, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, run_trials, write_json, Env, ExpLog, ModelKind};
 use imcat_core::ImcatConfig;
+use imcat_data::SynthConfig;
 
 struct Row {
     variant: String,
@@ -33,7 +34,7 @@ fn main() {
     let mut rows = Vec::new();
     logln!(log, "Design ablations for L-IMCAT (R@20 / N@20, %)\n");
     for key in ["del", "cite"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         logln!(log, "== {} ==", data.name);
         for (name, icfg) in &variants {
             let (results, _) = run_trials(ModelKind::LImcat, &data, &env, icfg);

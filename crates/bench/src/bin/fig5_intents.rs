@@ -4,8 +4,9 @@
 //! Usage: `cargo run --release -p imcat-bench --bin fig5_intents`
 //! Note: `K` must divide `IMCAT_DIM` (default 32, so all five K values work).
 
-use imcat_bench::{logln, preset_by_key, run_trials, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, run_trials, write_json, Env, ExpLog, ModelKind};
 use imcat_core::ImcatConfig;
+use imcat_data::SynthConfig;
 
 struct Point {
     model: String,
@@ -23,7 +24,7 @@ fn main() {
     let mut points = Vec::new();
     logln!(log, "Fig. 5: impact of the number of intents K (R@20, %)\n");
     for key in ["fm", "del", "cite"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         logln!(log, "== {} ==", data.name);
         for kind in [ModelKind::NImcat, ModelKind::LImcat] {
             let mut line = format!("{:<10}", kind.name());

@@ -4,8 +4,9 @@
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin fig6_threshold`
 
-use imcat_bench::{logln, preset_by_key, run_trials, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, run_trials, write_json, Env, ExpLog, ModelKind};
 use imcat_core::ImcatConfig;
+use imcat_data::SynthConfig;
 
 struct Point {
     model: String,
@@ -23,7 +24,7 @@ fn main() {
     let mut points = Vec::new();
     logln!(log, "Fig. 6: ISA threshold δ sweep (R@20 ratio vs no-ISA)\n");
     for key in ["del", "cite"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         logln!(log, "== {} ==", data.name);
         for kind in [ModelKind::NImcat, ModelKind::LImcat] {
             let base_cfg = env.imcat_config().without_isa();

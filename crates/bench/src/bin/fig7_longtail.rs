@@ -4,8 +4,9 @@
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin fig7_longtail`
 
-use imcat_bench::{logln, preset_by_key, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, write_json, Env, ExpLog, ModelKind};
 use imcat_core::train;
+use imcat_data::SynthConfig;
 use imcat_eval::{group_recall_contribution, item_popularity_groups};
 
 struct Row {
@@ -32,7 +33,7 @@ fn main() {
     let mut rows = Vec::new();
     logln!(log, "Fig. 7: per-popularity-group contribution to R@20\n");
     for key in ["del", "cite"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         let groups = item_popularity_groups(&data, 5);
         logln!(log, "== {} ==", data.name);
         logln!(log, "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}", "model", "G1", "G2", "G3", "G4", "G5");

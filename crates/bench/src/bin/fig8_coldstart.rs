@@ -4,8 +4,9 @@
 //!
 //! Usage: `cargo run --release -p imcat-bench --bin fig8_coldstart`
 
-use imcat_bench::{logln, preset_by_key, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, write_json, Env, ExpLog, ModelKind};
 use imcat_core::train;
+use imcat_data::SynthConfig;
 use imcat_eval::{cold_start_users, evaluate_user_subset};
 
 struct Row {
@@ -32,7 +33,7 @@ fn main() {
     let mut rows = Vec::new();
     logln!(log, "Fig. 8: cold-start users (< 10 training interactions)\n");
     for key in ["cite", "amz"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         let cold = cold_start_users(&data, 10);
         logln!(log, "== {} ({} cold users) ==", data.name, cold.len());
         logln!(log, "{:<10} {:>8} {:>8} {:>11}", "model", "R@20", "N@20", "normalized");

@@ -10,7 +10,8 @@
 //! Usage: `cargo run --release -p imcat-bench --bin fig9_efficiency`
 
 use imcat_bench::ModelKind;
-use imcat_bench::{logln, obs_finish, obs_init, preset_by_key, run_one, write_json, Env, ExpLog};
+use imcat_bench::{logln, obs_finish, obs_init, run_one, write_json, Env, ExpLog};
+use imcat_data::SynthConfig;
 use imcat_eval::{evaluate_per_user, EvalSpec};
 use std::time::Instant;
 
@@ -53,7 +54,7 @@ imcat_obs::impl_to_json!(ScalePoint {
 /// Time the evaluation hot path (batched scoring matmuls + per-user ranking
 /// fan-out) at several pool sizes and verify the metrics are bit-identical.
 fn thread_scaling(env: &Env, log: &mut ExpLog) -> Vec<ScalePoint> {
-    let data = env.dataset(&preset_by_key("amz").unwrap());
+    let data = env.dataset(&SynthConfig::by_key("amz").unwrap());
     let icfg = env.imcat_config();
     // An untrained BPR-MF is enough: the workload (dense scoring matmul plus
     // the ranking fan-out) is identical to the trained case.
@@ -120,7 +121,7 @@ fn main() {
     let mut points = Vec::new();
     logln!(log, "Fig. 9: training time vs quality\n");
     for key in ["del", "cite"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         logln!(log, "== {} ==", data.name);
         logln!(
             log,

@@ -9,8 +9,9 @@
 //! `coarse` (default) sweeps a 12-point subgrid; `paper` sweeps the full
 //! 6×6×6 grid (216 training runs — budget accordingly).
 
-use imcat_bench::{logln, preset_by_key, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, write_json, Env, ExpLog, ModelKind};
 use imcat_core::{train, ImcatConfig};
+use imcat_data::SynthConfig;
 
 #[derive(Clone)]
 struct SweepPoint {
@@ -44,7 +45,7 @@ fn main() {
         _ => (vec![0.1, 1.0], vec![0.01, 0.1, 1.0], vec![0.01, 0.1]),
     };
 
-    let data = env.dataset(&preset_by_key(&dataset_key).unwrap());
+    let data = env.dataset(&SynthConfig::by_key(&dataset_key).unwrap());
     let mut log = ExpLog::new("sweep_hyperparams");
     logln!(
         log,

@@ -3,7 +3,8 @@
 //! Usage: `cargo run --release -p imcat-bench --bin table1_datasets`
 //! Environment: `IMCAT_SCALE` scales every preset.
 
-use imcat_bench::{all_preset_keys, logln, preset_by_key, write_json, Env, ExpLog};
+use imcat_bench::{logln, write_json, Env, ExpLog};
+use imcat_data::SynthConfig;
 
 struct Row {
     dataset: String,
@@ -49,8 +50,8 @@ fn main() {
         "IT-deg"
     );
     let mut rows = Vec::new();
-    for key in all_preset_keys() {
-        let preset = preset_by_key(key).unwrap();
+    for key in SynthConfig::PAPER_KEYS {
+        let preset = SynthConfig::by_key(key).unwrap();
         let data = env.dataset(&preset);
         let n_ui = data.train.n_edges()
             + data.val.iter().map(Vec::len).sum::<usize>()

@@ -6,9 +6,8 @@
 //!   cargo run --release -p imcat-bench --bin table2_overall [-- --datasets mv,del --models BPRMF,L-IMCAT]
 //! Environment: `IMCAT_SCALE`, `IMCAT_EPOCHS`, `IMCAT_TRIALS`, `IMCAT_DIM`.
 
-use imcat_bench::{
-    all_preset_keys, logln, preset_by_key, run_trials, write_json, Env, ExpLog, ModelKind,
-};
+use imcat_bench::{logln, run_trials, write_json, Env, ExpLog, ModelKind};
+use imcat_data::SynthConfig;
 use imcat_eval::paired_t_test;
 
 struct Cell {
@@ -49,7 +48,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let env = Env::from_env();
     let datasets: Vec<String> = parse_list(&args, "--datasets")
-        .unwrap_or_else(|| all_preset_keys().iter().map(|s| s.to_string()).collect());
+        .unwrap_or_else(|| SynthConfig::PAPER_KEYS.iter().map(|s| s.to_string()).collect());
     let models: Vec<ModelKind> = parse_list(&args, "--models")
         .map(|names| {
             names
@@ -71,7 +70,7 @@ fn main() {
         env.trials
     );
     for key in &datasets {
-        let preset = preset_by_key(key).unwrap_or_else(|| panic!("unknown dataset {key}"));
+        let preset = SynthConfig::by_key(key).unwrap_or_else(|| panic!("unknown dataset {key}"));
         let data = env.dataset(&preset);
         logln!(log, "== {} ==", data.name);
         logln!(

@@ -4,8 +4,9 @@
 //! Usage: `cargo run --release -p imcat-bench --bin table3_ablation`
 //! Environment: `IMCAT_SCALE`, `IMCAT_EPOCHS`, `IMCAT_TRIALS`, `IMCAT_DIM`.
 
-use imcat_bench::{logln, preset_by_key, run_trials, write_json, Env, ExpLog, ModelKind};
+use imcat_bench::{logln, run_trials, write_json, Env, ExpLog, ModelKind};
 use imcat_core::ImcatConfig;
+use imcat_data::SynthConfig;
 
 struct Row {
     model: String,
@@ -32,7 +33,7 @@ fn main() {
     let mut rows = Vec::new();
     logln!(log, "Table III: IMCA design ablations (R@20 / N@20, %)\n");
     for key in ["del", "cite", "yelp"] {
-        let data = env.dataset(&preset_by_key(key).unwrap());
+        let data = env.dataset(&SynthConfig::by_key(key).unwrap());
         logln!(log, "== {} ==", data.name);
         logln!(log, "{:<10} {:<9} {:>8} {:>8}", "model", "variant", "R@20", "N@20");
         for kind in [ModelKind::NImcat, ModelKind::LImcat] {

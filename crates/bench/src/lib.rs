@@ -7,11 +7,10 @@
 
 #![warn(missing_docs)]
 
-pub mod registry;
 pub mod runner;
 
-pub use registry::ModelKind;
+pub use imcat_core::ModelKind;
 pub use runner::{
-    all_preset_keys, mean_of, obs_finish, obs_init, preset_by_key, run_one, run_parallel,
-    run_trials, sample_zipf, write_json, zipf_cdf, Env, ExpLog, RunResult,
+    mean_of, obs_finish, obs_init, run_one, run_parallel, run_trials, sample_zipf, write_json,
+    zipf_cdf, Env, ExpLog, RunResult,
 };

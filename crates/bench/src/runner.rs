@@ -13,7 +13,7 @@ use imcat_obs::{knob_f64, knob_str, knob_usize, Json, ToJson};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::registry::ModelKind;
+use imcat_core::ModelKind;
 
 /// The disjoint training-phase spans recorded by the instrumented stack.
 /// `phase.eval` is excluded from `train_seconds` by the trainer, so the
@@ -192,25 +192,6 @@ impl Env {
         let mut rng = StdRng::seed_from_u64(self.data_seed ^ 0x517);
         data.dataset.split((0.7, 0.1, 0.2), &mut rng)
     }
-}
-
-/// Short dataset keys used on the command line.
-pub fn preset_by_key(key: &str) -> Option<SynthConfig> {
-    match key.to_ascii_lowercase().as_str() {
-        "mv" | "hetrec-mv" => Some(SynthConfig::hetrec_mv()),
-        "fm" | "hetrec-fm" => Some(SynthConfig::hetrec_fm()),
-        "del" | "hetrec-del" => Some(SynthConfig::hetrec_del()),
-        "cite" | "citeulike" => Some(SynthConfig::citeulike()),
-        "lastfm" | "last.fm-tag" => Some(SynthConfig::lastfm_tag()),
-        "amz" | "amzbook-tag" => Some(SynthConfig::amzbook_tag()),
-        "yelp" | "yelp-tag" => Some(SynthConfig::yelp_tag()),
-        _ => None,
-    }
-}
-
-/// All dataset keys in Table I order.
-pub fn all_preset_keys() -> [&'static str; 7] {
-    ["mv", "fm", "del", "cite", "lastfm", "amz", "yelp"]
 }
 
 /// One trained-and-evaluated run.
@@ -463,9 +444,6 @@ mod tests {
         let e = Env::default();
         assert_eq!(e.dim, 32);
         assert_eq!(e.trials, 1);
-        assert!(preset_by_key("mv").is_some());
-        assert!(preset_by_key("bogus").is_none());
-        assert_eq!(all_preset_keys().len(), 7);
     }
 
     #[test]

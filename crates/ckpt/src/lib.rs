@@ -25,9 +25,13 @@
 //!   histograms, fallback events).
 //!
 //! Higher-level codecs for the training substrate live here too:
-//! [`encode_store`]/[`restore_store`] for parameter tables and
+//! [`encode_store`]/[`restore_store`] for parameter tables,
 //! [`encode_adam`]/[`restore_adam`] for the lazy Adam state (moments, global
-//! step, per-row last-update steps).
+//! step, per-row last-update steps), and [`encode_backbone_state`] for both.
+//! A saved model has one format: the trainer's container, whose `model`
+//! section is the model's own `RecModel::save_state` payload
+//! (`imcat_core::trainer::{save_model, load_model}`); there is no
+//! parameters-only file.
 
 #![warn(missing_docs)]
 
@@ -618,26 +622,6 @@ pub fn restore_store(store: &mut ParamStore, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Section [`save_store`] writes a bare parameter store under.
-pub const SEC_PARAMS: &str = "params";
-
-/// Saves every parameter of `store` as a one-section container: the model
-/// checkpoint behind `Imcat::save_checkpoint` and the CLI's `--checkpoint`,
-/// with the container's checksum, atomic tmp+fsync+rename write and `.prev`
-/// rotation. Returns the bytes written.
-pub fn save_store(store: &ParamStore, path: impl AsRef<Path>) -> io::Result<u64> {
-    let mut ck = Checkpoint::new();
-    ck.insert(SEC_PARAMS, encode_store(store));
-    ck.save(path)
-}
-
-/// Restores a checkpoint written by [`save_store`] into the
-/// identically-constructed `store` ([`restore_store`]'s strictness: all or
-/// nothing), falling back to `<path>.prev` when the primary file is corrupt.
-pub fn load_store(store: &mut ParamStore, path: impl AsRef<Path>) -> io::Result<()> {
-    restore_store(store, Checkpoint::load(path)?.require(SEC_PARAMS)?)
-}
-
 /// Encodes the lazy Adam state: global step, first/second moments, and the
 /// per-row last-update steps that drive the `beta^Δt` stale-row decay.
 pub fn encode_adam(adam: &Adam) -> Vec<u8> {
@@ -838,42 +822,6 @@ mod tests {
         let mut wrong_count = ParamStore::new();
         wrong_count.add("a", Tensor::zeros(2, 2));
         assert!(restore_store(&mut wrong_count, &bytes).is_err());
-    }
-
-    #[test]
-    fn store_file_roundtrip_and_foreign_files() {
-        let dir = std::env::temp_dir().join(format!("imck_store_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.ckpt");
-        let mut store = ParamStore::new();
-        store.add("alpha", Tensor::from_vec(2, 3, vec![1., -2., 3.5, 0., 7.25, -0.125]));
-        store.add("beta", Tensor::scalar(42.0));
-        save_store(&store, &path).unwrap();
-
-        let mut fresh = ParamStore::new();
-        let a = fresh.add("alpha", Tensor::zeros(2, 3));
-        let b = fresh.add("beta", Tensor::scalar(0.0));
-        load_store(&mut fresh, &path).unwrap();
-        assert_eq!(fresh.value(a), store.iter().next().unwrap().1.value());
-        assert_eq!(fresh.value(b).item(), 42.0);
-
-        // A differently-shaped model is refused whole.
-        let mut other = ParamStore::new();
-        let oa = other.add("alpha", Tensor::zeros(1, 1));
-        other.add("beta", Tensor::scalar(0.0));
-        assert!(load_store(&mut other, &path).unwrap_err().to_string().contains("shape mismatch"));
-        assert_eq!(other.value(oa).item(), 0.0);
-
-        // Not a container at all (the retired `IMCT` layout, say), and a
-        // container without the section: typed errors, nothing applied.
-        let foreign = dir.join("foreign.ckpt");
-        std::fs::write(&foreign, b"IMCT\x01\0\0\0\0\0\0\0").unwrap();
-        assert_eq!(load_store(&mut fresh, &foreign).unwrap_err().kind(), ErrorKind::InvalidData);
-        sample().save(&foreign).unwrap();
-        let err = load_store(&mut fresh, &foreign).unwrap_err();
-        assert!(err.to_string().contains(SEC_PARAMS), "{err}");
-        assert_eq!(fresh.value(b).item(), 42.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

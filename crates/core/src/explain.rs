@@ -54,7 +54,7 @@ impl<B: Backbone> Imcat<B> {
         let assignment = self.cluster_assignment()?.to_vec();
         let m = self.relatedness()?.clone();
         let k_intents = self.config().k_intents;
-        let d = self.backbone().dim();
+        let d = self.backbone().core().dim;
         let dk = d / k_intents;
         // Resolved embeddings (propagated for GNN backbones).
         let mut tape = Tape::new();

@@ -12,7 +12,10 @@
 //! * [`isa`] — Intent-aware Set-to-set Alignment: per-intent Jaccard similar
 //!   sets enriching positives for long-tail items (Eqs. 15–17).
 //! * [`Imcat`] — the joint model optimizing Eq. 18 with pre-training and
-//!   periodic cluster refresh; [`trainer`] adds early stopping and timing.
+//!   periodic cluster refresh; [`trainer`] adds early stopping, timing and
+//!   the one saved-model format.
+//! * [`ModelKind`] — the registry building any of Table II's 15 methods by
+//!   name, shared by the CLI and the experiment harness.
 //!
 //! ```no_run
 //! use imcat_core::{Imcat, ImcatConfig, trainer};
@@ -37,9 +40,11 @@ pub mod imca;
 pub mod irm;
 pub mod isa;
 mod model;
+mod registry;
 pub mod trainer;
 
 pub use config::{AlignMode, ClusteringMode, ImcatConfig};
 pub use explain::{Explanation, IntentContribution};
 pub use model::Imcat;
+pub use registry::ModelKind;
 pub use trainer::{train, TrainReport, TrainerConfig};

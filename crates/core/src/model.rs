@@ -9,7 +9,7 @@ use std::rc::Rc;
 use imcat_data::{BprBatch, BprSampler, ItemBatcher, SplitDataset};
 use imcat_graph::Bipartite;
 use imcat_models::{bpr_loss, Backbone, EpochStats, RecModel};
-use imcat_tensor::{xavier_uniform, Csr, ParamId, Tape, Tensor, Var};
+use imcat_tensor::{xavier_uniform, Csr, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,11 +80,11 @@ pub struct Imcat<B: Backbone> {
 impl<B: Backbone> Imcat<B> {
     /// Wraps `backbone`, registering IMCAT's parameters in its store.
     pub fn new(mut backbone: B, data: &SplitDataset, cfg: ImcatConfig, rng: &mut StdRng) -> Self {
-        let d = backbone.dim();
+        let d = backbone.core().dim;
         cfg.validate(d);
         let dk = d / cfg.k_intents;
         {
-            let store = backbone.store_mut();
+            let store = &mut backbone.core_mut().store;
             let tag_emb = store.add("imcat.tag_emb", xavier_uniform(data.n_tags(), d, rng));
             let centers = store.add("imcat.centers", xavier_uniform(cfg.k_intents, d, rng));
             let mut proj = Vec::with_capacity(cfg.k_intents);
@@ -98,7 +98,7 @@ impl<B: Backbone> Imcat<B> {
                 let w2 = store.add(format!("imcat.nlt{k}.w2"), xavier_uniform(dk, dk, rng));
                 nlt.push((w1, b1, w2));
             }
-            backbone.rebuild_optimizer();
+            backbone.core_mut().rebuild_optimizer();
             let agg = data.train.col_mean_aggregator();
             let batch_size = cfg.bpr_batch;
             let align_batch = cfg.align_batch;
@@ -131,6 +131,11 @@ impl<B: Backbone> Imcat<B> {
         &self.backbone
     }
 
+    /// The parameter store shared by the backbone and IMCAT's heads.
+    fn store(&self) -> &ParamStore {
+        &self.backbone.core().store
+    }
+
     /// The current hard tag-cluster assignment, if clustering has activated.
     pub fn cluster_assignment(&self) -> Option<&[usize]> {
         self.state.as_ref().map(|s| s.assignment.as_slice())
@@ -156,24 +161,6 @@ impl<B: Backbone> Imcat<B> {
         self.item_tag.forward().row_indices(item as usize).to_vec()
     }
 
-    /// Saves all trainable parameters (backbone + IMCAT heads) to a
-    /// checkpoint file: an `imcat-ckpt` container (checksummed, written
-    /// atomically, previous file rotated to `.prev`).
-    pub fn save_checkpoint(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        imcat_ckpt::save_store(self.backbone.store(), path).map(drop)
-    }
-
-    /// Restores parameters from a checkpoint produced by
-    /// [`Imcat::save_checkpoint`] on an identically-configured model, then
-    /// refreshes the cluster-derived state.
-    pub fn load_checkpoint(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        imcat_ckpt::load_store(self.backbone.store_mut(), path)?;
-        if self.state.is_some() {
-            self.refresh_clusters();
-        }
-        Ok(())
-    }
-
     /// Initializes cluster centers by k-means on the current tag embeddings
     /// (invoked automatically when pre-training ends).
     pub fn init_clusters(&mut self, rng: &mut StdRng) {
@@ -182,9 +169,9 @@ impl<B: Backbone> Imcat<B> {
         // double-count the refresh time.
         let centers = {
             let _sp = imcat_obs::span("phase.refresh");
-            kmeans_centers(self.backbone.store().value(self.tag_emb), self.cfg.k_intents, 10, rng)
+            kmeans_centers(self.store().value(self.tag_emb), self.cfg.k_intents, 10, rng)
         };
-        *self.backbone.store_mut().value_mut(self.centers) = centers;
+        *self.backbone.core_mut().store.value_mut(self.centers) = centers;
         self.refresh_clusters();
     }
 
@@ -199,15 +186,11 @@ impl<B: Backbone> Imcat<B> {
         if self.cfg.clustering == ClusteringMode::PeriodicKmeans {
             self.refresh_count += 1;
             let mut rng = StdRng::seed_from_u64(self.refresh_count);
-            let centers = kmeans_centers(
-                self.backbone.store().value(self.tag_emb),
-                self.cfg.k_intents,
-                5,
-                &mut rng,
-            );
-            *self.backbone.store_mut().value_mut(self.centers) = centers;
+            let centers =
+                kmeans_centers(self.store().value(self.tag_emb), self.cfg.k_intents, 5, &mut rng);
+            *self.backbone.core_mut().store.value_mut(self.centers) = centers;
         }
-        let store = self.backbone.store();
+        let store = self.store();
         let q = soft_assignment_tensor(
             store.value(self.tag_emb),
             store.value(self.centers),
@@ -254,7 +237,7 @@ impl<B: Backbone> Imcat<B> {
     /// Non-linear head of intent `k` (Eq. 14): `W₂·LeakyReLU(W₁·x + b₁)`.
     fn nlt_forward(&self, tape: &mut Tape, k: usize, x: Var) -> Var {
         let (w1, b1, w2) = self.nlt[k];
-        let store = self.backbone.store();
+        let store = self.store();
         let w1v = tape.leaf(store, w1);
         let b1v = tape.leaf(store, b1);
         let w2v = tape.leaf(store, w2);
@@ -276,8 +259,9 @@ impl<B: Backbone> Imcat<B> {
         let loss = self.ranking_losses(&mut tape, u_all, v_all, &ui, &vt);
         let value = tape.value(loss).item();
         drop(sp_fwd);
-        tape.backward(loss, self.backbone.store_mut());
-        self.backbone.opt_step();
+        let core = self.backbone.core_mut();
+        tape.backward(loss, &mut core.store);
+        core.adam.step(&mut core.store);
         value
     }
 
@@ -293,7 +277,7 @@ impl<B: Backbone> Imcat<B> {
         let sp = self.backbone.score_pairs(tape, u_all, &batch.anchors, v_all, &batch.positives);
         let sn = self.backbone.score_pairs(tape, u_all, &batch.anchors, v_all, &batch.negatives);
         let l_uv = bpr_loss(tape, sp, sn);
-        let store = self.backbone.store();
+        let store = self.store();
         let t_all = tape.leaf(store, self.tag_emb);
         let vi = tape.gather_rows(v_all, &vt.anchors);
         let tp = tape.gather_rows(t_all, &vt.positives);
@@ -320,7 +304,7 @@ impl<B: Backbone> Imcat<B> {
             return None;
         }
         let state = self.state.as_ref()?;
-        let store = self.backbone.store();
+        let store = self.store();
         let t_all = tape.leaf(store, self.tag_emb);
         // Batch-restricted user aggregator (Eq. 7): SpMM cost scales with the
         // batch's interaction count, not the item-set size.
@@ -411,7 +395,7 @@ impl<B: Backbone> Imcat<B> {
         if self.cfg.k_intents < 2 || self.cfg.independence_weight == 0.0 {
             return None;
         }
-        let c = tape.leaf(self.backbone.store(), self.centers);
+        let c = tape.leaf(self.store(), self.centers);
         let cn = tape.l2_normalize_rows(c, 1e-12);
         let gram = tape.matmul_nt(cn, cn);
         let sq = tape.mul(gram, gram);
@@ -438,7 +422,7 @@ impl<B: Backbone> Imcat<B> {
             }
         }
         if self.cfg.gamma > 0.0 && self.cfg.clustering == ClusteringMode::EndToEnd {
-            let store = self.backbone.store();
+            let store = self.store();
             let q_plain = soft_assignment_tensor(
                 store.value(self.tag_emb),
                 store.value(self.centers),
@@ -460,8 +444,9 @@ impl<B: Backbone> Imcat<B> {
         }
         let value = tape.value(loss).item();
         drop(sp_fwd);
-        tape.backward(loss, self.backbone.store_mut());
-        self.backbone.opt_step();
+        let core = self.backbone.core_mut();
+        tape.backward(loss, &mut core.store);
+        core.adam.step(&mut core.store);
         self.steps_since_refresh += 1;
         if self.steps_since_refresh >= self.cfg.refresh_every {
             self.refresh_clusters();
@@ -550,10 +535,7 @@ impl<B: Backbone> RecModel for Imcat<B> {
         enc.put_u64(self.epoch as u64);
         enc.put_u64(self.steps_since_refresh as u64);
         enc.put_u64(self.refresh_count);
-        enc.put_bytes(&imcat_ckpt::encode_backbone_state(
-            self.backbone.store(),
-            self.backbone.optimizer(),
-        ));
+        enc.put_bytes(&self.backbone.core().save_state());
         match &self.state {
             Some(s) => {
                 enc.put_u32(1);
@@ -590,7 +572,7 @@ impl<B: Backbone> RecModel for Imcat<B> {
         // Validate everything against this model's configuration before any
         // mutation, so a mismatched checkpoint leaves the model untouched.
         if let Some(a) = &assignment {
-            let n_tags = self.backbone.store().value(self.tag_emb).shape().0;
+            let n_tags = self.store().value(self.tag_emb).shape().0;
             if a.len() != n_tags {
                 return Err(invalid(format!(
                     "checkpoint assignment covers {} tags, model has {n_tags}",
@@ -604,8 +586,7 @@ impl<B: Backbone> RecModel for Imcat<B> {
                 )));
             }
         }
-        let (store, adam) = self.backbone.store_and_optimizer_mut();
-        imcat_ckpt::restore_backbone_state(store, adam, backbone_bytes)?;
+        self.backbone.core_mut().load_state(backbone_bytes)?;
         self.epoch = epoch;
         self.refresh_count = refresh_count;
         match assignment {

@@ -1,6 +1,6 @@
-//! Model registry: builds any of the paper's 14 methods by name.
+//! Model registry: builds any of Table II's 15 methods by name.
 
-use imcat_core::{Imcat, ImcatConfig};
+use crate::{Imcat, ImcatConfig};
 use imcat_data::SplitDataset;
 use imcat_models::{
     Bprmf, Cfa, Cke, Dspr, Kgat, Kgcl, Kgin, LightGcn, Neumf, RecModel, RippleNet, Sgl, Tgcn,

@@ -17,6 +17,10 @@
 //! identical to an uninterrupted one at any `IMCAT_THREADS` setting. Models
 //! that do not implement [`RecModel::save_state`] train normally with a
 //! `checkpoint_skip` telemetry event.
+//!
+//! A finished model is saved in the same format: [`save_model`] writes just
+//! the `meta` and `model` sections of a checkpoint, and [`load_model`] reads
+//! them back (from either kind of file) into a model built the same way.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -202,6 +206,14 @@ fn decode_trainer_section(bytes: &[u8]) -> std::io::Result<LoopState> {
     Ok(LoopState { epoch, best, since_best, final_loss, train_seconds, curve })
 }
 
+/// The `meta` section: which model (and seed) a checkpoint holds.
+fn encode_meta(model_name: &str, seed: u64) -> Vec<u8> {
+    let mut meta = Encoder::new();
+    meta.put_str(model_name);
+    meta.put_u64(seed);
+    meta.into_bytes()
+}
+
 fn save_checkpoint(
     path: &Path,
     model_name: &str,
@@ -211,16 +223,31 @@ fn save_checkpoint(
     model_bytes: Vec<u8>,
 ) -> std::io::Result<u64> {
     let mut ck = Checkpoint::new();
-    let mut meta = Encoder::new();
-    meta.put_str(model_name);
-    meta.put_u64(seed);
-    ck.insert("meta", meta.into_bytes());
+    ck.insert("meta", encode_meta(model_name, seed));
     ck.insert("trainer", encode_trainer_section(state));
     let mut rs = Encoder::new();
     rs.put_u64s(&rng.state());
     ck.insert("rng", rs.into_bytes());
     ck.insert("model", model_bytes);
     ck.save(path)
+}
+
+/// Checks that a container's `meta` section names `model` and `seed`.
+fn check_meta(ck: &Checkpoint, model: &dyn RecModel, seed: u64) -> std::io::Result<()> {
+    let mut meta = Decoder::new(ck.require("meta")?);
+    let name = meta.str()?;
+    if name != model.name() {
+        return Err(invalid(format!("checkpoint is for model '{name}', not '{}'", model.name())));
+    }
+    let saved = meta.u64()?;
+    if saved != seed {
+        return Err(invalid(format!("checkpoint used seed {saved}, this run uses {seed}")));
+    }
+    meta.finish()
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
 /// Validates and applies a checkpoint; on any error the model and the
@@ -230,17 +257,7 @@ fn resume_from_checkpoint(
     model: &mut dyn RecModel,
     cfg: &TrainerConfig,
 ) -> std::io::Result<(LoopState, StdRng)> {
-    let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-    let mut meta = Decoder::new(ck.require("meta")?);
-    let name = meta.str()?;
-    if name != model.name() {
-        return Err(invalid(format!("checkpoint is for model '{name}', not '{}'", model.name())));
-    }
-    let seed = meta.u64()?;
-    if seed != cfg.seed {
-        return Err(invalid(format!("checkpoint used seed {seed}, this run uses {}", cfg.seed)));
-    }
-    meta.finish()?;
+    check_meta(ck, model, cfg.seed)?;
     let state = decode_trainer_section(ck.require("trainer")?)?;
     let mut rng_dec = Decoder::new(ck.require("rng")?);
     let rng_words = rng_dec.u64s()?;
@@ -252,6 +269,33 @@ fn resume_from_checkpoint(
     }
     model.load_state(ck.require("model")?)?;
     Ok((state, StdRng::from_state(rng_state)))
+}
+
+/// Saves a trained model to `path` in the trainer's checkpoint format: the
+/// `meta` section (model name, `seed`) and the `model` section
+/// ([`RecModel::save_state`]), written atomically. Returns the bytes
+/// written, or `Unsupported` for a model without `save_state`.
+pub fn save_model(model: &dyn RecModel, seed: u64, path: &Path) -> std::io::Result<u64> {
+    let bytes = model.save_state().ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            format!("{} does not support checkpoint resume", model.name()),
+        )
+    })?;
+    let mut ck = Checkpoint::new();
+    ck.insert("meta", encode_meta(&model.name(), seed));
+    ck.insert("model", bytes);
+    ck.save(path)
+}
+
+/// Restores a file written by [`save_model`] (or a trainer checkpoint) into
+/// `model`, built the same way from the same split: the `meta` section must
+/// name this model and `seed`, and [`RecModel::load_state`] leaves the model
+/// untouched on any error.
+pub fn load_model(model: &mut dyn RecModel, seed: u64, path: &Path) -> std::io::Result<()> {
+    let ck = Checkpoint::load(path)?;
+    check_meta(&ck, model, seed)?;
+    model.load_state(ck.require("model")?)
 }
 
 /// Trains `model` until early stopping or `max_epochs`, reporting the best

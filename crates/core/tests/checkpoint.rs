@@ -164,3 +164,57 @@ fn unsupported_model_skips_checkpointing_gracefully() {
     // load_state's default is a hard error, so resume never silently no-ops.
     assert!(model.load_state(&[]).is_err());
 }
+
+/// A split built straight from adjacency lists: no generator, so nothing
+/// but Xavier's `sqrt` and uniform draws goes into a fresh model's bytes.
+fn pin_split() -> imcat_data::SplitDataset {
+    use imcat_graph::Bipartite;
+    use imcat_tensor::Csr;
+    let train = Csr::from_adjacency(
+        6,
+        8,
+        &[vec![0, 1, 2], vec![1, 3, 4], vec![2, 5], vec![0, 6, 7], vec![3, 5, 7], vec![1, 4, 6]],
+    );
+    let item_tag = Csr::from_adjacency(
+        8,
+        5,
+        &[vec![0, 1], vec![1], vec![2, 3], vec![0, 4], vec![3], vec![1, 2], vec![4], vec![0, 3]],
+    );
+    imcat_data::SplitDataset {
+        name: "pin".into(),
+        train: Bipartite::new(train),
+        val: vec![vec![5], vec![], vec![0], vec![1], vec![], vec![2]],
+        test: vec![vec![6], vec![0], vec![1], vec![2], vec![0], vec![3]],
+        item_tag: Bipartite::new(item_tag),
+    }
+}
+
+/// The saved-state bytes of every model `imcat --checkpoint` has taken,
+/// fresh from the registry, plus B-IMCAT after `init_clusters` (which adds
+/// the hard assignment). Recorded before the CLI, `Backbone` and
+/// `EmbeddingCore` were reshaped; the saved format must not move.
+#[test]
+fn save_state_bytes_are_pinned() {
+    use imcat_core::ModelKind;
+    let data = pin_split();
+    let tcfg = TrainConfig { dim: 8, ..TrainConfig::default() };
+    let icfg = ImcatConfig::default();
+    let fnv = |m: &dyn RecModel| imcat_ckpt::fnv1a64(&m.save_state().unwrap());
+    for (kind, want) in [
+        (ModelKind::Bprmf, 0x54385f745c5e2547u64),
+        (ModelKind::Neumf, 0x3d3074b336711f72),
+        (ModelKind::LightGcn, 0x160f9c313c639ced),
+        (ModelKind::BImcat, 0x2ca720bedea397b1),
+        (ModelKind::NImcat, 0x15121b43bff92c6b),
+        (ModelKind::LImcat, 0x76bc827da787ddee),
+    ] {
+        let got = fnv(kind.build(&data, &tcfg, &icfg, 3).as_ref());
+        assert_eq!(got, want, "{}: save_state FNV {got:#018x}", kind.name());
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    let bb = Bprmf::new(&data, tcfg, &mut rng);
+    let mut clustered = Imcat::new(bb, &data, icfg, &mut rng);
+    clustered.init_clusters(&mut StdRng::seed_from_u64(4));
+    assert_eq!(clustered.cluster_assignment(), Some(&[1, 2, 1, 0, 3][..]));
+    assert_eq!(fnv(&clustered), 0x442ce74cdbb430bf);
+}

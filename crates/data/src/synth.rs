@@ -227,6 +227,27 @@ impl SynthConfig {
         ]
     }
 
+    /// The seven Table I dataset keys of [`SynthConfig::by_key`], in the
+    /// paper's order.
+    pub const PAPER_KEYS: [&'static str; 7] = ["mv", "fm", "del", "cite", "lastfm", "amz", "yelp"];
+
+    /// The preset behind a dataset key, case-insensitive: a short key of
+    /// [`SynthConfig::PAPER_KEYS`] or its long form (`hetrec-mv`,
+    /// `citeulike`, `last.fm-tag`, ...), or `tiny`.
+    pub fn by_key(key: &str) -> Option<Self> {
+        match key.to_ascii_lowercase().as_str() {
+            "mv" | "hetrec-mv" => Some(Self::hetrec_mv()),
+            "fm" | "hetrec-fm" => Some(Self::hetrec_fm()),
+            "del" | "hetrec-del" => Some(Self::hetrec_del()),
+            "cite" | "citeulike" => Some(Self::citeulike()),
+            "lastfm" | "last.fm-tag" => Some(Self::lastfm_tag()),
+            "amz" | "amzbook-tag" => Some(Self::amzbook_tag()),
+            "yelp" | "yelp-tag" => Some(Self::yelp_tag()),
+            "tiny" => Some(Self::tiny()),
+            _ => None,
+        }
+    }
+
     /// A tiny configuration for fast unit tests.
     pub fn tiny() -> Self {
         Self {
@@ -483,6 +504,17 @@ fn shuffle<T>(v: &mut [T], rng: &mut impl Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preset_keys_resolve_in_table1_order() {
+        let names: Vec<String> =
+            SynthConfig::PAPER_KEYS.iter().map(|k| SynthConfig::by_key(k).unwrap().name).collect();
+        let want: Vec<String> = SynthConfig::all_presets().into_iter().map(|c| c.name).collect();
+        assert_eq!(names, want);
+        assert_eq!(SynthConfig::by_key("HetRec-Del").unwrap().name, SynthConfig::hetrec_del().name);
+        assert_eq!(SynthConfig::by_key("tiny").unwrap().name, SynthConfig::tiny().name);
+        assert!(SynthConfig::by_key("bogus").is_none());
+    }
 
     #[test]
     fn tiny_generation_has_expected_shape() {

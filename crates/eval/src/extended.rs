@@ -8,7 +8,7 @@ use imcat_data::SplitDataset;
 use imcat_graph::jaccard_sorted;
 use imcat_tensor::Tensor;
 
-use crate::metrics::{top_n_masked_with, EvalSpec, EvalTarget, TopKScratch};
+use crate::metrics::{held_out, top_n_masked_with, EvalSpec, TopKScratch};
 
 /// A bundle of ranking metrics at one cutoff.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -32,23 +32,16 @@ pub struct ExtendedMetrics {
     pub n_users: usize,
 }
 
-/// Computes [`ExtendedMetrics`] over all selected users with a non-empty
-/// target set.
+/// Computes [`ExtendedMetrics`] over the spec's selected users with a
+/// non-empty target set, masking training items when `spec.mask_train` —
+/// the population and ranking of [`crate::evaluate`].
 pub fn evaluate_extended(
     score_fn: &mut dyn FnMut(&[u32]) -> Tensor,
     data: &SplitDataset,
     spec: &EvalSpec,
 ) -> ExtendedMetrics {
     let n = spec.k;
-    let users: Vec<u32> = (0..data.n_users() as u32)
-        .filter(|&u| {
-            let held = match spec.target {
-                EvalTarget::Validation => &data.val[u as usize],
-                EvalTarget::Test => &data.test[u as usize],
-            };
-            !held.is_empty()
-        })
-        .collect();
+    let users = spec.select_users(data);
     if users.is_empty() {
         return ExtendedMetrics::default();
     }
@@ -58,12 +51,9 @@ pub fn evaluate_extended(
     for chunk in users.chunks(256) {
         let scores = score_fn(chunk);
         for (row, &u) in chunk.iter().enumerate() {
-            let train = data.train_items(u as usize);
+            let train: &[u32] = if spec.mask_train { data.train_items(u as usize) } else { &[] };
             let top = top_n_masked_with(scores.row(row), train, n, &mut scratch);
-            let truth = match spec.target {
-                EvalTarget::Validation => &data.val[u as usize],
-                EvalTarget::Test => &data.test[u as usize],
-            };
+            let truth = held_out(data, spec.target, u as usize);
             let mut hits = 0usize;
             let mut ap = 0.0f64;
             let mut first_hit_rank: Option<usize> = None;
@@ -160,6 +150,38 @@ mod tests {
         let m = evaluate_extended(&mut score_fn, &data, &EvalSpec::at(5));
         for v in [m.recall, m.precision, m.hit_rate, m.map, m.mrr, m.coverage] {
             assert!((0.0..=1.0).contains(&v), "metric out of range: {v}");
+        }
+    }
+
+    #[test]
+    fn honours_user_subset_and_unmasked_specs() {
+        let ui = Csr::from_adjacency(
+            6,
+            12,
+            &(0..6).map(|u| (0..12).filter(|j| (j + u) % 3 != 0).collect()).collect::<Vec<_>>(),
+        );
+        let it =
+            Csr::from_adjacency(12, 4, &(0..12).map(|i| vec![(i % 4) as u32]).collect::<Vec<_>>());
+        let data =
+            Dataset::new("spec", ui, it).split((0.5, 0.1, 0.4), &mut StdRng::seed_from_u64(5));
+        // Training items score highest, so masking decides every hit.
+        let mut score_fn = |users: &[u32]| {
+            let mut t = Tensor::zeros(users.len(), 12);
+            for (r, &u) in users.iter().enumerate() {
+                for j in 0..12 {
+                    t.set(r, j, ((j * 7 + u as usize) % 12) as f32);
+                }
+                for &j in data.train_items(u as usize) {
+                    t.set(r, j as usize, 100.0 + j as f32);
+                }
+            }
+            t
+        };
+        for spec in [EvalSpec::at(3).users(vec![4, 1, 5]), EvalSpec::at(3).unmasked()] {
+            let ext = evaluate_extended(&mut score_fn, &data, &spec);
+            let base = crate::evaluate(&mut score_fn, &data, &spec);
+            assert_eq!(ext.n_users, base.evaluated_users, "{spec:?}");
+            assert_eq!(ext.recall.to_bits(), base.recall.to_bits(), "{spec:?}");
         }
     }
 

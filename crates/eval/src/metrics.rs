@@ -64,7 +64,7 @@ impl PerUserMetrics {
     }
 }
 
-fn held_out(data: &SplitDataset, target: EvalTarget, u: usize) -> &[u32] {
+pub(crate) fn held_out(data: &SplitDataset, target: EvalTarget, u: usize) -> &[u32] {
     match target {
         EvalTarget::Validation => &data.val[u],
         EvalTarget::Test => &data.test[u],
@@ -130,7 +130,7 @@ impl EvalSpec {
         self
     }
 
-    fn select_users(&self, data: &SplitDataset) -> Vec<u32> {
+    pub(crate) fn select_users(&self, data: &SplitDataset) -> Vec<u32> {
         let nonempty = |u: u32| !held_out(data, self.target, u as usize).is_empty();
         match &self.users {
             Some(sel) => sel.iter().copied().filter(|&u| nonempty(u)).collect(),

@@ -32,7 +32,7 @@ impl Cfa {
         let n_tags = data.n_tags();
         let encoder = Linear::new(&mut core.store, "cfa.enc", n_tags, cfg.dim, Some(0.1), rng);
         let decoder = Linear::new(&mut core.store, "cfa.dec", cfg.dim, n_tags, None, rng);
-        core.rebuild_optimizer(&cfg);
+        core.rebuild_optimizer();
         let sampler = BprSampler::for_user_items(data);
         let profiles = user_tag_profiles(data);
         Self { core, cfg, sampler, profiles, encoder, decoder, recon_weight: 0.5 }

@@ -34,7 +34,7 @@ impl Cke {
         let tag_emb = core.store.add("tag_emb", xavier_uniform(data.n_tags(), d, rng));
         let rel_emb = core.store.add("rel_emb", xavier_uniform(1, d, rng));
         let rel_proj = core.store.add("rel_proj", xavier_uniform(d, d, rng));
-        core.rebuild_optimizer(&cfg);
+        core.rebuild_optimizer();
         Self {
             core,
             cfg,

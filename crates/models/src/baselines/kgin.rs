@@ -50,7 +50,7 @@ impl Kgin {
         let tag_emb = core.store.add("tag_emb", xavier_uniform(data.n_tags(), cfg.dim, rng));
         let intent_logits =
             core.store.add("intent_logits", xavier_uniform(INTENTS, data.n_tags(), rng));
-        core.rebuild_optimizer(&cfg);
+        core.rebuild_optimizer();
         let it = data.item_tag.row_mean_aggregator();
         let it_t = it.transpose();
         let adj = joint_normalized_adjacency(&data.train);

@@ -39,7 +39,7 @@ impl RippleNet {
     pub fn new(data: &SplitDataset, cfg: TrainConfig, rng: &mut StdRng) -> Self {
         let mut core = EmbeddingCore::new(data.n_users(), data.n_items(), &cfg, rng);
         let tag_emb = core.store.add("tag_emb", xavier_uniform(data.n_tags(), cfg.dim, rng));
-        core.rebuild_optimizer(&cfg);
+        core.rebuild_optimizer();
         let ut = data.train.forward().matmul_csr(data.item_tag.forward());
         let user_tags: Vec<Vec<u32>> =
             (0..data.n_users()).map(|u| ut.row_indices(u).to_vec()).collect();

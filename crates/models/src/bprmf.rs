@@ -2,7 +2,7 @@
 //! (Rendle et al. 2009; paper baseline "BPRMF", Eq. 1).
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{ParamStore, Tape, Tensor, Var};
+use imcat_tensor::{Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{bpr_loss, Backbone, EmbeddingCore, EpochStats, RecModel, TrainConfig};
@@ -74,28 +74,12 @@ impl RecModel for Bprmf {
 }
 
 impl Backbone for Bprmf {
-    fn dim(&self) -> usize {
-        self.core.dim
+    fn core(&self) -> &EmbeddingCore {
+        &self.core
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.core.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.core.store
-    }
-
-    fn rebuild_optimizer(&mut self) {
-        self.core.rebuild_optimizer(&self.cfg);
-    }
-
-    fn optimizer(&self) -> &imcat_tensor::Adam {
-        &self.core.adam
-    }
-
-    fn store_and_optimizer_mut(&mut self) -> (&mut ParamStore, &mut imcat_tensor::Adam) {
-        (&mut self.core.store, &mut self.core.adam)
+    fn core_mut(&mut self) -> &mut EmbeddingCore {
+        &mut self.core
     }
 
     fn embed_all(&self, tape: &mut Tape) -> (Var, Var) {
@@ -115,10 +99,6 @@ impl Backbone for Bprmf {
         let u = tape.gather_rows(all_users, users);
         let v = tape.gather_rows(all_items, items);
         tape.rowwise_dot(u, v)
-    }
-
-    fn opt_step(&mut self) {
-        self.core.adam.step(&mut self.core.store);
     }
 }
 

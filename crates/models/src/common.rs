@@ -117,24 +117,12 @@ pub trait RecModel {
 /// alignment losses (Eqs. 11–13, 16–17) can be attached on top of its own
 /// ranking objective.
 pub trait Backbone: RecModel {
-    /// Embedding dimension `d`.
-    fn dim(&self) -> usize;
+    /// The parameter store and optimizer IMCAT registers its own parameters
+    /// on and steps together with the backbone's.
+    fn core(&self) -> &EmbeddingCore;
 
-    /// Parameter store (shared with any plug-in losses).
-    fn store(&self) -> &ParamStore;
-
-    /// Mutable parameter store.
-    fn store_mut(&mut self) -> &mut ParamStore;
-
-    /// Optimizer covering all currently registered parameters.
-    fn rebuild_optimizer(&mut self);
-
-    /// The optimizer state (for checkpointing).
-    fn optimizer(&self) -> &Adam;
-
-    /// Split borrow of parameter store and optimizer, for checkpoint restore
-    /// (which rewrites both together).
-    fn store_and_optimizer_mut(&mut self) -> (&mut ParamStore, &mut Adam);
+    /// Mutable [`Backbone::core`].
+    fn core_mut(&mut self) -> &mut EmbeddingCore;
 
     /// Records the *resolved* full user and item embedding matrices on the
     /// tape (`[n_users, d]`, `[n_items, d]`). For GNN backbones this runs
@@ -151,9 +139,6 @@ pub trait Backbone: RecModel {
         all_items: Var,
         items: &[u32],
     ) -> Var;
-
-    /// One optimizer step against the accumulated gradients.
-    fn opt_step(&mut self);
 }
 
 /// User/item embedding tables plus the Adam state that covers the store.
@@ -168,6 +153,7 @@ pub struct EmbeddingCore {
     pub item_emb: ParamId,
     /// Embedding dimension.
     pub dim: usize,
+    adam_cfg: AdamConfig,
 }
 
 impl EmbeddingCore {
@@ -176,13 +162,27 @@ impl EmbeddingCore {
         let mut store = ParamStore::new();
         let user_emb = store.add("user_emb", xavier_uniform(n_users, cfg.dim, rng));
         let item_emb = store.add("item_emb", xavier_uniform(n_items, cfg.dim, rng));
-        let adam = Adam::new(cfg.adam(), &store);
-        Self { store, adam, user_emb, item_emb, dim: cfg.dim }
+        Self::over(store, user_emb, item_emb, cfg)
+    }
+
+    /// One Xavier-initialized `[n_nodes, d]` table for models that propagate
+    /// over the joint user/item graph: `user_emb` and `item_emb` both name
+    /// it, users in rows `0..n_users`, items after.
+    pub(crate) fn joint(n_nodes: usize, cfg: &TrainConfig, rng: &mut StdRng) -> Self {
+        let mut store = ParamStore::new();
+        let nodes = store.add("node_emb", xavier_uniform(n_nodes, cfg.dim, rng));
+        Self::over(store, nodes, nodes, cfg)
+    }
+
+    fn over(store: ParamStore, user_emb: ParamId, item_emb: ParamId, cfg: &TrainConfig) -> Self {
+        let adam_cfg = cfg.adam();
+        let adam = Adam::new(adam_cfg, &store);
+        Self { store, adam, user_emb, item_emb, dim: cfg.dim, adam_cfg }
     }
 
     /// Recreates the optimizer after registering extra parameters.
-    pub fn rebuild_optimizer(&mut self, cfg: &TrainConfig) {
-        self.adam = Adam::new(cfg.adam(), &self.store);
+    pub fn rebuild_optimizer(&mut self) {
+        self.adam = Adam::new(self.adam_cfg, &self.store);
     }
 
     /// Checkpoint payload: every parameter plus the full Adam state.

@@ -6,19 +6,18 @@ use std::rc::Rc;
 
 use imcat_data::{BprSampler, SplitDataset};
 use imcat_graph::joint_normalized_adjacency;
-use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Tensor, Var};
+use imcat_tensor::{Csr, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{
-    bpr_loss, propagate_mean, propagate_mean_tensor, Backbone, EpochStats, RecModel, TrainConfig,
+    bpr_loss, propagate_mean, propagate_mean_tensor, Backbone, EmbeddingCore, EpochStats, RecModel,
+    TrainConfig,
 };
 
 /// LightGCN recommender. One embedding table covers the `n_users + n_items`
-/// joint node set; users occupy rows `0..n_users`.
+/// joint node set (`EmbeddingCore::joint`); users occupy rows `0..n_users`.
 pub struct LightGcn {
-    store: ParamStore,
-    adam: Adam,
-    node_emb: ParamId,
+    core: EmbeddingCore,
     adj: Rc<Csr>,
     cfg: TrainConfig,
     sampler: BprSampler,
@@ -31,23 +30,23 @@ impl LightGcn {
     pub fn new(data: &SplitDataset, cfg: TrainConfig, rng: &mut StdRng) -> Self {
         let n_users = data.n_users();
         let n_items = data.n_items();
-        let mut store = ParamStore::new();
-        let node_emb = store.add("node_emb", xavier_uniform(n_users + n_items, cfg.dim, rng));
-        let adam = Adam::new(cfg.adam(), &store);
+        let core = EmbeddingCore::joint(n_users + n_items, &cfg, rng);
         let adj = Rc::new(joint_normalized_adjacency(&data.train));
         let sampler = BprSampler::for_user_items(data);
-        Self { store, adam, node_emb, adj, cfg, sampler, n_users, n_items }
+        Self { core, adj, cfg, sampler, n_users, n_items }
     }
 
     /// Propagated `[n_users + n_items, d]` node matrix on the tape.
     fn propagate(&self, tape: &mut Tape) -> Var {
-        let x0 = tape.leaf(&self.store, self.node_emb);
+        // A joint core's `user_emb` names the whole node table.
+        let x0 = tape.leaf(&self.core.store, self.core.user_emb);
         propagate_mean(tape, &self.adj, x0, self.cfg.gnn_layers)
     }
 
     /// Gradient-free propagated node matrix.
     pub fn propagate_tensor(&self) -> Tensor {
-        propagate_mean_tensor(&self.adj, self.store.value(self.node_emb), self.cfg.gnn_layers)
+        let nodes = self.core.store.value(self.core.user_emb);
+        propagate_mean_tensor(&self.adj, nodes, self.cfg.gnn_layers)
     }
 
     fn split_users_items(&self, tape: &mut Tape, nodes: Var) -> (Var, Var) {
@@ -72,8 +71,8 @@ impl LightGcn {
         let sn = tape.rowwise_dot(u, vn);
         let loss = bpr_loss(&mut tape, sp, sn);
         let value = tape.value(loss).item();
-        tape.backward(loss, &mut self.store);
-        self.adam.step(&mut self.store);
+        tape.backward(loss, &mut self.core.store);
+        self.core.adam.step(&mut self.core.store);
         value
     }
 
@@ -112,41 +111,25 @@ impl RecModel for LightGcn {
     }
 
     fn num_params(&self) -> usize {
-        self.store.num_weights()
+        self.core.store.num_weights()
     }
 
     fn save_state(&self) -> Option<Vec<u8>> {
-        Some(imcat_ckpt::encode_backbone_state(&self.store, &self.adam))
+        Some(self.core.save_state())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        imcat_ckpt::restore_backbone_state(&mut self.store, &mut self.adam, bytes)
+        self.core.load_state(bytes)
     }
 }
 
 impl Backbone for LightGcn {
-    fn dim(&self) -> usize {
-        self.cfg.dim
+    fn core(&self) -> &EmbeddingCore {
+        &self.core
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.store
-    }
-
-    fn rebuild_optimizer(&mut self) {
-        self.adam = Adam::new(self.cfg.adam(), &self.store);
-    }
-
-    fn optimizer(&self) -> &Adam {
-        &self.adam
-    }
-
-    fn store_and_optimizer_mut(&mut self) -> (&mut ParamStore, &mut Adam) {
-        (&mut self.store, &mut self.adam)
+    fn core_mut(&mut self) -> &mut EmbeddingCore {
+        &mut self.core
     }
 
     fn embed_all(&self, tape: &mut Tape) -> (Var, Var) {
@@ -165,10 +148,6 @@ impl Backbone for LightGcn {
         let u = tape.gather_rows(all_users, users);
         let v = tape.gather_rows(all_items, items);
         tape.rowwise_dot(u, v)
-    }
-
-    fn opt_step(&mut self) {
-        self.adam.step(&mut self.store);
     }
 }
 

@@ -9,7 +9,7 @@
 //! preserved.
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{xavier_uniform, ParamStore, Tape, Tensor, Var};
+use imcat_tensor::{xavier_uniform, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{bpr_loss, Backbone, EmbeddingCore, EpochStats, Mlp, RecModel, TrainConfig};
@@ -31,7 +31,7 @@ impl Neumf {
         let d = cfg.dim;
         let gmf_w = core.store.add("gmf_w", xavier_uniform(d, 1, rng));
         let mlp = Mlp::new(&mut core.store, "neumf_mlp", &[2 * d, d, 1], rng);
-        core.rebuild_optimizer(&cfg);
+        core.rebuild_optimizer();
         let sampler = BprSampler::for_user_items(data);
         Self { core, cfg, sampler, gmf_w, mlp, n_items: data.n_items() }
     }
@@ -118,28 +118,12 @@ impl RecModel for Neumf {
 }
 
 impl Backbone for Neumf {
-    fn dim(&self) -> usize {
-        self.core.dim
+    fn core(&self) -> &EmbeddingCore {
+        &self.core
     }
 
-    fn store(&self) -> &ParamStore {
-        &self.core.store
-    }
-
-    fn store_mut(&mut self) -> &mut ParamStore {
-        &mut self.core.store
-    }
-
-    fn rebuild_optimizer(&mut self) {
-        self.core.rebuild_optimizer(&self.cfg);
-    }
-
-    fn optimizer(&self) -> &imcat_tensor::Adam {
-        &self.core.adam
-    }
-
-    fn store_and_optimizer_mut(&mut self) -> (&mut ParamStore, &mut imcat_tensor::Adam) {
-        (&mut self.core.store, &mut self.core.adam)
+    fn core_mut(&mut self) -> &mut EmbeddingCore {
+        &mut self.core
     }
 
     fn embed_all(&self, tape: &mut Tape) -> (Var, Var) {
@@ -159,10 +143,6 @@ impl Backbone for Neumf {
         let u = tape.gather_rows(all_users, users);
         let v = tape.gather_rows(all_items, items);
         self.fuse(tape, u, v)
-    }
-
-    fn opt_step(&mut self) {
-        self.core.adam.step(&mut self.core.store);
     }
 }
 

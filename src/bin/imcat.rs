@@ -1,5 +1,5 @@
-//! `imcat` command-line interface: generate datasets, train any of the main
-//! models, evaluate, checkpoint, produce recommendations — all on
+//! `imcat` command-line interface: generate datasets, train any of Table
+//! II's 15 models, evaluate, checkpoint, produce recommendations — all on
 //! HetRec-style TSV files — and serve a trained model's frozen artifact
 //! over HTTP.
 //!
@@ -7,29 +7,35 @@
 //! imcat generate --preset del --seed 7 --out-dir data/
 //! imcat stats    --user-item data/user_item.tsv --item-tag data/item_tag.tsv
 //! imcat train    --user-item data/user_item.tsv --item-tag data/item_tag.tsv \
-//!                --model l-imcat --epochs 80 --checkpoint model.imct \
+//!                --model l-imcat --epochs 80 --checkpoint model.ckpt \
 //!                --artifact model.artifact
 //! imcat recommend --user-item data/user_item.tsv --item-tag data/item_tag.tsv \
-//!                --model l-imcat --checkpoint model.imct --user 3 --top 10
+//!                --model l-imcat --checkpoint model.ckpt --user 3 --top 10
 //! imcat serve    --artifact model.artifact --addr 127.0.0.1:8080 --ann ivf
 //! ```
+//!
+//! `train` and `recommend` build `--model` through the one registry,
+//! [`ModelKind`], and `--checkpoint` is the trainer's own saved-model format
+//! (`trainer::save_model` / `trainer::load_model`): the model's full
+//! `save_state`, tagged with its name and `--seed`. Models without
+//! `save_state` (the nine baselines) train, but cannot be checkpointed.
 //!
 //! `serve` is the one wiring of `imcat-net` + `imcat-serve` + `imcat-obs`:
 //! the front-end reads its `IMCAT_NET_*` knobs and telemetry its
 //! `IMCAT_OBS*` knobs from the environment (README, "Environment knobs").
 
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use imcat::core::{trainer, Imcat, ImcatConfig};
+use imcat::core::{trainer, ImcatConfig, ModelKind};
 use imcat::data::{
     generate, load_dataset, save_dataset, Dataset, FilterConfig, SplitDataset, SynthConfig,
 };
 use imcat::eval::{evaluate, evaluate_extended, top_n_masked, EvalSpec};
-use imcat::models::{Backbone, Bprmf, EpochStats, LightGcn, Neumf, RecModel, TrainConfig};
+use imcat::models::{RecModel, TrainConfig};
 use imcat::net::{NetConfig, Server};
 use imcat::serve::{AnnConfig, AnnKind, Artifact, ServeConfig};
-use imcat::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -41,6 +47,9 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{USAGE}");
+            let models: Vec<String> =
+                ModelKind::all().iter().map(|k| k.name().to_ascii_lowercase()).collect();
+            eprintln!("models (any case): {}", models.join(" | "));
             ExitCode::FAILURE
         }
     }
@@ -54,8 +63,7 @@ const USAGE: &str = "usage:
   imcat recommend --user-item FILE --item-tag FILE --model NAME --checkpoint FILE
                   --user ID [--top N] [--dim N] [--intents K] [--seed N]
   imcat serve     --artifact FILE --addr HOST:PORT [--ann ivf|hnsw|brute]
-
-models: bprmf | neumf | lightgcn | b-imcat | n-imcat | l-imcat";
+";
 
 /// Parsed `--key value` flags.
 struct Flags(HashMap<String, String>);
@@ -106,26 +114,12 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn preset(name: &str) -> Result<SynthConfig, String> {
-    let cfg = match name {
-        "mv" => SynthConfig::hetrec_mv(),
-        "fm" => SynthConfig::hetrec_fm(),
-        "del" => SynthConfig::hetrec_del(),
-        "cite" => SynthConfig::citeulike(),
-        "lastfm" => SynthConfig::lastfm_tag(),
-        "amz" => SynthConfig::amzbook_tag(),
-        "yelp" => SynthConfig::yelp_tag(),
-        "tiny" => SynthConfig::tiny(),
-        other => return Err(format!("unknown preset '{other}'")),
-    };
-    Ok(cfg)
-}
-
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
-    let cfg = preset(flags.require("preset")?)?;
+    let name = flags.require("preset")?;
+    let cfg = SynthConfig::by_key(name).ok_or_else(|| format!("unknown preset '{name}'"))?;
     let scale: f64 = flags.num("scale", 1.0)?;
     let seed: u64 = flags.num("seed", 0)?;
-    let out_dir = std::path::PathBuf::from(flags.require("out-dir")?);
+    let out_dir = PathBuf::from(flags.require("out-dir")?);
     std::fs::create_dir_all(&out_dir).map_err(|e| e.to_string())?;
     let data = generate(&cfg.scaled(scale), seed);
     let ui = out_dir.join("user_item.tsv");
@@ -151,122 +145,34 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Concrete model wrapper giving the CLI checkpoint access without
-/// trait-object downcasts.
-enum CliModel {
-    Bprmf(Bprmf),
-    Neumf(Neumf),
-    LightGcn(LightGcn),
-    BImcat(Imcat<Bprmf>),
-    NImcat(Imcat<Neumf>),
-    LImcat(Imcat<LightGcn>),
-}
-
-impl CliModel {
-    fn build(
-        name: &str,
-        split: &SplitDataset,
-        dim: usize,
-        intents: usize,
-        seed: u64,
-    ) -> Result<CliModel, String> {
-        let tcfg = TrainConfig { dim, ..TrainConfig::default() };
-        let icfg = ImcatConfig { k_intents: intents, pretrain_epochs: 5, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok(match name {
-            "bprmf" => CliModel::Bprmf(Bprmf::new(split, tcfg, &mut rng)),
-            "neumf" => CliModel::Neumf(Neumf::new(split, tcfg, &mut rng)),
-            "lightgcn" => CliModel::LightGcn(LightGcn::new(split, tcfg, &mut rng)),
-            "b-imcat" => CliModel::BImcat(Imcat::new(
-                Bprmf::new(split, tcfg, &mut rng),
-                split,
-                icfg,
-                &mut rng,
-            )),
-            "n-imcat" => CliModel::NImcat(Imcat::new(
-                Neumf::new(split, tcfg, &mut rng),
-                split,
-                icfg,
-                &mut rng,
-            )),
-            "l-imcat" => CliModel::LImcat(Imcat::new(
-                LightGcn::new(split, tcfg, &mut rng),
-                split,
-                icfg,
-                &mut rng,
-            )),
-            other => return Err(format!("unknown model '{other}' (see usage)")),
-        })
-    }
-
-    fn as_rec_model(&mut self) -> &mut dyn RecModel {
-        match self {
-            CliModel::Bprmf(m) => m,
-            CliModel::Neumf(m) => m,
-            CliModel::LightGcn(m) => m,
-            CliModel::BImcat(m) => m,
-            CliModel::NImcat(m) => m,
-            CliModel::LImcat(m) => m,
-        }
-    }
-
-    fn train_epoch(&mut self, rng: &mut StdRng) -> EpochStats {
-        self.as_rec_model().train_epoch(rng)
-    }
-
-    fn score_users(&self, users: &[u32]) -> Tensor {
-        match self {
-            CliModel::Bprmf(m) => m.score_users(users),
-            CliModel::Neumf(m) => m.score_users(users),
-            CliModel::LightGcn(m) => m.score_users(users),
-            CliModel::BImcat(m) => m.score_users(users),
-            CliModel::NImcat(m) => m.score_users(users),
-            CliModel::LImcat(m) => m.score_users(users),
-        }
-    }
-
-    fn save(&self, path: &str) -> Result<(), String> {
-        let store = match self {
-            CliModel::Bprmf(m) => m.store(),
-            CliModel::Neumf(m) => m.store(),
-            CliModel::LightGcn(m) => m.store(),
-            CliModel::BImcat(m) => m.backbone().store(),
-            CliModel::NImcat(m) => m.backbone().store(),
-            CliModel::LImcat(m) => m.backbone().store(),
-        };
-        imcat::ckpt::save_store(store, path).map(drop).map_err(|e| e.to_string())
-    }
-
-    fn restore(&mut self, path: &str) -> Result<(), String> {
-        match self {
-            CliModel::BImcat(m) => return m.load_checkpoint(path).map_err(|e| e.to_string()),
-            CliModel::NImcat(m) => return m.load_checkpoint(path).map_err(|e| e.to_string()),
-            CliModel::LImcat(m) => return m.load_checkpoint(path).map_err(|e| e.to_string()),
-            _ => {}
-        }
-        let store = match self {
-            CliModel::Bprmf(m) => m.store_mut(),
-            CliModel::Neumf(m) => m.store_mut(),
-            CliModel::LightGcn(m) => m.store_mut(),
-            _ => unreachable!(),
-        };
-        imcat::ckpt::load_store(store, path).map_err(|e| e.to_string())
-    }
+/// The dataset's 7:1:2 split under `--seed`, and the untrained `--model`
+/// the registry builds on it from the same seed.
+fn split_and_model(
+    flags: &Flags,
+    data: &Dataset,
+) -> Result<(SplitDataset, Box<dyn RecModel>, u64), String> {
+    let seed: u64 = flags.num("seed", 0)?;
+    let split = data.split((0.7, 0.1, 0.2), &mut StdRng::seed_from_u64(seed));
+    let tcfg = TrainConfig { dim: flags.num("dim", 32)?, ..TrainConfig::default() };
+    let icfg = ImcatConfig {
+        k_intents: flags.num("intents", 4)?,
+        pretrain_epochs: 5,
+        ..Default::default()
+    };
+    let name = flags.require("model")?;
+    let kind =
+        ModelKind::parse(name).ok_or_else(|| format!("unknown model '{name}' (see usage)"))?;
+    let model = kind.build(&split, &tcfg, &icfg, seed);
+    Ok((split, model, seed))
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
     let data = load(flags)?;
-    let seed: u64 = flags.num("seed", 0)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = data.split((0.7, 0.1, 0.2), &mut rng);
-    println!("{}", data.stats());
-    let dim: usize = flags.num("dim", 32)?;
-    let intents: usize = flags.num("intents", 4)?;
     let epochs: usize = flags.num("epochs", 80)?;
-    let name = flags.require("model")?;
-    let mut model = CliModel::build(name, &split, dim, intents, seed)?;
+    let (split, mut model, seed) = split_and_model(flags, &data)?;
+    println!("{}", data.stats());
     let report = trainer::train(
-        model.as_rec_model(),
+        model.as_mut(),
         &split,
         &trainer::TrainerConfig {
             max_epochs: epochs,
@@ -274,7 +180,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             // round: the artifact is exported at the best one.
             eval_every: epochs.clamp(1, 10),
             patience: 3,
-            artifact_path: flags.get("artifact").map(std::path::PathBuf::from),
+            artifact_path: flags.get("artifact").map(PathBuf::from),
             ..Default::default()
         },
     );
@@ -296,12 +202,13 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         ext.intra_list_diversity
     );
     if let Some(path) = flags.get("checkpoint") {
-        model.save(path)?;
+        trainer::save_model(model.as_ref(), seed, Path::new(path))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("checkpoint written to {path}");
     }
     if let Some(path) = flags.get("artifact") {
         if report.artifact.is_none() {
-            return Err(format!("{name} exported no artifact to {path}"));
+            return Err(format!("{} exported no artifact to {path}", report.model));
         }
         println!("artifact written to {path}");
     }
@@ -310,18 +217,10 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 
 fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let data = load(flags)?;
-    let seed: u64 = flags.num("seed", 0)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let split = data.split((0.7, 0.1, 0.2), &mut rng);
-    let dim: usize = flags.num("dim", 32)?;
-    let intents: usize = flags.num("intents", 4)?;
-    let name = flags.require("model")?;
-    let mut model = CliModel::build(name, &split, dim, intents, seed)?;
-    // Run one cheap epoch on IMCAT wrappers so cluster state exists, then
-    // overwrite all weights from the checkpoint.
-    let mut warm_rng = StdRng::seed_from_u64(seed);
-    let _ = model.train_epoch(&mut warm_rng);
-    model.restore(flags.require("checkpoint")?)?;
+    let (split, mut model, seed) = split_and_model(flags, &data)?;
+    let path = flags.require("checkpoint")?;
+    trainer::load_model(model.as_mut(), seed, Path::new(path))
+        .map_err(|e| format!("cannot load {path}: {e}"))?;
     let user: u32 = flags.num("user", 0)?;
     if user as usize >= split.n_users() {
         return Err(format!("user {user} out of range (0..{})", split.n_users()));

@@ -151,7 +151,7 @@ fn checkpoint_roundtrip_preserves_scores() {
     }
     let before = model.score_users(&[0, 1, 2]);
     let path = std::env::temp_dir().join(format!("imcat_ckpt_{}.bin", std::process::id()));
-    model.save_checkpoint(&path).unwrap();
+    trainer::save_model(&model, 13, &path).unwrap();
 
     // A freshly initialized model scores differently; loading the checkpoint
     // must restore the exact trained scores.
@@ -164,7 +164,10 @@ fn checkpoint_roundtrip_preserves_scores() {
         &mut rng2,
     );
     assert!(!fresh.score_users(&[0, 1, 2]).approx_eq(&before, 1e-6));
-    fresh.load_checkpoint(&path).unwrap();
-    assert!(fresh.score_users(&[0, 1, 2]).approx_eq(&before, 1e-6));
+    trainer::load_model(&mut fresh, 13, &path).unwrap();
+    let after = fresh.score_users(&[0, 1, 2]);
+    let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&after), bits(&before));
+    assert_eq!(fresh.cluster_assignment(), model.cluster_assignment());
     std::fs::remove_file(&path).ok();
 }
