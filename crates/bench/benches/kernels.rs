@@ -74,7 +74,12 @@ fn bench_propagation(c: &mut Criterion) {
     let n = adj.rows();
     let x0 = normal(n, 32, 1.0, &mut rng);
     c.bench_function("lightgcn_propagate_2layers_d32", |b| {
-        b.iter(|| std::hint::black_box(imcat_models::propagate_mean_tensor(&adj, &x0, 2)));
+        b.iter(|| {
+            let mut tape = Tape::new();
+            let x = tape.constant(x0.clone());
+            let out = imcat_models::propagate_mean(&mut tape, &adj, x, 2);
+            std::hint::black_box(tape.value(out).rows())
+        });
     });
 }
 

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imcat_core::imca::{masked_info_nce, PositiveMask};
-use imcat_core::irm::{kl_loss, soft_assignment, soft_assignment_tensor, target_distribution};
+use imcat_core::irm::{kl_loss, soft_assignment, target_distribution};
 use imcat_data::{generate, BprSampler, SynthConfig};
 use imcat_models::{bpr_loss, info_nce};
 use imcat_tensor::{normal, xavier_uniform, ParamStore, Tape, Tensor};
@@ -82,12 +82,11 @@ fn bench_kl_clustering(c: &mut Criterion) {
     let centers = store.add("centers", normal(4, 32, 0.5, &mut rng));
     c.bench_function("loss_kl_clustering_450tags_k4", |b| {
         b.iter(|| {
-            let q_plain = soft_assignment_tensor(store.value(tags), store.value(centers), 1.0);
-            let target = target_distribution(&q_plain);
             let mut tape = Tape::new();
             let tv = tape.leaf(&store, tags);
             let cv = tape.leaf(&store, centers);
             let q = soft_assignment(&mut tape, tv, cv, 1.0);
+            let target = target_distribution(tape.value(q));
             let loss = kl_loss(&mut tape, q, &target);
             tape.backward(loss, &mut store);
             store.zero_grads();

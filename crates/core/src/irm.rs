@@ -6,6 +6,12 @@
 //! is pinned by tag cluster `k`, learned end-to-end: a Student-t soft
 //! assignment `Q` of tags to learnable cluster centers (Eq. 4), a sharpened
 //! target distribution `Q̂` (Eq. 5), and a KL self-supervision loss (Eq. 6).
+//!
+//! `Q` has one implementation, [`soft_assignment`] on the autodiff tape. The
+//! training step takes `Q̂` from the value of the same node it differentiates,
+//! and the periodic hard-assignment refresh runs it on a throwaway tape, so
+//! the clusters the model trains against and the ones it refreshes to come
+//! from one function.
 
 use imcat_tensor::{Tape, Tensor, Var};
 use rand::Rng;
@@ -19,29 +25,6 @@ pub fn soft_assignment(tape: &mut Tape, tags: Var, centers: Var, eta: f32) -> Va
     let base = tape.add_scalar(scaled, 1.0);
     let q_un = tape.powf(base, -(eta + 1.0) / 2.0);
     tape.row_normalize(q_un)
-}
-
-/// Gradient-free version of [`soft_assignment`] for refresh passes.
-pub fn soft_assignment_tensor(tags: &Tensor, centers: &Tensor, eta: f32) -> Tensor {
-    let (t, k) = (tags.rows(), centers.rows());
-    let mut q = Tensor::zeros(t, k);
-    for i in 0..t {
-        let mut sum = 0.0;
-        for j in 0..k {
-            let d2: f32 =
-                tags.row(i).iter().zip(centers.row(j)).map(|(a, b)| (a - b) * (a - b)).sum();
-            let v = (1.0 + d2 / eta).powf(-(eta + 1.0) / 2.0);
-            q.set(i, j, v);
-            sum += v;
-        }
-        if sum > 0.0 {
-            for j in 0..k {
-                let v = q.get(i, j) / sum;
-                q.set(i, j, v);
-            }
-        }
-    }
-    q
 }
 
 /// Sharpened target distribution `Q̂` (Eq. 5). Treated as a constant during
@@ -139,30 +122,19 @@ mod tests {
     #[test]
     fn soft_assignment_rows_are_simplex() {
         let mut rng = StdRng::seed_from_u64(0);
-        let tags = clustered_tags(&mut rng);
-        let centers = Tensor::from_vec(2, 3, vec![3.0, 0.0, 0.0, -3.0, 0.0, 0.0]);
-        let q = soft_assignment_tensor(&tags, &centers, 1.0);
+        let mut tape = Tape::new();
+        let tags = tape.constant(clustered_tags(&mut rng));
+        let centers = tape.constant(Tensor::from_vec(2, 3, vec![3.0, 0.0, 0.0, -3.0, 0.0, 0.0]));
+        let q = soft_assignment(&mut tape, tags, centers, 1.0);
+        let q = tape.value(q);
         for l in 0..10 {
             let s: f32 = q.row(l).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
         }
         // Blob membership recovered.
-        let hard = hard_assignment(&q);
+        let hard = hard_assignment(q);
         assert!(hard[..5].iter().all(|&k| k == 0));
         assert!(hard[5..].iter().all(|&k| k == 1));
-    }
-
-    #[test]
-    fn tape_and_tensor_assignments_agree() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let tags = normal(6, 4, 1.0, &mut rng);
-        let centers = normal(3, 4, 1.0, &mut rng);
-        let plain = soft_assignment_tensor(&tags, &centers, 1.0);
-        let mut tape = Tape::new();
-        let tv = tape.constant(tags);
-        let cv = tape.constant(centers);
-        let q = soft_assignment(&mut tape, tv, cv, 1.0);
-        assert!(tape.value(q).approx_eq(&plain, 1e-5));
     }
 
     #[test]
@@ -211,8 +183,11 @@ mod tests {
         let tags = store.add("tags", normal(8, 3, 1.0, &mut rng));
         let centers = store.add("centers", normal(2, 3, 1.0, &mut rng));
         let target = {
-            let q0 = soft_assignment_tensor(store.value(tags), store.value(centers), 1.0);
-            target_distribution(&q0)
+            let mut tape = Tape::new();
+            let tv = tape.leaf(&store, tags);
+            let cv = tape.leaf(&store, centers);
+            let q0 = soft_assignment(&mut tape, tv, cv, 1.0);
+            target_distribution(tape.value(q0))
         };
         let cfg = AdamConfig { lr: 0.05, weight_decay: 0.0, ..Default::default() };
         let mut adam = Adam::new(cfg, &store);

@@ -15,10 +15,7 @@ use rand::SeedableRng;
 
 use crate::config::{AlignMode, ClusteringMode, ImcatConfig};
 use crate::imca::{cluster_tag_aggregator, masked_info_nce, relatedness_matrix, PositiveMask};
-use crate::irm::{
-    hard_assignment, kl_loss, kmeans_centers, soft_assignment, soft_assignment_tensor,
-    target_distribution,
-};
+use crate::irm::{hard_assignment, kl_loss, kmeans_centers, soft_assignment, target_distribution};
 use crate::isa::SimilarSets;
 
 /// Cluster-dependent derived state, rebuilt at every hard-assignment refresh.
@@ -190,15 +187,19 @@ impl<B: Backbone> Imcat<B> {
                 kmeans_centers(self.store().value(self.tag_emb), self.cfg.k_intents, 5, &mut rng);
             *self.backbone.core_mut().store.value_mut(self.centers) = centers;
         }
-        let store = self.store();
-        let q = soft_assignment_tensor(
-            store.value(self.tag_emb),
-            store.value(self.centers),
-            self.cfg.eta,
-        );
-        let assignment = hard_assignment(&q);
+        let mut tape = Tape::new();
+        let q = self.soft_assignment(&mut tape);
+        let assignment = hard_assignment(tape.value(q));
         self.rebuild_derived(assignment);
         self.steps_since_refresh = 0;
+    }
+
+    /// Tag-to-cluster soft assignment `Q` (Eq. 4) over the current tag
+    /// embeddings and centers, recorded on `tape`.
+    fn soft_assignment(&self, tape: &mut Tape) -> Var {
+        let tags = tape.leaf(self.store(), self.tag_emb);
+        let centers = tape.leaf(self.store(), self.centers);
+        soft_assignment(tape, tags, centers, self.cfg.eta)
     }
 
     /// Rebuilds every cluster-derived structure (aggregators, relatedness,
@@ -422,16 +423,8 @@ impl<B: Backbone> Imcat<B> {
             }
         }
         if self.cfg.gamma > 0.0 && self.cfg.clustering == ClusteringMode::EndToEnd {
-            let store = self.store();
-            let q_plain = soft_assignment_tensor(
-                store.value(self.tag_emb),
-                store.value(self.centers),
-                self.cfg.eta,
-            );
-            let target = target_distribution(&q_plain);
-            let tv = tape.leaf(store, self.tag_emb);
-            let cv = tape.leaf(store, self.centers);
-            let q = soft_assignment(&mut tape, tv, cv, self.cfg.eta);
+            let q = self.soft_assignment(&mut tape);
+            let target = target_distribution(tape.value(q));
             let l_kl = kl_loss(&mut tape, q, &target);
             let l_kl = tape.scale(l_kl, self.cfg.gamma);
             self.terms.kl += tape.value(l_kl).item() as f64;
@@ -510,8 +503,8 @@ impl<B: Backbone> RecModel for Imcat<B> {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        self.backbone.export_embeddings()
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        self.backbone.forward_embeddings(tape)
     }
 
     fn score_users(&self, users: &[u32]) -> Tensor {

@@ -1,9 +1,9 @@
 //! Property-based tests for the IMCAT core invariants.
 
 use imcat_core::imca::{cluster_tag_aggregator, relatedness_matrix, PositiveMask};
-use imcat_core::irm::{hard_assignment, soft_assignment_tensor, target_distribution};
+use imcat_core::irm::{hard_assignment, soft_assignment, target_distribution};
 use imcat_core::isa::SimilarSets;
-use imcat_tensor::{normal, Csr};
+use imcat_tensor::{normal, Csr, Tape, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,6 +19,15 @@ fn random_item_tags(items: usize, tags: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
+/// The values of the tape's soft assignment at `η = 1`.
+fn soft_assignment_values(tags: Tensor, centers: Tensor) -> Tensor {
+    let mut tape = Tape::new();
+    let tv = tape.constant(tags);
+    let cv = tape.constant(centers);
+    let q = soft_assignment(&mut tape, tv, cv, 1.0);
+    tape.value(q).clone()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -29,7 +38,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let tags = normal(t, 6, 1.0, &mut rng);
         let centers = normal(k, 6, 1.0, &mut rng);
-        let q = soft_assignment_tensor(&tags, &centers, 1.0);
+        let q = soft_assignment_values(tags, centers);
         let hard = hard_assignment(&q);
         for l in 0..t {
             let s: f32 = q.row(l).iter().sum();
@@ -45,7 +54,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let tags = normal(t, 4, 1.0, &mut rng);
         let centers = normal(k, 4, 1.0, &mut rng);
-        let q = soft_assignment_tensor(&tags, &centers, 1.0);
+        let q = soft_assignment_values(tags, centers);
         let qhat = target_distribution(&q);
         for l in 0..t {
             let s: f32 = qhat.row(l).iter().sum();

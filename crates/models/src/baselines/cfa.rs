@@ -7,7 +7,7 @@
 //! embeddings with a ranking loss.
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{Tape, Tensor};
+use imcat_tensor::{Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
 use crate::baselines::profiles::{select_rows, user_tag_profiles};
@@ -77,9 +77,10 @@ impl RecModel for Cfa {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        let latent = self.encoder.forward_tensor(&self.core.store, &self.profiles);
-        Some((latent, self.core.store.value(self.core.item_emb).clone()))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let p = tape.constant(self.profiles.clone());
+        let latent = self.encoder.forward(tape, &self.core.store, p);
+        Some((latent, tape.leaf(&self.core.store, self.core.item_emb)))
     }
 
     fn num_params(&self) -> usize {

@@ -8,7 +8,7 @@
 //! of the shared item embedding is CKE's defining mechanism.
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{xavier_uniform, ParamId, Tape, Tensor, Var};
+use imcat_tensor::{xavier_uniform, ParamId, Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{bpr_loss, EmbeddingCore, EpochStats, RecModel, TrainConfig};
@@ -101,11 +101,9 @@ impl RecModel for Cke {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        Some((
-            self.core.store.value(self.core.user_emb).clone(),
-            self.core.store.value(self.core.item_emb).clone(),
-        ))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let u = tape.leaf(&self.core.store, self.core.user_emb);
+        Some((u, tape.leaf(&self.core.store, self.core.item_emb)))
     }
 
     fn num_params(&self) -> usize {

@@ -3,7 +3,7 @@
 //! embedding space, ranked by cosine similarity.
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{Adam, ParamStore, Tape, Tensor};
+use imcat_tensor::{Adam, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
 use crate::baselines::profiles::{item_tag_profiles, select_rows, user_tag_profiles};
@@ -76,25 +76,17 @@ impl RecModel for Dspr {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        let fu = normalize_rows(self.tower.forward_tensor(&self.store, &self.user_profiles));
-        let fv = normalize_rows(self.tower.forward_tensor(&self.store, &self.item_profiles));
-        Some((fu, fv))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let pu = tape.constant(self.user_profiles.clone());
+        let pv = tape.constant(self.item_profiles.clone());
+        let fu = self.tower.forward(tape, &self.store, pu);
+        let fv = self.tower.forward(tape, &self.store, pv);
+        Some((tape.l2_normalize_rows(fu, 1e-12), tape.l2_normalize_rows(fv, 1e-12)))
     }
 
     fn num_params(&self) -> usize {
         self.store.num_weights()
     }
-}
-
-fn normalize_rows(mut t: Tensor) -> Tensor {
-    for r in 0..t.rows() {
-        let n = (t.row(r).iter().map(|x| x * x).sum::<f32>() + 1e-12).sqrt();
-        for x in t.row_mut(r) {
-            *x /= n;
-        }
-    }
-    t
 }
 
 #[cfg(test)]

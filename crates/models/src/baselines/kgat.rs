@@ -18,7 +18,7 @@ use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Tensor,
 use rand::rngs::StdRng;
 
 use crate::baselines::unified::UnifiedLayout;
-use crate::common::{bpr_loss, split_user_item, EpochStats, RecModel, TrainConfig};
+use crate::common::{bpr_loss, split_nodes, EpochStats, RecModel, TrainConfig};
 
 const REL_UI: usize = 0;
 const REL_IU: usize = 1;
@@ -129,16 +129,6 @@ impl Kgat {
         tape.scale(acc, 1.0 / (self.cfg.gnn_layers as f32 + 1.0))
     }
 
-    fn propagate_tensor(&self) -> Tensor {
-        let mut x = self.store.value(self.node_emb).clone();
-        let mut acc = x.clone();
-        for _ in 0..self.cfg.gnn_layers {
-            x = self.att_adj.spmm(&x);
-            acc.add_assign(&x);
-        }
-        acc.map(|v| v / (self.cfg.gnn_layers as f32 + 1.0))
-    }
-
     /// TransR energy with identity projection: `||e_h + e_r - e_t||²`.
     fn transr_energy(&self, tape: &mut Tape, heads: Var, tails: Var, rel: usize) -> Var {
         let r_all = tape.leaf(&self.store, self.rel_emb);
@@ -207,9 +197,9 @@ impl RecModel for Kgat {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        let nodes = self.propagate_tensor();
-        Some(split_user_item(&nodes, self.layout.n_users, self.layout.n_items))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let nodes = self.propagate(tape);
+        Some(split_nodes(tape, nodes, self.layout.n_users, self.layout.n_items))
     }
 
     fn num_params(&self) -> usize {

@@ -16,12 +16,14 @@
 use std::rc::Rc;
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{xavier_uniform, Csr, ParamId, Tape, Tensor, Var};
+use imcat_tensor::{xavier_uniform, Csr, ParamId, Tape, Var};
 use rand::rngs::StdRng;
 
 use imcat_graph::joint_normalized_adjacency;
 
-use crate::common::{bpr_loss, EmbeddingCore, EpochStats, RecModel, TrainConfig};
+use crate::common::{
+    bpr_loss, propagate_mean, split_nodes, EmbeddingCore, EpochStats, RecModel, TrainConfig,
+};
 
 /// Number of latent intents (the paper's KGIN uses 4 by default).
 const INTENTS: usize = 4;
@@ -89,13 +91,10 @@ impl Kgin {
         let v_init = tape.scale(v_sum, 0.5);
         // Relational path aggregation over the joint graph.
         let x0 = tape.concat_rows(&[u0, v_init]);
-        let nodes = crate::common::propagate_mean(tape, &self.adj, x0, self.cfg.gnn_layers);
+        let nodes = propagate_mean(tape, &self.adj, x0, self.cfg.gnn_layers);
         let n_users = self.core.store.value(self.core.user_emb).rows();
         let n_items = self.core.store.value(self.core.item_emb).rows();
-        let user_ids: Vec<u32> = (0..n_users as u32).collect();
-        let item_ids: Vec<u32> = (n_users as u32..(n_users + n_items) as u32).collect();
-        let u_prop = tape.gather_rows(nodes, &user_ids);
-        let v = tape.gather_rows(nodes, &item_ids);
+        let (u_prop, v) = split_nodes(tape, nodes, n_users, n_items);
         // Intent-modulated residual on the user side.
         let e_p = self.intents(tape); // [P, d]
         let beta_logits = tape.matmul_nt(u_prop, e_p); // [U, P]
@@ -138,74 +137,6 @@ impl Kgin {
         self.core.adam.step(&mut self.core.store);
         value
     }
-
-    /// Gradient-free resolved embeddings for evaluation.
-    fn represent_tensor(&self) -> (Tensor, Tensor) {
-        let store = &self.core.store;
-        let u0 = store.value(self.core.user_emb);
-        let v0 = store.value(self.core.item_emb);
-        let t0 = store.value(self.tag_emb);
-        let mut v_init = self.it_agg.spmm(t0);
-        v_init.add_assign(v0);
-        let v_init = v_init.map(|x| x * 0.5);
-        // Stack [users; items] and propagate.
-        let n_users = u0.rows();
-        let n_items = v_init.rows();
-        let d = u0.cols();
-        let mut x0 = Tensor::zeros(n_users + n_items, d);
-        for r in 0..n_users {
-            x0.row_mut(r).copy_from_slice(u0.row(r));
-        }
-        for r in 0..n_items {
-            x0.row_mut(n_users + r).copy_from_slice(v_init.row(r));
-        }
-        let nodes = crate::common::propagate_mean_tensor(&self.adj, &x0, self.cfg.gnn_layers);
-        let mut u_prop = Tensor::zeros(n_users, d);
-        let mut v = Tensor::zeros(n_items, d);
-        for r in 0..n_users {
-            u_prop.row_mut(r).copy_from_slice(nodes.row(r));
-        }
-        for r in 0..n_items {
-            v.row_mut(r).copy_from_slice(nodes.row(n_users + r));
-        }
-        // Intents.
-        let logits = store.value(self.intent_logits);
-        let mut att = logits.clone();
-        for r in 0..att.rows() {
-            let row = att.row_mut(r);
-            let m = row.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
-            let mut s = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                s += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= s;
-            }
-        }
-        let e_p = att.matmul(t0);
-        let mut beta = u_prop.matmul_nt(&e_p);
-        for r in 0..beta.rows() {
-            let row = beta.row_mut(r);
-            let m = row.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
-            let mut s = 0.0;
-            for x in row.iter_mut() {
-                *x = (*x - m).exp();
-                s += *x;
-            }
-            for x in row.iter_mut() {
-                *x /= s;
-            }
-        }
-        let mixed = beta.matmul(&e_p);
-        let mut u = Tensor::zeros(n_users, d);
-        for r in 0..u.rows() {
-            for ((o, &p), &m) in u.row_mut(r).iter_mut().zip(u_prop.row(r)).zip(mixed.row(r)) {
-                *o = p + 0.5 * m * p;
-            }
-        }
-        (u, v)
-    }
 }
 
 impl RecModel for Kgin {
@@ -222,8 +153,8 @@ impl RecModel for Kgin {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        Some(self.represent_tensor())
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        Some(self.represent(tape))
     }
 
     fn num_params(&self) -> usize {
@@ -236,18 +167,6 @@ mod tests {
     use super::*;
     use crate::test_util::{tiny_split, training_improves_recall};
     use rand::SeedableRng;
-
-    #[test]
-    fn tape_and_tensor_representations_agree() {
-        let data = tiny_split(121);
-        let mut rng = StdRng::seed_from_u64(0);
-        let model = Kgin::new(&data, TrainConfig::default(), &mut rng);
-        let mut tape = Tape::new();
-        let (u, v) = model.represent(&mut tape);
-        let (ut, vt) = model.represent_tensor();
-        assert!(tape.value(u).approx_eq(&ut, 1e-4));
-        assert!(tape.value(v).approx_eq(&vt, 1e-4));
-    }
 
     #[test]
     fn loss_decreases() {

@@ -6,12 +6,11 @@ use std::rc::Rc;
 
 use imcat_data::{BprSampler, SplitDataset};
 use imcat_graph::{joint_normalized_adjacency, Bipartite};
-use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Tensor};
+use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{
-    bpr_loss, dedup_ids, info_nce, propagate_mean, propagate_mean_tensor, split_user_item,
-    EpochStats, RecModel, TrainConfig,
+    bpr_loss, dedup_ids, info_nce, propagate_mean, split_nodes, EpochStats, RecModel, TrainConfig,
 };
 
 /// Self-supervised graph learning recommender.
@@ -125,10 +124,10 @@ impl RecModel for Sgl {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        let nodes =
-            propagate_mean_tensor(&self.adj, self.store.value(self.node_emb), self.cfg.gnn_layers);
-        Some(split_user_item(&nodes, self.n_users, self.n_items))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let x0 = tape.leaf(&self.store, self.node_emb);
+        let nodes = propagate_mean(tape, &self.adj, x0, self.cfg.gnn_layers);
+        Some(split_nodes(tape, nodes, self.n_users, self.n_items))
     }
 
     fn num_params(&self) -> usize {

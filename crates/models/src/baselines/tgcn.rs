@@ -11,11 +11,11 @@
 use std::rc::Rc;
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Tensor, Var};
+use imcat_tensor::{xavier_uniform, Adam, Csr, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::baselines::unified::{it_adjacency, ui_adjacency, UnifiedLayout};
-use crate::common::{bpr_loss, split_user_item, EpochStats, RecModel, TrainConfig};
+use crate::common::{bpr_loss, split_nodes, EpochStats, RecModel, TrainConfig};
 
 /// Tag graph convolutional network.
 pub struct Tgcn {
@@ -62,18 +62,6 @@ impl Tgcn {
         tape.scale(acc, 1.0 / (self.cfg.gnn_layers as f32 + 1.0))
     }
 
-    fn propagate_tensor(&self) -> Tensor {
-        let mut x = self.store.value(self.node_emb).clone();
-        let mut acc = x.clone();
-        for _ in 0..self.cfg.gnn_layers {
-            let mut sum = self.ui_adj.spmm(&x);
-            sum.add_assign(&self.it_adj.spmm(&x));
-            x = sum.map(|v| v * 0.5);
-            acc.add_assign(&x);
-        }
-        acc.map(|v| v / (self.cfg.gnn_layers as f32 + 1.0))
-    }
-
     fn step(&mut self, rng: &mut StdRng) -> f32 {
         let batch = self.sampler.sample(self.cfg.batch_size, rng);
         let mut tape = Tape::new();
@@ -107,9 +95,9 @@ impl RecModel for Tgcn {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        let nodes = self.propagate_tensor();
-        Some(split_user_item(&nodes, self.layout.n_users, self.layout.n_items))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        let nodes = self.propagate(tape);
+        Some(split_nodes(tape, nodes, self.layout.n_users, self.layout.n_items))
     }
 
     fn num_params(&self) -> usize {
@@ -141,15 +129,5 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let model = Tgcn::new(&data, TrainConfig::default(), &mut rng);
         training_improves_recall(model, &data, 30);
-    }
-
-    #[test]
-    fn tape_and_tensor_propagation_agree() {
-        let data = tiny_split(83);
-        let mut rng = StdRng::seed_from_u64(0);
-        let model = Tgcn::new(&data, TrainConfig::default(), &mut rng);
-        let mut tape = Tape::new();
-        let v = model.propagate(&mut tape);
-        assert!(tape.value(v).approx_eq(&model.propagate_tensor(), 1e-5));
     }
 }

@@ -2,7 +2,7 @@
 //! (Rendle et al. 2009; paper baseline "BPRMF", Eq. 1).
 
 use imcat_data::{BprSampler, SplitDataset};
-use imcat_tensor::{Tape, Tensor, Var};
+use imcat_tensor::{Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{bpr_loss, Backbone, EmbeddingCore, EpochStats, RecModel, TrainConfig};
@@ -53,11 +53,8 @@ impl RecModel for Bprmf {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        Some((
-            self.core.store.value(self.core.user_emb).clone(),
-            self.core.store.value(self.core.item_emb).clone(),
-        ))
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        Some(self.embed_all(tape))
     }
 
     fn num_params(&self) -> usize {

@@ -58,16 +58,26 @@ pub trait RecModel {
     /// Runs one epoch of optimization.
     fn train_epoch(&mut self, rng: &mut StdRng) -> EpochStats;
 
-    /// Resolved, gradient-free user/item embedding matrices (`[n_users, d]`,
-    /// `[n_items, d]`) such that user `u`'s relevance for item `j` is exactly
-    /// `user_emb[u] · item_emb[j]` — the frozen inference surface behind both
-    /// [`RecModel::score_users`] and [`RecModel::export_artifact`]. For GNN
-    /// models this runs propagation; for factorization models it is the raw
-    /// tables. Models whose scoring is not a user×item dot product (NeuMF's
-    /// fused MLP head, RippleNet's per-user tag attention) return `None` and
-    /// override [`RecModel::score_users`] instead.
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
+    /// Records the model's resolved user and item embeddings (`[n_users, d]`,
+    /// `[n_items, d]`) on `tape` with the very forward it trains through, such
+    /// that user `u`'s relevance for item `j` is exactly `users[u] · items[j]`.
+    /// For GNN models this runs propagation; for factorization models it is
+    /// the raw tables. Models whose scoring is not a user×item dot product
+    /// (NeuMF's fused MLP head, RippleNet's per-user tag attention) keep the
+    /// `None` default and override [`RecModel::score_users`] instead.
+    fn forward_embeddings(&self, _tape: &mut Tape) -> Option<(Var, Var)> {
         None
+    }
+
+    /// The values of [`RecModel::forward_embeddings`], taken from a throwaway
+    /// tape that is never differentiated — the frozen inference surface
+    /// behind both [`RecModel::score_users`] and
+    /// [`RecModel::export_artifact`]. Not meant to be overridden: evaluation
+    /// and serving score with exactly the function that was trained.
+    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
+        let mut tape = Tape::new();
+        let (users, items) = self.forward_embeddings(&mut tape)?;
+        Some((tape.value(users).clone(), tape.value(items).clone()))
     }
 
     /// Full-ranking scores `[users.len(), n_items]` for evaluation
@@ -76,7 +86,7 @@ pub trait RecModel {
     /// dot-product decomposition implement this directly.
     fn score_users(&self, users: &[u32]) -> Tensor {
         let (user_emb, item_emb) = self.export_embeddings().unwrap_or_else(|| {
-            panic!("{}: implement export_embeddings or override score_users", self.name())
+            panic!("{}: implement forward_embeddings or override score_users", self.name())
         });
         dot_score_all(&user_emb, &item_emb, users)
     }
@@ -257,17 +267,6 @@ pub fn propagate_mean(tape: &mut Tape, adj: &Rc<Csr>, x0: Var, layers: usize) ->
     tape.scale(acc, 1.0 / (layers as f32 + 1.0))
 }
 
-/// Plain-tensor version of [`propagate_mean`] for gradient-free evaluation.
-pub fn propagate_mean_tensor(adj: &Csr, x0: &Tensor, layers: usize) -> Tensor {
-    let mut acc = x0.clone();
-    let mut x = x0.clone();
-    for _ in 0..layers {
-        x = adj.spmm(&x);
-        acc.add_assign(&x);
-    }
-    acc.map(|v| v / (layers as f32 + 1.0))
-}
-
 /// A fully connected block `x @ W + b` with optional LeakyReLU, parameters
 /// registered on a shared store.
 pub struct Linear {
@@ -303,21 +302,6 @@ impl Linear {
             None => h,
         }
     }
-
-    /// Gradient-free forward pass on plain tensors.
-    pub fn forward_tensor(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = x.matmul(store.value(self.w));
-        let b = store.value(self.b);
-        for r in 0..h.rows() {
-            for (o, &bb) in h.row_mut(r).iter_mut().zip(b.as_slice()) {
-                *o += bb;
-            }
-        }
-        match self.activation {
-            Some(alpha) => h.map(|v| if v > 0.0 { v } else { alpha * v }),
-            None => h,
-        }
-    }
 }
 
 /// Stack of [`Linear`] layers.
@@ -346,15 +330,6 @@ impl Mlp {
         }
         x
     }
-
-    /// Gradient-free forward pass.
-    pub fn forward_tensor(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for l in &self.layers {
-            h = l.forward_tensor(store, &h);
-        }
-        h
-    }
 }
 
 /// Sorted, deduplicated copy of an id list (for contrastive batches where a
@@ -366,20 +341,14 @@ pub fn dedup_ids(ids: &[u32]) -> Vec<u32> {
     v
 }
 
-/// Splits a stacked `[n_users + n_items, d]` node matrix (users first) into
-/// separate user and item matrices — the shared epilogue of every GNN model
-/// that propagates over the joint user/item graph.
-pub fn split_user_item(nodes: &Tensor, n_users: usize, n_items: usize) -> (Tensor, Tensor) {
-    let d = nodes.cols();
-    let mut ue = Tensor::zeros(n_users, d);
-    let mut ve = Tensor::zeros(n_items, d);
-    for r in 0..n_users {
-        ue.row_mut(r).copy_from_slice(nodes.row(r));
-    }
-    for r in 0..n_items {
-        ve.row_mut(r).copy_from_slice(nodes.row(n_users + r));
-    }
-    (ue, ve)
+/// Splits a stacked node matrix — users in rows `0..n_users`, items in the
+/// `n_items` rows after them, any other node type (tags) after that — into
+/// user and item matrices on the tape: the shared epilogue of every model
+/// that propagates over a joint graph.
+pub fn split_nodes(tape: &mut Tape, nodes: Var, n_users: usize, n_items: usize) -> (Var, Var) {
+    let user_ids: Vec<u32> = (0..n_users as u32).collect();
+    let item_ids: Vec<u32> = (n_users as u32..(n_users + n_items) as u32).collect();
+    (tape.gather_rows(nodes, &user_ids), tape.gather_rows(nodes, &item_ids))
 }
 
 /// Dense `[B, n_items]` scores as `users_emb[users] @ items_emb^T` — the
@@ -474,33 +443,14 @@ mod tests {
     }
 
     #[test]
-    fn propagate_mean_tensor_matches_tape() {
-        let adj = Rc::new(Csr::from_triplets(
-            3,
-            3,
-            &[(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.5), (2, 1, 0.5)],
-        ));
-        let x = Tensor::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
-        let mut tape = Tape::new();
-        let xv = tape.constant(x.clone());
-        let out = propagate_mean(&mut tape, &adj, xv, 2);
-        let plain = propagate_mean_tensor(&adj, &x, 2);
-        assert!(tape.value(out).approx_eq(&plain, 1e-6));
-    }
-
-    #[test]
     fn mlp_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let mlp = Mlp::new(&mut store, "m", &[6, 8, 3], &mut rng);
-        let x = Tensor::zeros(4, 6);
-        let y = mlp.forward_tensor(&store, &x);
-        assert_eq!(y.shape(), (4, 3));
         let mut tape = Tape::new();
-        let xv = tape.constant(x);
+        let xv = tape.constant(Tensor::zeros(4, 6));
         let yv = mlp.forward(&mut tape, &store, xv);
         assert_eq!(tape.value(yv).shape(), (4, 3));
-        assert!(tape.value(yv).approx_eq(&y, 1e-6));
     }
 
     #[test]

@@ -6,11 +6,11 @@ use std::rc::Rc;
 
 use imcat_data::{BprSampler, SplitDataset};
 use imcat_graph::joint_normalized_adjacency;
-use imcat_tensor::{Csr, Tape, Tensor, Var};
+use imcat_tensor::{Csr, Tape, Var};
 use rand::rngs::StdRng;
 
 use crate::common::{
-    bpr_loss, propagate_mean, propagate_mean_tensor, Backbone, EmbeddingCore, EpochStats, RecModel,
+    bpr_loss, propagate_mean, split_nodes, Backbone, EmbeddingCore, EpochStats, RecModel,
     TrainConfig,
 };
 
@@ -43,21 +43,6 @@ impl LightGcn {
         propagate_mean(tape, &self.adj, x0, self.cfg.gnn_layers)
     }
 
-    /// Gradient-free propagated node matrix.
-    pub fn propagate_tensor(&self) -> Tensor {
-        let nodes = self.core.store.value(self.core.user_emb);
-        propagate_mean_tensor(&self.adj, nodes, self.cfg.gnn_layers)
-    }
-
-    fn split_users_items(&self, tape: &mut Tape, nodes: Var) -> (Var, Var) {
-        let user_ids: Vec<u32> = (0..self.n_users as u32).collect();
-        let item_ids: Vec<u32> =
-            (self.n_users as u32..(self.n_users + self.n_items) as u32).collect();
-        let u = tape.gather_rows(nodes, &user_ids);
-        let v = tape.gather_rows(nodes, &item_ids);
-        (u, v)
-    }
-
     fn bpr_step(&mut self, rng: &mut StdRng) -> f32 {
         let batch = self.sampler.sample(self.cfg.batch_size, rng);
         let mut tape = Tape::new();
@@ -75,21 +60,6 @@ impl LightGcn {
         self.core.adam.step(&mut self.core.store);
         value
     }
-
-    /// Resolved (propagated) user and item embedding tensors.
-    pub fn resolved_embeddings(&self) -> (Tensor, Tensor) {
-        let nodes = self.propagate_tensor();
-        let d = self.cfg.dim;
-        let mut u = Tensor::zeros(self.n_users, d);
-        let mut v = Tensor::zeros(self.n_items, d);
-        for r in 0..self.n_users {
-            u.row_mut(r).copy_from_slice(nodes.row(r));
-        }
-        for r in 0..self.n_items {
-            v.row_mut(r).copy_from_slice(nodes.row(self.n_users + r));
-        }
-        (u, v)
-    }
 }
 
 impl RecModel for LightGcn {
@@ -106,8 +76,8 @@ impl RecModel for LightGcn {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
-        Some(self.resolved_embeddings())
+    fn forward_embeddings(&self, tape: &mut Tape) -> Option<(Var, Var)> {
+        Some(self.embed_all(tape))
     }
 
     fn num_params(&self) -> usize {
@@ -134,7 +104,7 @@ impl Backbone for LightGcn {
 
     fn embed_all(&self, tape: &mut Tape) -> (Var, Var) {
         let nodes = self.propagate(tape);
-        self.split_users_items(tape, nodes)
+        split_nodes(tape, nodes, self.n_users, self.n_items)
     }
 
     fn score_pairs(
@@ -178,17 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn tape_and_tensor_propagation_agree() {
-        let data = tiny_split(33);
-        let mut rng = StdRng::seed_from_u64(0);
-        let model = LightGcn::new(&data, TrainConfig::default(), &mut rng);
-        let mut tape = Tape::new();
-        let nodes = model.propagate(&mut tape);
-        let plain = model.propagate_tensor();
-        assert!(tape.value(nodes).approx_eq(&plain, 1e-5));
-    }
-
-    #[test]
     fn embed_all_splits_correctly() {
         let data = tiny_split(34);
         let mut rng = StdRng::seed_from_u64(0);
@@ -197,8 +156,8 @@ mod tests {
         let (u, v) = model.embed_all(&mut tape);
         assert_eq!(tape.value(u).shape(), (data.n_users(), 32));
         assert_eq!(tape.value(v).shape(), (data.n_items(), 32));
-        let (ur, vr) = model.resolved_embeddings();
-        assert!(tape.value(u).approx_eq(&ur, 1e-5));
-        assert!(tape.value(v).approx_eq(&vr, 1e-5));
+        let nodes = model.propagate(&mut tape);
+        assert_eq!(tape.value(u).row(3), tape.value(nodes).row(3));
+        assert_eq!(tape.value(v).row(5), tape.value(nodes).row(data.n_users() + 5));
     }
 }

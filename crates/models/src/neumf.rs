@@ -76,30 +76,16 @@ impl RecModel for Neumf {
         EpochStats { loss: total / batches as f32, batches }
     }
 
+    /// Every item's training `fuse` score, one tape per user: the user's
+    /// row tiled against the whole item table.
     fn score_users(&self, users: &[u32]) -> Tensor {
-        let ue = self.core.store.value(self.core.user_emb);
-        let ve = self.core.store.value(self.core.item_emb);
-        let d = self.core.dim;
         let mut out = Tensor::zeros(users.len(), self.n_items);
-        // Batched per user: [n_items, 2d] through the MLP, GMF as a matvec.
-        let gmf_w = self.core.store.value(self.gmf_w);
         for (row, &u) in users.iter().enumerate() {
-            let urow = ue.row(u as usize);
-            let mut cat = Tensor::zeros(self.n_items, 2 * d);
-            let mut prod = Tensor::zeros(self.n_items, d);
-            for j in 0..self.n_items {
-                let vrow = ve.row(j);
-                cat.row_mut(j)[..d].copy_from_slice(urow);
-                cat.row_mut(j)[d..].copy_from_slice(vrow);
-                for (p, (&a, &b)) in prod.row_mut(j).iter_mut().zip(urow.iter().zip(vrow)) {
-                    *p = a * b;
-                }
-            }
-            let gmf = prod.matmul(gmf_w);
-            let mlp = self.mlp.forward_tensor(&self.core.store, &cat);
-            for j in 0..self.n_items {
-                out.set(row, j, gmf.get(j, 0) + mlp.get(j, 0));
-            }
+            let mut tape = Tape::new();
+            let uv = tape.gather(&self.core.store, self.core.user_emb, &vec![u; self.n_items]);
+            let vv = tape.leaf(&self.core.store, self.core.item_emb);
+            let s = self.fuse(&mut tape, uv, vv);
+            out.row_mut(row).copy_from_slice(tape.value(s).as_slice());
         }
         out
     }

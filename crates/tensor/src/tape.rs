@@ -827,7 +827,7 @@ impl Tape {
                         for ((dai, dbj), (&x, &y)) in da
                             .row_mut(i2)
                             .iter_mut()
-                            .zip(unsafe_row_mut(&mut db, j))
+                            .zip(db.row_mut(j))
                             .zip(va.row(i2).iter().zip(vb.row(j)))
                         {
                             *dai += gg * (x - y);
@@ -870,12 +870,6 @@ impl Tape {
             }
         }
     }
-}
-
-/// `db.row_mut(j)` via raw pointer: needed because the closure above already
-/// holds `da` mutably; rows of `db` are disjoint from `da`.
-fn unsafe_row_mut(t: &mut Tensor, r: usize) -> impl Iterator<Item = &mut f32> {
-    t.row_mut(r).iter_mut()
 }
 
 fn elementwise(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
