@@ -21,10 +21,15 @@
 //!
 //! ## Memory model and adjacency layout
 //!
-//! The index keeps its own copy of the base vectors plus tails (the classic
-//! HNSW memory model): that makes streamed inserts and checkpoint loads
-//! self-contained, at the cost of one extra catalog-sized matrix. Next to it
-//! sits the adjacency, in two shapes:
+//! The index holds structure, not vectors. Every call that measures a
+//! distance — build, [`HnswIndex::insert`], probe, checkpoint load — takes
+//! the item table the caller serves from (the artifact's `item_emb`) and
+//! reads node `id`'s coordinates as row `id` of it, so a serving generation
+//! holds its catalogue once. The one per-node geometry the index keeps is
+//! the augmentation tail, a function of the row and the frozen `Φ²`, which
+//! a load recomputes from the table instead of reading it. Items fold once
+//! (`imcat-serve`), so the rows under the graph never change while it lives.
+//! Next to the tails sits the adjacency, in two shapes:
 //!
 //! - **Level 0**, which every node has and where a probe spends nearly all
 //!   of its time, is flat `u32` rows with a fixed stride of `2m + 2` words
@@ -36,17 +41,16 @@
 //!   table of block pointers in front): a streamed insert past the last
 //!   block allocates one more block and never moves a row. A single array
 //!   would have to be copied whole when it outgrows its capacity — on the
-//!   first insert after a build, beside the vector store's own doubling —
-//!   and that copy made peak RSS depend on where the allocator found room.
+//!   first insert after a build — and that copy made peak RSS depend on
+//!   where the allocator found room.
 //! - **Upper levels** (a node reaches level `l ≥ 1` with probability
 //!   `m^-l`, ~6 % of nodes at `m = 16`) stay nested: `upper[id][l − 1]`.
 //!
-//! Per node that is `4·dim` (vector) + 4 (tail) + 4 (level) + `4·(2m + 2)`
-//! (level 0) + 24 (the empty upper-level `Vec` most nodes carry) bytes, plus
-//! the rare upper lists and the unused rows of the last block: ~424 B at
-//! `dim = 64`, `m = 16`. The persisted `ann.hnsw.links` stream is the same
-//! per-node, level-major list it always was; the rows are only how memory
-//! holds it.
+//! Per node that is 4 (tail) + 4 (level) + `4·(2m + 2)` (level 0) + 24 (the
+//! empty upper-level `Vec` most nodes carry) bytes, plus the rare upper lists
+//! and the unused rows of the last block: ~168 B at `m = 16`, whatever the
+//! dimension. The persisted `ann.hnsw.links` stream is the same per-node,
+//! level-major list it always was; the rows are only how memory holds it.
 //!
 //! ## Batched scoring keeps the traversal order
 //!
@@ -85,13 +89,16 @@
 //!
 //! ## Persistence
 //!
-//! Four versioned sections — `ann.hnsw.meta` / `ann.hnsw.vecs` /
-//! `ann.hnsw.levels` / `ann.hnsw.links` — ride the artifact container with
-//! the same all-or-nothing discipline as `ann.*`: decode re-validates every
+//! Three versioned sections — `ann.hnsw.meta` / `ann.hnsw.levels` /
+//! `ann.hnsw.links` — ride the artifact container with the same
+//! all-or-nothing discipline as `ann.*`: decode re-validates every
 //! structural invariant (degree bound and caps, id ranges, level
-//! monotonicity, entry point identity, finite geometry) and any violation
+//! monotonicity, entry point identity) and checks the graph against the item
+//! table it will serve (dimension, coverage, finite rows), and any violation
 //! rejects the whole index, which the engine then rebuilds under `.prev`
-//! rotation. The degree bound is checked before it sizes anything.
+//! rotation. The degree bound is checked before it sizes anything. Version 1
+//! carried a fourth section, `ann.hnsw.vecs`, with the index's own copy of
+//! the vectors and tails; a version-1 container is refused and rebuilt.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -107,16 +114,15 @@ use crate::ivf::AnnConfig;
 
 /// Section holding the graph geometry, build parameters, and entry point.
 pub const SEC_HNSW_META: &str = "ann.hnsw.meta";
-/// Section holding the index's own copy of the base vectors plus the
-/// MIPS-augmentation tail coordinates.
-pub const SEC_HNSW_VECS: &str = "ann.hnsw.vecs";
 /// Section holding the per-node top level.
 pub const SEC_HNSW_LEVELS: &str = "ann.hnsw.levels";
 /// Section holding the adjacency lists, flattened level-major per node.
 pub const SEC_HNSW_LINKS: &str = "ann.hnsw.links";
 
 /// Format version inside [`SEC_HNSW_META`]. Bumps reject-and-rebuild.
-const HNSW_VERSION: u32 = 1;
+/// Version 2 dropped the `ann.hnsw.vecs` vector copy: the graph reads the
+/// caller's item table.
+const HNSW_VERSION: u32 = 2;
 /// Hard ceiling on node levels: a level-30 node implies ~`16^30` items.
 const MAX_LEVEL: u32 = 30;
 /// Sentinel entry point of an empty graph.
@@ -166,9 +172,10 @@ impl DistId {
     }
 }
 
-/// Immutable view of the graph geometry a traversal needs: the vector store,
-/// the augmentation tails, and the query point (`qtail = 0` for real
-/// queries, the node's own tail during construction).
+/// Immutable view of the graph geometry a traversal needs: the item table's
+/// rows (row-major, `dim` per node), the augmentation tails, and the query
+/// point (`qtail = 0` for real queries, the node's own tail during
+/// construction).
 struct Ctx<'a> {
     vecs: &'a [f32],
     tails: &'a [f32],
@@ -543,9 +550,7 @@ pub struct HnswIndex {
     /// inserts clamp their completion coordinate at 0 against it, exactly
     /// like [`crate::ivf::IvfIndex::insert`].
     phi2: f64,
-    /// Row-major copy of the base vectors (`n_items × dim`).
-    vecs: Vec<f32>,
-    /// Per-item augmentation tails `sqrt(Φ² − ‖x‖²)`.
+    /// Per-item augmentation tails `sqrt(Φ² − ‖x‖²)` of the table's rows.
     tails: Vec<f32>,
     /// Per-item top level.
     levels: Vec<u32>,
@@ -566,7 +571,8 @@ impl HnswIndex {
     /// through the same greedy-search + link path streamed inserts use.
     /// Deterministic: the loop is serial (nothing in it fans out), so the
     /// same `(items, cfg, seed)` produces a bit-identical graph at any
-    /// `IMCAT_THREADS` setting.
+    /// `IMCAT_THREADS` setting. The graph keeps no copy of `items`: later
+    /// probes and inserts must pass the same table (grown, never changed).
     pub fn build(items: &Tensor, cfg: &AnnConfig, seed: u64) -> Self {
         let sp = imcat_obs::span("ann.hnsw.build.seconds");
         let (n_items, dim) = items.shape();
@@ -581,7 +587,6 @@ impl HnswIndex {
             m,
             ef_construction,
             phi2,
-            vecs: Vec::with_capacity(n_items * dim),
             tails: Vec::with_capacity(n_items),
             levels: Vec::with_capacity(n_items),
             links: Links::with_capacity(m, n_items),
@@ -589,8 +594,8 @@ impl HnswIndex {
             max_level: 0,
             scratch: LinkScratch::default(),
         };
-        for (i, &n2) in norms2.iter().enumerate() {
-            idx.push_node(items.row(i), mips_tail(phi2, n2));
+        for &n2 in &norms2 {
+            idx.push_node(items.as_slice(), mips_tail(phi2, n2));
         }
         drop(sp);
         imcat_obs::counter_add("ann.builds", 1);
@@ -610,18 +615,18 @@ impl HnswIndex {
         ((-u.ln() * ml) as u32).min(MAX_LEVEL)
     }
 
-    /// Appends one node (vector copy, tail, level, empty lists) and links it
-    /// into the graph. The single write path shared by [`HnswIndex::build`]
-    /// and [`HnswIndex::insert`].
-    fn push_node(&mut self, row: &[f32], tail: f32) {
+    /// Appends the next node (tail, level, empty lists) and links it into
+    /// the graph, reading coordinates from `vecs`, the item table's rows. The
+    /// single write path shared by [`HnswIndex::build`] and
+    /// [`HnswIndex::insert`].
+    fn push_node(&mut self, vecs: &[f32], tail: f32) {
         let id = self.n_items as u32;
         let level = Self::level_for(self.seed, id, self.m);
-        self.vecs.extend_from_slice(row);
         self.tails.push(tail);
         self.levels.push(level);
         self.links.push_node(level);
         self.n_items += 1;
-        self.link_node(id);
+        self.link_node(vecs, id);
     }
 
     /// Wires node `id` into the graph: greedy-descend the layers above its
@@ -629,22 +634,11 @@ impl HnswIndex {
     /// `ef_construction`-wide beam, pick up to `m` diversified forward
     /// neighbors, and add the reverse links (re-selecting any neighbor whose
     /// list overflows its degree cap).
-    fn link_node(&mut self, id: u32) {
+    fn link_node(&mut self, vecs: &[f32], id: u32) {
         let Self {
-            dim,
-            m,
-            ef_construction,
-            vecs,
-            tails,
-            levels,
-            links,
-            entry,
-            max_level,
-            scratch,
-            ..
+            dim, m, ef_construction, tails, levels, links, entry, max_level, scratch, ..
         } = self;
         let (dim, m, efc) = (*dim, *m, *ef_construction);
-        let vecs: &[f32] = vecs;
         let tails: &[f32] = tails;
         let node_level = levels[id as usize];
         if *entry == NO_ENTRY {
@@ -699,11 +693,13 @@ impl HnswIndex {
     /// level comes from the same seeded stream a rebuild would draw, and it
     /// is immediately reachable by probes.
     ///
-    /// Ids stay dense: `id` must equal the current catalog size.
-    pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        check_insert(self.dim, self.n_items, id, embedding)?;
+    /// Ids stay dense: `id` must equal the current catalog size, and the
+    /// embedding is row `id` of `items` — the table the graph was built over,
+    /// grown by the rows inserted since.
+    pub fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()> {
+        let embedding = check_insert(self.dim, self.n_items, id, items)?;
         let tail = mips_tail(self.phi2, norm2(embedding));
-        self.push_node(embedding, tail);
+        self.push_node(items.as_slice(), tail);
         if imcat_obs::enabled() {
             imcat_obs::counter_add("ann.inserts", 1);
             imcat_obs::counter_add("ann.hnsw.inserts", 1);
@@ -791,7 +787,7 @@ impl HnswIndex {
         let search = &mut scratch.graph;
         search.hops = 0;
         search.visited = 0;
-        let ctx = Ctx { vecs: &self.vecs, tails: &self.tails, q: query, qtail: 0.0 };
+        let ctx = Ctx { vecs: items.as_slice(), tails: &self.tails, q: query, qtail: 0.0 };
         let mut ep = DistId::new(ctx.dist(self.entry), self.entry);
         for lev in (1..=self.max_level).rev() {
             ep = search.greedy(&ctx, &self.links, lev as usize, ep);
@@ -813,11 +809,11 @@ impl HnswIndex {
     }
 
     /// Structural validation mirroring [`crate::ivf::IvfIndex::validate`]:
-    /// a degree bound in range, consistent array lengths, finite geometry,
+    /// a degree bound in range, consistent array lengths, finite tails,
     /// levels under the ceiling, degree caps respected, neighbor ids in range
     /// / non-self / reachable at their level, and a coherent entry point.
-    /// Decode goes through this, so a graph that loads is a graph the engine
-    /// can trust blindly.
+    /// Decode goes through this (after checking the item table), so a graph
+    /// that loads is a graph the engine can trust blindly.
     pub fn validate(&self) -> io::Result<()> {
         if !M_RANGE.contains(&self.m) {
             return Err(bad(format!("hnsw degree bound m = {} outside {M_RANGE:?}", self.m)));
@@ -827,12 +823,6 @@ impl HnswIndex {
         }
         if !self.phi2.is_finite() || self.phi2 < 0.0 {
             return Err(bad("hnsw Φ² must be finite and non-negative"));
-        }
-        if self.vecs.len() != self.n_items * self.dim {
-            return Err(bad("hnsw vector store length mismatch"));
-        }
-        if self.vecs.iter().any(|v| !v.is_finite()) {
-            return Err(bad("hnsw vector store contains nonfinite values"));
         }
         if self.tails.len() != self.n_items {
             return Err(bad("hnsw tails length mismatch"));
@@ -907,13 +897,6 @@ impl HnswIndex {
         meta.put_u32(self.entry);
         meta.put_u32(self.max_level);
         ck.insert(SEC_HNSW_META, meta.into_bytes());
-        let mut ve = Encoder::new();
-        ve.put_tensor(&Tensor::from_vec(self.n_items, self.dim, self.vecs.clone()));
-        ve.put_u64(self.tails.len() as u64);
-        for &t in &self.tails {
-            ve.put_f32(t);
-        }
-        ck.insert(SEC_HNSW_VECS, ve.into_bytes());
         let mut le = Encoder::new();
         le.put_u32s(&self.levels);
         ck.insert(SEC_HNSW_LEVELS, le.into_bytes());
@@ -934,11 +917,15 @@ impl HnswIndex {
     }
 
     /// Decodes and validates the `ann.hnsw.*` sections of `ck`, resolving
-    /// each name through the container's committed generation (if any).
-    /// `Ok(None)` when the container carries no graph; any malformed,
-    /// truncated, or semantically invalid section is an error — nothing
+    /// each name through the container's committed generation (if any),
+    /// against `items`, the table the graph will serve: it must have the
+    /// graph's dimension, cover its nodes (it may run ahead of them, as
+    /// during streaming) with finite rows, and the tails are recomputed from
+    /// those rows and the persisted `Φ²`. `Ok(None)` when the container
+    /// carries no graph; any malformed, truncated, or semantically invalid
+    /// section — a version-1 container included — is an error, nothing
     /// partial escapes.
-    pub fn from_checkpoint(ck: &Checkpoint) -> io::Result<Option<Self>> {
+    pub fn from_checkpoint(ck: &Checkpoint, items: &Tensor) -> io::Result<Option<Self>> {
         let Some(meta_bytes) = ck.resolve(SEC_HNSW_META) else {
             return Ok(None);
         };
@@ -964,24 +951,17 @@ impl HnswIndex {
         if dim == 0 {
             return Err(bad("zero-dim hnsw index"));
         }
-        let mut ve = Decoder::new(ck.require_resolved(SEC_HNSW_VECS)?);
-        let vt = ve.tensor()?;
-        if vt.shape() != (n_items, dim) {
+        if items.cols() != dim || items.rows() < n_items {
             return Err(bad(format!(
-                "hnsw vector store shape {:?} contradicts meta ({n_items}, {dim})",
-                vt.shape()
+                "hnsw graph of ({n_items}, {dim}) does not fit item table {:?}",
+                items.shape()
             )));
         }
-        let nt = ve.u64()? as usize;
-        // Overflow-proof form of `4 * nt > remaining` (tails are 4-byte f32s).
-        if nt > ve.remaining() / 4 {
-            return Err(bad("hnsw tails exceed remaining section bytes"));
+        let rows = &items.as_slice()[..n_items * dim];
+        if rows.iter().any(|v| !v.is_finite()) {
+            return Err(bad("hnsw item table contains nonfinite values"));
         }
-        let mut tails = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            tails.push(ve.f32()?);
-        }
-        ve.finish()?;
+        let tails = rows.chunks_exact(dim).map(|row| mips_tail(phi2, norm2(row))).collect();
         let mut le = Decoder::new(ck.require_resolved(SEC_HNSW_LEVELS)?);
         let levels = le.u32s()?;
         le.finish()?;
@@ -999,7 +979,6 @@ impl HnswIndex {
             m,
             ef_construction,
             phi2,
-            vecs: vt.as_slice().to_vec(),
             tails,
             levels,
             links,
@@ -1081,8 +1060,8 @@ impl crate::index::AnnIndex for HnswIndex {
         HnswIndex::probe(self, query, items, mask, k, nprobe, scratch);
     }
 
-    fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        HnswIndex::insert(self, id, embedding)
+    fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()> {
+        HnswIndex::insert(self, id, items)
     }
 
     fn save_sections(&self, ck: &mut Checkpoint) {

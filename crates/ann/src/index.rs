@@ -104,8 +104,10 @@ pub trait AnnIndex: Send {
     );
 
     /// Appends item `id` (which must equal the current catalog size — ids
-    /// stay dense) with `embedding`, without retraining.
-    fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()>;
+    /// stay dense), whose embedding is row `id` of `items`, without
+    /// retraining. `items` is the table probes score from; an index keeps
+    /// no copy of it.
+    fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()>;
 
     /// Serializes the index into named `ann.*` sections of `ck`.
     fn save_sections(&self, ck: &mut Checkpoint);
@@ -120,24 +122,28 @@ pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
 }
 
 /// The preconditions every backend's [`AnnIndex::insert`] shares: the
-/// embedding has the index's dimension, `id` is the next dense id, and every
-/// coordinate is finite.
+/// table has the index's dimension, `id` is the next dense id and a row of
+/// the table, and every coordinate of that row is finite. Returns the row.
 pub(crate) fn check_insert(
     dim: usize,
     n_items: usize,
     id: u32,
-    embedding: &[f32],
-) -> io::Result<()> {
-    if embedding.len() != dim {
-        return Err(bad(format!("insert embedding dim {} != index dim {dim}", embedding.len())));
+    items: &Tensor,
+) -> io::Result<&[f32]> {
+    if items.cols() != dim {
+        return Err(bad(format!("insert embedding dim {} != index dim {dim}", items.cols())));
     }
     if id as usize != n_items {
         return Err(bad(format!("ids are dense: insert expected id {n_items} got {id}")));
     }
+    if n_items >= items.rows() {
+        return Err(bad(format!("insert id {id} is not a row of a {}-row table", items.rows())));
+    }
+    let embedding = items.row(n_items);
     if embedding.iter().any(|x| !x.is_finite()) {
         return Err(bad("insert embedding contains nonfinite values"));
     }
-    Ok(())
+    Ok(embedding)
 }
 
 /// Squared L2 norm accumulated in f64: squared f32 magnitudes can overflow
@@ -179,8 +185,8 @@ impl AnnIndex for IvfIndex {
         IvfIndex::probe(self, query, items, mask, k, nprobe, scratch);
     }
 
-    fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        IvfIndex::insert(self, id, embedding)
+    fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()> {
+        IvfIndex::insert(self, id, items)
     }
 
     fn save_sections(&self, ck: &mut Checkpoint) {
@@ -274,8 +280,8 @@ impl AnnIndex for BruteIndex {
         }
     }
 
-    fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        check_insert(self.dim, self.n_items, id, embedding)?;
+    fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()> {
+        check_insert(self.dim, self.n_items, id, items)?;
         self.n_items += 1;
         imcat_obs::counter_add("ann.inserts", 1);
         Ok(())
@@ -373,16 +379,21 @@ impl AnnConfig {
     }
 
     /// Decodes whichever index sections the container holds for this
-    /// configuration's kind (generation-resolved). `Ok(None)` when the
-    /// container carries no index of that kind.
-    pub fn load_index(&self, ck: &Checkpoint) -> io::Result<Option<Box<dyn AnnIndex>>> {
+    /// configuration's kind (generation-resolved), for serving over `items`
+    /// (the graph reads its rows and is checked against them). `Ok(None)`
+    /// when the container carries no index of that kind.
+    pub fn load_index(
+        &self,
+        ck: &Checkpoint,
+        items: &Tensor,
+    ) -> io::Result<Option<Box<dyn AnnIndex>>> {
         fn boxed<I: AnnIndex + 'static>(index: Option<I>) -> Option<Box<dyn AnnIndex>> {
             index.map(|i| Box::new(i) as Box<dyn AnnIndex>)
         }
         Ok(match self.kind {
             AnnKind::Ivf => boxed(IvfIndex::from_checkpoint(ck)?),
             AnnKind::Brute => boxed(BruteIndex::from_checkpoint(ck)?),
-            AnnKind::Hnsw => boxed(crate::hnsw::HnswIndex::from_checkpoint(ck)?),
+            AnnKind::Hnsw => boxed(crate::hnsw::HnswIndex::from_checkpoint(ck, items)?),
         })
     }
 
@@ -402,7 +413,7 @@ impl AnnConfig {
         items: &Tensor,
         seed: u64,
     ) -> Box<dyn AnnIndex> {
-        let loaded = self.load_index(ck).unwrap_or_else(|_| {
+        let loaded = self.load_index(ck, items).unwrap_or_else(|_| {
             imcat_obs::counter_add("ann.index.rejected", 1);
             None
         });

@@ -55,7 +55,7 @@ use rand::SeedableRng;
 
 use crate::hnsw::M_RANGE;
 use crate::index::{bad, check_insert, mips_tail, norm2};
-use crate::kmeans::{assign_nearest, kmeans_centers};
+use crate::kmeans::{assign_nearest, assign_tailed, kmeans_tailed};
 
 /// Section holding the index geometry, build seed, and storage flavor.
 pub const SEC_ANN_META: &str = "ann.meta";
@@ -363,17 +363,14 @@ impl IvfIndex {
         let nlist = cfg.resolved_nlist(n_items);
         // MIPS-to-L2 augmentation: [x, sqrt(Φ² − ‖x‖²)] equalizes norms so
         // L2 k-means clusters by inner-product relevance, not just
-        // direction.
+        // direction. The completion coordinate rides beside the catalogue as
+        // a virtual column; the augmented rows are never materialized.
         let norms2: Vec<f64> = items.rows_iter().map(norm2).collect();
         let max2 = norms2.iter().fold(0f64, |m, &v| m.max(v));
-        let mut aug = Tensor::zeros(n_items, dim + 1);
-        for (i, &n2) in norms2.iter().enumerate() {
-            aug.row_mut(i)[..dim].copy_from_slice(items.row(i));
-            aug.row_mut(i)[dim] = mips_tail(max2, n2);
-        }
+        let tails: Vec<f32> = norms2.iter().map(|&n2| mips_tail(max2, n2)).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let centroids = kmeans_centers(&aug, nlist, BUILD_ITERS, &mut rng);
-        let assign = assign_nearest(&aug, &centroids);
+        let centroids = kmeans_tailed(items, Some(&tails), nlist, BUILD_ITERS, &mut rng);
+        let assign = assign_tailed(items, Some(&tails), &centroids);
         let mut counts = vec![0u32; nlist];
         for &a in &assign {
             counts[a] += 1;
@@ -447,13 +444,14 @@ impl IvfIndex {
     /// error bound are recomputed with the identical per-row formulas the
     /// build uses, so certified-skip stays exact for streamed items.
     ///
-    /// Ids stay dense: `id` must equal the current catalog size. Items whose
-    /// norm exceeds the build `Φ` get a clamped completion coordinate of 0 —
-    /// list assignment degrades gracefully and probe scoring stays exact
-    /// (candidates are always re-scored from f32); a background rebuild
-    /// restores the invariant.
-    pub fn insert(&mut self, id: u32, embedding: &[f32]) -> io::Result<()> {
-        check_insert(self.dim, self.n_items, id, embedding)?;
+    /// Ids stay dense: `id` must equal the current catalog size, and the
+    /// embedding is row `id` of `items`, the table later probes score from.
+    /// Items whose norm exceeds the build `Φ` get a clamped completion
+    /// coordinate of 0 — list assignment degrades gracefully and probe
+    /// scoring stays exact (candidates are always re-scored from f32); a
+    /// background rebuild restores the invariant.
+    pub fn insert(&mut self, id: u32, items: &Tensor) -> io::Result<()> {
+        let embedding = check_insert(self.dim, self.n_items, id, items)?;
         // The Φ-augmented row, assigned by the build's own definition of
         // "nearest centroid" (ties to the lower list id).
         let mut row = embedding.to_vec();

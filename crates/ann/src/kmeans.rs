@@ -44,12 +44,25 @@ const ASSIGN_GRAIN: usize = 64;
 /// module docs), so the result depends on neither the thread count nor the
 /// SIMD backend.
 pub fn assign_nearest(data: &Tensor, centers: &Tensor) -> Vec<usize> {
+    assign_tailed(data, None, centers)
+}
+
+/// [`assign_nearest`] over points that carry one more, virtual coordinate:
+/// point `i` is `[data.row(i), tail[i]]` and every centre has
+/// `data.cols() + 1` columns. Each point is assembled in a `d + 1` buffer
+/// per chunk and measured by the same `imcat_simd::l2_sq_cols` call as a
+/// materialized augmented row, so every distance has that row's bits
+/// (`ivf_build_bytes_are_pinned` holds the IVF build to them) while the
+/// augmented catalogue is never allocated. `None` is plain `data`.
+pub(crate) fn assign_tailed(data: &Tensor, tail: Option<&[f32]>, centers: &Tensor) -> Vec<usize> {
     let t = data.rows();
-    let (k, d) = centers.shape();
+    let (k, cd) = centers.shape();
+    let d = data.cols();
     assert!(k > 0, "need at least one center");
-    assert_eq!(data.cols(), d, "point/center dims differ");
+    assert_eq!(d + tail.is_some() as usize, cd, "point/center dims differ");
+    assert!(tail.is_none_or(|tail| tail.len() == t), "one tail coordinate per point");
     let stride = k.next_multiple_of(L2_COLS_LANES);
-    let mut cols = vec![0.0f32; d * stride];
+    let mut cols = vec![0.0f32; cd * stride];
     for j in 0..k {
         for (c, &v) in centers.row(j).iter().enumerate() {
             cols[c * stride + j] = v;
@@ -60,18 +73,39 @@ pub fn assign_nearest(data: &Tensor, centers: &Tensor) -> Vec<usize> {
         // `k` long, not `stride`: a padding lane is a centre at the origin,
         // and must never be a candidate.
         let mut dist = vec![0.0f32; k];
-        for (off, slot) in slots.iter_mut().enumerate() {
-            imcat_simd::l2_sq_cols(data.row(ci * ASSIGN_GRAIN + off), &cols, stride, &mut dist);
-            let mut best = (0usize, f32::INFINITY);
-            for (j, &d2) in dist.iter().enumerate() {
-                if d2 < best.1 {
-                    best = (j, d2);
+        let first = ci * ASSIGN_GRAIN;
+        match tail {
+            None => {
+                for (off, slot) in slots.iter_mut().enumerate() {
+                    imcat_simd::l2_sq_cols(data.row(first + off), &cols, stride, &mut dist);
+                    *slot = nearest(&dist);
                 }
             }
-            *slot = best.0;
+            Some(tail) => {
+                let mut point = vec![0.0f32; cd];
+                for (off, slot) in slots.iter_mut().enumerate() {
+                    point[..d].copy_from_slice(data.row(first + off));
+                    point[d] = tail[first + off];
+                    imcat_simd::l2_sq_cols(&point, &cols, stride, &mut dist);
+                    *slot = nearest(&dist);
+                }
+            }
         }
     });
     assign
+}
+
+/// The index of the smallest distance, scanning in ascending order under a
+/// strict `<`: ties go to the lower centre.
+#[inline(always)]
+fn nearest(dist: &[f32]) -> usize {
+    let mut best = (0usize, f32::INFINITY);
+    for (j, &d2) in dist.iter().enumerate() {
+        if d2 < best.1 {
+            best = (j, d2);
+        }
+    }
+    best.0
 }
 
 /// Lloyd k-means over the rows of `data`: `iters` assign/update rounds from
@@ -80,10 +114,27 @@ pub fn assign_nearest(data: &Tensor, centers: &Tensor) -> Vec<usize> {
 /// The RNG draw sequence and all floating-point accumulation orders are
 /// identical to the historical serial implementation in `imcat-core`, so
 /// seeded runs (and their checkpoints) reproduce exactly.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
 pub fn kmeans_centers(data: &Tensor, k: usize, iters: usize, rng: &mut impl Rng) -> Tensor {
+    kmeans_tailed(data, None, k, iters, rng)
+}
+
+/// The one Lloyd body: [`kmeans_centers`] over points with an optional
+/// virtual last coordinate (see [`assign_tailed`]), returning
+/// `[k, data.cols() + 1]` centres when `tail` is given. The tail column is
+/// initialized, summed and averaged exactly as a materialized column would
+/// be — the same point order, the same per-column accumulator — so the
+/// centres are bit-identical to k-means over the augmented copy.
+#[allow(clippy::needless_range_loop)] // parallel-array indexing is clearer here
+pub(crate) fn kmeans_tailed(
+    data: &Tensor,
+    tail: Option<&[f32]>,
+    k: usize,
+    iters: usize,
+    rng: &mut impl Rng,
+) -> Tensor {
     let (t, d) = data.shape();
     assert!(t >= k, "need at least K points");
+    let cd = d + tail.is_some() as usize;
     // Init: distinct random rows.
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
     while chosen.len() < k {
@@ -92,22 +143,29 @@ pub fn kmeans_centers(data: &Tensor, k: usize, iters: usize, rng: &mut impl Rng)
             chosen.push(c);
         }
     }
-    let mut centers = Tensor::zeros(k, d);
+    let mut centers = Tensor::zeros(k, cd);
     for (j, &c) in chosen.iter().enumerate() {
-        centers.row_mut(j).copy_from_slice(data.row(c));
+        centers.row_mut(j)[..d].copy_from_slice(data.row(c));
+        if let Some(tail) = tail {
+            centers.row_mut(j)[d] = tail[c];
+        }
     }
     for _ in 0..iters {
         // Assign (parallel over points and centres, bit-identical to serial).
-        let assign = assign_nearest(data, &centers);
+        let assign = assign_tailed(data, tail, &centers);
         // Update (serial: accumulation order over points is part of the
         // determinism contract).
-        let mut sums = Tensor::zeros(k, d);
+        let mut sums = Tensor::zeros(k, cd);
         let mut counts = vec![0usize; k];
         for i in 0..t {
             let j = assign[i];
             counts[j] += 1;
-            for (s, &x) in sums.row_mut(j).iter_mut().zip(data.row(i)) {
+            let sum = sums.row_mut(j);
+            for (s, &x) in sum.iter_mut().zip(data.row(i)) {
                 *s += x;
+            }
+            if let Some(tail) = tail {
+                sum[d] += tail[i];
             }
         }
         for j in 0..k {

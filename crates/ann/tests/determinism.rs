@@ -4,7 +4,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use imcat_ann::hnsw::{SEC_HNSW_LEVELS, SEC_HNSW_LINKS, SEC_HNSW_META, SEC_HNSW_VECS};
+use imcat_ann::hnsw::{SEC_HNSW_LEVELS, SEC_HNSW_LINKS};
 use imcat_ann::{
     kmeans_centers, AnnConfig, AnnKind, HnswIndex, IvfIndex, ProbeScratch, DEFAULT_BUILD_SEED,
 };
@@ -161,12 +161,12 @@ fn decimal(rows: usize, cols: usize, salt: u64) -> Tensor {
     Tensor::from_vec(rows, cols, data)
 }
 
-/// FNV-1a64 over the graph's sections, concatenated in a fixed order.
+/// FNV-1a64 over the graph's structure sections, levels then links.
 fn graph_fnv(idx: &HnswIndex) -> u64 {
     let mut ck = Checkpoint::new();
     idx.add_to_checkpoint(&mut ck);
     let mut bytes = Vec::new();
-    for name in [SEC_HNSW_META, SEC_HNSW_VECS, SEC_HNSW_LEVELS, SEC_HNSW_LINKS] {
+    for name in [SEC_HNSW_LEVELS, SEC_HNSW_LINKS] {
         bytes.extend_from_slice(ck.get(name).unwrap_or_default());
     }
     fnv1a64(&bytes)
@@ -204,6 +204,12 @@ fn probe_pins(idx: &HnswIndex, items: &Tensor, salt: u64) -> (u64, u64, u64) {
 /// moves them even where the candidates survive. A small explicit `m` whose
 /// level-0 lists overflow all the time, then the auto `m` (16 past 1024
 /// items) over a width with whole 8-lane chunks and a tail.
+///
+/// The graph pin covers `ann.hnsw.levels` + `ann.hnsw.links` only: format
+/// version 2 dropped the `ann.hnsw.vecs` section and changed the version word
+/// in `ann.hnsw.meta`, so the pin over all four sections could not hold. The
+/// two-section values were recorded at the version-1 commit, before the
+/// graph stopped copying the vectors; the probe pins are unchanged.
 #[test]
 fn hnsw_graph_and_probes_are_pinned() {
     let _guard = pool_lock().lock().unwrap();
@@ -215,12 +221,12 @@ fn hnsw_graph_and_probes_are_pinned() {
     // (graph FNV, (probe FNV, hops, visited)) for `small`, then `auto`.
     let pins = match imcat_simd::backend() {
         Backend::Avx2 => [
-            (0xc366_49ce_7484_0516, (0x124d_e08f_f5c5_10a1, 1044, 2955)),
-            (0x6002_8021_87fe_edc0, (0xc862_c8a5_5648_3882, 977, 12837)),
+            (0x6dec_f9fd_1b24_8968, (0x124d_e08f_f5c5_10a1, 1044, 2955)),
+            (0x96da_9dfa_c996_a411, (0xc862_c8a5_5648_3882, 977, 12837)),
         ],
         Backend::Scalar => [
-            (0xc366_49ce_7484_0516, (0x041e_03e2_ecbc_b9e5, 1044, 2955)),
-            (0x6002_8021_87fe_edc0, (0x5df4_dc93_1b7a_2b01, 977, 12837)),
+            (0x6dec_f9fd_1b24_8968, (0x041e_03e2_ecbc_b9e5, 1044, 2955)),
+            (0x96da_9dfa_c996_a411, (0x5df4_dc93_1b7a_2b01, 977, 12837)),
         ],
     };
     for (((items, cfg), salt), (graph, probes)) in [small, auto].iter().zip([6, 7]).zip(pins) {

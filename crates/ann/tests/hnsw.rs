@@ -116,7 +116,7 @@ fn incremental_inserts_equal_batch_build() {
         let prefix = Tensor::from_vec(split, 6, items.as_slice()[..split * 6].to_vec());
         let mut grown = HnswIndex::build(&prefix, &cfg, DEFAULT_BUILD_SEED);
         for id in split..items.rows() {
-            grown.insert(id as u32, items.row(id)).unwrap();
+            grown.insert(id as u32, &items).unwrap();
         }
         assert_eq!(
             serialize(&grown),
@@ -126,17 +126,91 @@ fn incremental_inserts_equal_batch_build() {
     }
 }
 
+/// `items` with `row` appended.
+fn grown_by(items: &Tensor, row: &[f32]) -> Tensor {
+    let mut rows = items.as_slice().to_vec();
+    rows.extend_from_slice(row);
+    Tensor::from_vec(items.rows() + 1, row.len(), rows)
+}
+
 #[test]
 fn insert_rejects_malformed_rows() {
     let mut rng = StdRng::seed_from_u64(22);
     let items = normal(20, 4, 1.0, &mut rng);
     let mut idx = HnswIndex::build(&items, &hnsw_cfg(4, 16, 0), DEFAULT_BUILD_SEED);
-    assert!(idx.insert(20, &[1.0, 2.0]).is_err(), "dim mismatch accepted");
-    assert!(idx.insert(25, &[1.0; 4]).is_err(), "non-dense id accepted");
-    assert!(idx.insert(20, &[f32::NAN; 4]).is_err(), "nonfinite row accepted");
+    let narrow = Tensor::from_vec(21, 2, vec![1.0; 42]);
+    assert!(idx.insert(20, &narrow).is_err(), "dim mismatch accepted");
+    assert!(idx.insert(25, &grown_by(&items, &[1.0; 4])).is_err(), "non-dense id accepted");
+    assert!(idx.insert(20, &items).is_err(), "id past the table accepted");
+    assert!(idx.insert(20, &grown_by(&items, &[f32::NAN; 4])).is_err(), "nonfinite row accepted");
     assert_eq!(idx.n_items(), 20, "failed inserts must not grow the index");
-    idx.insert(20, &[0.5; 4]).unwrap();
+    idx.insert(20, &grown_by(&items, &[0.5; 4])).unwrap();
     assert_eq!(idx.n_items(), 21);
+}
+
+/// The graph is checked against the table it will serve: a table of another
+/// width, one with fewer rows than the graph has nodes, and one with a
+/// nonfinite row under a node are each refused as invalid data. A table
+/// that runs ahead of the graph (streaming) is served.
+#[test]
+fn load_refuses_a_table_the_graph_does_not_fit() {
+    let mut rng = StdRng::seed_from_u64(24);
+    let items = normal(40, 4, 1.0, &mut rng);
+    let idx = HnswIndex::build(&items, &hnsw_cfg(4, 16, 0), DEFAULT_BUILD_SEED);
+    let mut ck = Checkpoint::new();
+    idx.add_to_checkpoint(&mut ck);
+    let mut nan = items.clone();
+    nan.row_mut(17)[2] = f32::NAN;
+    let short = Tensor::from_vec(39, 4, items.as_slice()[..39 * 4].to_vec());
+    for (table, what) in
+        [(normal(40, 5, 1.0, &mut rng), "width"), (short, "rows"), (nan, "nonfinite row")]
+    {
+        let err = HnswIndex::from_checkpoint(&ck, &table).err().map(|e| e.kind());
+        assert_eq!(err, Some(std::io::ErrorKind::InvalidData), "{what}: table accepted");
+    }
+    let ahead = grown_by(&items, &[0.25; 4]);
+    let back = HnswIndex::from_checkpoint(&ck, &ahead).unwrap().expect("sections present");
+    assert_eq!(serialize(&back), serialize(&idx));
+}
+
+/// Version 1 carried the index's own copy of the vectors (`ann.hnsw.vecs`).
+/// Such a container decodes to a typed error, and `open_index` counts it
+/// rejected, rebuilds the graph a fresh build makes, and persists it back as
+/// version 2 without the vector section.
+#[test]
+fn a_version_1_container_is_refused_and_rebuilt() {
+    let mut rng = StdRng::seed_from_u64(25);
+    let items = normal(50, 4, 1.0, &mut rng);
+    let cfg = hnsw_cfg(4, 16, 0);
+    let fresh = HnswIndex::build(&items, &cfg, DEFAULT_BUILD_SEED);
+    let mut ck = Checkpoint::new();
+    fresh.add_to_checkpoint(&mut ck);
+    let mut meta = ck.get(SEC_HNSW_META).unwrap().to_vec();
+    meta[..4].copy_from_slice(&1u32.to_le_bytes());
+    ck.insert(SEC_HNSW_META, meta);
+    let mut vecs = Encoder::new();
+    vecs.put_tensor(&items);
+    ck.insert("ann.hnsw.vecs", vecs.into_bytes());
+    let err = HnswIndex::from_checkpoint(&ck, &items).expect_err("version 1 accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version 1"), "{err}");
+
+    let dir = std::env::temp_dir().join(format!("imcat-hnsw-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("v1.imck");
+    ck.save(&path).unwrap();
+    let _obs = imcat_obs::exclusive(true);
+    let opened = cfg.open_index(&mut ck, &path, &items, DEFAULT_BUILD_SEED);
+    let snap = imcat_obs::snapshot();
+    assert_eq!((snap.counter("ann.index.rejected"), snap.counter("ann.index.rebuilds")), (1, 1));
+    let mut rebuilt = Checkpoint::new();
+    opened.save_sections(&mut rebuilt);
+    let mut want = Checkpoint::new();
+    fresh.add_to_checkpoint(&mut want);
+    assert_eq!(rebuilt.to_bytes(), want.to_bytes(), "the rebuild is not a fresh build");
+    let saved = Checkpoint::load(&path).unwrap();
+    assert!(HnswIndex::from_checkpoint(&saved, &items).unwrap().is_some());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A handful of items made bitwise duplicates: at exhaustive width the
@@ -240,14 +314,24 @@ proptest! {
         }
     }
 
-    /// Arbitrary graphs survive the container roundtrip bit-exactly.
+    /// Arbitrary graphs survive the container roundtrip bit-exactly, and the
+    /// graph loaded over its table probes exactly like the one built over it
+    /// (the tails it recomputes are the build's).
     #[test]
     fn roundtrip_is_bit_exact(seed in 0u64..1_000_000) {
-        let (idx, _) = arbitrary_index(seed);
+        let (idx, items) = arbitrary_index(seed);
         let bytes = serialize(&idx);
         let ck = Checkpoint::from_bytes(&bytes).unwrap();
-        let back = HnswIndex::from_checkpoint(&ck).unwrap().expect("sections present");
+        let back = HnswIndex::from_checkpoint(&ck, &items).unwrap().expect("sections present");
         prop_assert_eq!(serialize(&back), bytes);
+        let mut gen = Gen::new(seed ^ 0x70b);
+        let query: Vec<f32> =
+            (0..items.cols()).map(|_| gen.below(2001) as f32 / 1000.0 - 1.0).collect();
+        let (mut a, mut b) = (ProbeScratch::default(), ProbeScratch::default());
+        let ef = 1 + gen.below(items.rows() as u64) as usize;
+        idx.probe(&query, &items, &[], 5, ef, &mut a);
+        back.probe(&query, &items, &[], 5, ef, &mut b);
+        prop_assert_eq!(fingerprint(&a), fingerprint(&b));
         prop_assert_eq!(back.m(), idx.m());
         prop_assert_eq!(back.ef_construction(), idx.ef_construction());
     }
@@ -257,7 +341,8 @@ proptest! {
     fn absent_sections_decode_to_none(seed in 0u64..1_000_000) {
         let mut ck = Checkpoint::new();
         ck.insert("unrelated", vec![seed as u8]);
-        prop_assert!(HnswIndex::from_checkpoint(&ck).unwrap().is_none());
+        let items = Tensor::zeros(0, 1);
+        prop_assert!(HnswIndex::from_checkpoint(&ck, &items).unwrap().is_none());
     }
 
     /// Any strict truncation and any single-byte corruption of a
@@ -283,7 +368,7 @@ proptest! {
     /// and a wrong version is refused outright.
     #[test]
     fn semantic_corruption_is_rejected(seed in 0u64..1_000_000) {
-        let (idx, _) = arbitrary_index(seed);
+        let (idx, items) = arbitrary_index(seed);
 
         // Bump a node's level: its adjacency no longer covers level+1 lists.
         let mut ck = Checkpoint::new();
@@ -294,7 +379,7 @@ proptest! {
         let mut e = Encoder::new();
         e.put_u32s(&levels);
         ck.insert(SEC_HNSW_LEVELS, e.into_bytes());
-        prop_assert!(HnswIndex::from_checkpoint(&ck).is_err(), "level desync accepted");
+        prop_assert!(HnswIndex::from_checkpoint(&ck, &items).is_err(), "level desync accepted");
 
         // Drop the tail of the adjacency stream.
         let mut ck = Checkpoint::new();
@@ -304,7 +389,7 @@ proptest! {
         let mut e = Encoder::new();
         e.put_u32s(&links[..links.len() - 1]);
         ck.insert(SEC_HNSW_LINKS, e.into_bytes());
-        prop_assert!(HnswIndex::from_checkpoint(&ck).is_err(), "truncated adjacency accepted");
+        prop_assert!(HnswIndex::from_checkpoint(&ck, &items).is_err(), "truncated adjacency accepted");
 
         // Flip the version tag in the meta header.
         let mut ck = Checkpoint::new();
@@ -312,7 +397,7 @@ proptest! {
         let mut meta = ck.get(SEC_HNSW_META).unwrap().to_vec();
         meta[0] ^= 0xff;
         ck.insert(SEC_HNSW_META, meta);
-        prop_assert!(HnswIndex::from_checkpoint(&ck).is_err(), "wrong version accepted");
+        prop_assert!(HnswIndex::from_checkpoint(&ck, &items).is_err(), "wrong version accepted");
 
         // A degree bound outside `[2, 128]`: one past the `resolved_m` clamp,
         // one that would size a vast adjacency, one whose `2 * m` overflows.
@@ -326,7 +411,7 @@ proptest! {
             meta[12..20].copy_from_slice(&bad_m.to_le_bytes());
             meta[20..28].copy_from_slice(&bad_m.to_le_bytes());
             ck.insert(SEC_HNSW_META, meta);
-            let err = HnswIndex::from_checkpoint(&ck).err();
+            let err = HnswIndex::from_checkpoint(&ck, &items).err();
             prop_assert_eq!(
                 err.map(|e| e.kind()),
                 Some(std::io::ErrorKind::InvalidData),

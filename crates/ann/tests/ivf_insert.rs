@@ -62,16 +62,25 @@ fn oracle_nearest(row: &[f32], centroids: &Tensor) -> usize {
     best
 }
 
-/// Inserts `x` as the next id and returns the list it landed in, checking it
-/// is the one both the oracle loop and `assign_nearest` name.
-fn insert_and_locate(idx: &mut IvfIndex, x: &[f32]) -> usize {
+/// Appends `x` to `table` as row `n`, grown from `table` by one row.
+fn with_row(table: &Tensor, x: &[f32]) -> Tensor {
+    let mut rows = table.as_slice().to_vec();
+    rows.extend_from_slice(x);
+    Tensor::from_vec(table.rows() + 1, table.cols(), rows)
+}
+
+/// Appends `x` to the served `table`, inserts it as the next id and returns
+/// the list it landed in, checking it is the one both the oracle loop and
+/// `assign_nearest` name.
+fn insert_and_locate(idx: &mut IvfIndex, table: &mut Tensor, x: &[f32]) -> usize {
     let before = decode(idx);
     let row = augmented(before.phi2, x);
     let want = oracle_nearest(&row, &before.centroids);
     let shared = assign_nearest(&Tensor::from_vec(1, row.len(), row.clone()), &before.centroids)[0];
     assert_eq!(shared, want, "assign_nearest disagrees with the serial loop");
     let id = idx.n_items() as u32;
-    idx.insert(id, x).unwrap();
+    *table = with_row(table, x);
+    idx.insert(id, table).unwrap();
     let after = decode(idx);
     let got = after.lists.iter().position(|l| l.contains(&id)).expect("inserted id is listed");
     assert_eq!(got, want, "item {id} landed in list {got}, nearest centroid is {want}");
@@ -87,6 +96,7 @@ fn streamed_insert_lands_in_the_list_assign_nearest_picks() {
     for quantized in [false, true] {
         let cfg = AnnConfig { nlist: 12, quantized, ..AnnConfig::default() };
         let mut idx = IvfIndex::build(&items, &cfg, DEFAULT_BUILD_SEED);
+        let mut table = items.clone();
         let phi2 = decode(&idx).phi2;
         let mut hit = std::collections::BTreeSet::new();
         let mut clamped = 0;
@@ -96,7 +106,7 @@ fn streamed_insert_lands_in_the_list_assign_nearest_picks() {
             let scale = if i % 4 == 0 { 6.0 } else { 1.0 };
             let x: Vec<f32> = fresh.row(i).iter().map(|v| v * scale).collect();
             clamped += (augmented(phi2, &x)[8] == 0.0) as usize;
-            hit.insert(insert_and_locate(&mut idx, &x));
+            hit.insert(insert_and_locate(&mut idx, &mut table, &x));
         }
         assert!(clamped >= 10, "only {clamped} inserts exceeded the build Φ");
         assert!(hit.len() > 3, "inserts all fell into lists {hit:?}: the case is too easy");
@@ -116,6 +126,7 @@ fn insert_tie_between_duplicated_centroids_goes_to_the_lower_list() {
     let items = Tensor::from_vec(16, 4, rows);
     let cfg = AnnConfig { nlist: 4, ..AnnConfig::default() };
     let mut idx = IvfIndex::build(&items, &cfg, DEFAULT_BUILD_SEED);
+    let mut table = items.clone();
     let built = decode(&idx);
     let bits = |r: usize| built.centroids.row(r).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let on = |t: [f32; 4]| (0..4).filter(|&c| built.centroids.row(c)[..4] == t).collect::<Vec<_>>();
@@ -126,7 +137,7 @@ fn insert_tie_between_duplicated_centroids_goes_to_the_lower_list() {
         // Bit-equal in the completion coordinate too, so their distances tie.
         assert!(twins.iter().all(|&c| bits(c) == bits(lowest)), "centroids {twins:?} differ");
         let near: Vec<f32> = target.iter().map(|v| v + 0.0625).collect();
-        let got = insert_and_locate(&mut idx, &near);
+        let got = insert_and_locate(&mut idx, &mut table, &near);
         assert_eq!(got, lowest, "tie among lists {twins:?} must go to the lowest");
     }
     idx.validate().unwrap();
@@ -141,7 +152,7 @@ fn prefix_build_plus_inserts_is_a_valid_index_with_ascending_lists() {
         let prefix = Tensor::from_vec(200, 6, items.as_slice()[..200 * 6].to_vec());
         let mut idx = IvfIndex::build(&prefix, &cfg, DEFAULT_BUILD_SEED);
         for id in 200..260 {
-            idx.insert(id as u32, items.row(id)).unwrap();
+            idx.insert(id as u32, &items).unwrap();
             idx.validate().unwrap();
         }
         assert_eq!(idx.n_items(), 260);

@@ -2,7 +2,6 @@
 //! telemetry wiring (per-run phase breakdowns via `imcat-obs`).
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use imcat_ckpt::{Checkpoint, Decoder, Encoder};
 use imcat_core::{ImcatConfig, TrainerConfig};
@@ -16,8 +15,9 @@ use rand::{Rng, SeedableRng};
 use imcat_core::ModelKind;
 
 /// The disjoint training-phase spans recorded by the instrumented stack.
-/// `phase.eval` is excluded from `train_seconds` by the trainer, so the
-/// breakdown reports it separately.
+/// `phase.eval` (validation passes) is excluded from `train_seconds` by the
+/// trainer, and `phase.test` (the final test pass [`run_one`] runs after
+/// training) comes after it, so the breakdown reports both separately.
 const TRAIN_PHASES: [&str; 5] =
     ["phase.sampling", "phase.forward", "phase.backward", "phase.optimizer", "phase.refresh"];
 
@@ -309,10 +309,10 @@ pub fn run_one(
         trainer_cfg.checkpoint_every = env.ckpt_every;
     }
     let report = imcat_core::train(model.as_mut(), data, &trainer_cfg);
-    let t0 = Instant::now();
+    let test_span = imcat_obs::span("phase.test");
     let mut score_fn = |users: &[u32]| model.score_users(users);
     let per_user = evaluate_per_user(&mut score_fn, data, &EvalSpec::at(20));
-    let _ = t0;
+    drop(test_span);
     if imcat_obs::enabled() {
         // Snapshot delta isolates this run's phase times even when several
         // runs share one process.
@@ -330,10 +330,9 @@ pub fn run_one(
             fields.push((phase, Json::Num(dt)));
         }
         fields.push(("phase.other", Json::Num((report.train_seconds - accounted).max(0.0))));
-        fields.push((
-            "phase.eval",
-            Json::Num(snap1.hist_sum("phase.eval") - snap0.hist_sum("phase.eval")),
-        ));
+        for phase in ["phase.eval", "phase.test"] {
+            fields.push((phase, Json::Num(snap1.hist_sum(phase) - snap0.hist_sum(phase))));
+        }
         imcat_obs::emit("run_phase_breakdown", fields);
     }
     let agg = per_user.aggregate();

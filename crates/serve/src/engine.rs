@@ -316,6 +316,9 @@ pub struct Engine {
     scores: Vec<f32>,
     ann: Option<AnnState>,
     generation: u64,
+    /// When the serving state was last swapped (or the engine built): the
+    /// origin of the `generation.age` gauge.
+    swapped_at: Instant,
 }
 
 impl Engine {
@@ -332,6 +335,7 @@ impl Engine {
             scores: Vec::new(),
             ann,
             generation: 0,
+            swapped_at: Instant::now(),
         }
     }
 
@@ -425,6 +429,7 @@ impl Engine {
         self.ann = ann;
         self.results().cache.clear();
         self.generation += 1;
+        self.swapped_at = Instant::now();
         imcat_obs::gauge_set("generation.id", self.generation as f64);
         imcat_obs::counter_add(counter, 1);
         imcat_obs::counter_add("serve.generation.swaps", 1);
@@ -518,21 +523,27 @@ impl Engine {
     /// the certified-skip bound sound. A finalized item clears the result
     /// cache; otherwise only the refolded users' lists are evicted, so a
     /// user the tick brought nothing keeps their cached answers. Sets the
-    /// `ingest.log.len` gauge. Returns the number of embeddings written.
+    /// `ingest.log.len` gauge, `fold.lag` (the events this tick consumed) and
+    /// `generation.age` (seconds since the last swap). Returns the number of
+    /// embeddings written.
     pub fn fold_pending(&mut self) -> usize {
-        let ann = &mut self.ann;
-        let tick = self.stream.fold(|id, emb| {
-            if let Some(state) = ann {
-                if state.index.insert(id, emb).is_err() {
+        let tick = self.stream.fold();
+        if let Some(state) = &mut self.ann {
+            // Ascending id, after the tick: the inserts phase A would have
+            // made as it went (see `StreamState::fold`), reading the rows
+            // from the table the index serves.
+            let items = &self.stream.artifact().item_emb;
+            for id in tick.items.clone() {
+                if state.index.insert(id, items).is_err() {
                     // A failed insert costs ANN recall for this item, never
                     // correctness: probes simply cannot reach it until the
                     // next full rebuild re-indexes the catalog.
                     imcat_obs::counter_add("ingest.insert_failures", 1);
                 }
             }
-        });
+        }
         let mut results = self.results();
-        if tick.items_changed {
+        if !tick.items.is_empty() {
             results.cache.clear();
         } else {
             for u in tick.users {
@@ -542,16 +553,19 @@ impl Engine {
         drop(results);
         imcat_obs::counter_add("ingest.folds", tick.folds as u64);
         imcat_obs::gauge_set("ingest.log.len", self.stream.log().len() as f64);
+        imcat_obs::gauge_set("fold.lag", tick.events as f64);
+        imcat_obs::gauge_set("generation.age", self.swapped_at.elapsed().as_secs_f64());
         tick.folds
     }
 
     /// Spawns a background full rebuild over a snapshot of this
-    /// generation's `(base, log)`. The worker replays the log through
-    /// [`crate::rebuild_artifact`], builds a fresh index, and — when
-    /// `persist` names a container — *stages* the next generation on disk
-    /// (atomic save, committed pointer untouched, crash-safe). The engine
-    /// keeps serving and ingesting; hand the task back to
-    /// [`Engine::commit_rebuild`] when [`RebuildTask::is_finished`].
+    /// generation's `(base, log)`: the base is assembled here from the live
+    /// prefix and the base masks' pre-images and moved into the worker. The
+    /// worker replays the log as [`crate::rebuild_artifact`] does, builds a
+    /// fresh index, and — when `persist` names a container — *stages* the
+    /// next generation on disk (atomic save, committed pointer untouched,
+    /// crash-safe). The engine keeps serving and ingesting; hand the task
+    /// back to [`Engine::commit_rebuild`] when [`RebuildTask::is_finished`].
     pub fn spawn_rebuild(&self, persist: Option<PathBuf>) -> io::Result<RebuildTask> {
         let (base, log) = self.stream.snapshot();
         rebuild::spawn(base, log, self.stream.fold_options, self.cfg.ann, persist)

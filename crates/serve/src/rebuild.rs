@@ -3,10 +3,13 @@
 //!
 //! ## The canonical rebuild function
 //!
-//! The worker calls [`rebuild_artifact`] (`stream.rs`), a *pure,
+//! The worker runs [`rebuild_artifact`]'s replay (`stream.rs`), a *pure,
 //! deterministic* function of the generation base artifact and its
 //! [`StreamEvent`] log: a fresh stream state over the base, every event
-//! applied, one fold tick. There is no second copy of that rule here: the
+//! applied, one fold tick. The engine assembles the base once (its live
+//! prefix plus the base masks' pre-images) and hands it over by value; the
+//! replay grows it in place into the next generation's artifact, and the
+//! fresh index is built over that. There is no second copy of that rule here: the
 //! live engine mutates through the same two functions, so the background
 //! rebuild, an offline build over the same `(base, log)`, and a live engine
 //! that applied the log and folded once are bit-identical by construction —
@@ -28,14 +31,13 @@
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use imcat_ann::{AnnConfig, AnnIndex, DEFAULT_BUILD_SEED};
 use imcat_ckpt::{Artifact, Checkpoint};
 
 use crate::foldin::FoldOptions;
-use crate::stream::{rebuild_artifact, StreamEvent};
+use crate::stream::{replay, StreamEvent};
 
 /// Everything the background worker hands back on success.
 pub(crate) struct RebuildOutput {
@@ -64,10 +66,11 @@ impl RebuildTask {
 }
 
 /// Spawns the rebuild worker over a snapshot of the engine's streaming
-/// state. With `persist`, the worker also stages the next generation into
-/// the container at that path (atomic save, committed pointer untouched).
+/// state, whose base it consumes. With `persist`, the worker also stages the
+/// next generation into the container at that path (atomic save, committed
+/// pointer untouched).
 pub(crate) fn spawn(
-    base: Arc<Artifact>,
+    base: Artifact,
     log: Vec<StreamEvent>,
     opts: FoldOptions,
     ann: Option<AnnConfig>,
@@ -77,7 +80,7 @@ pub(crate) fn spawn(
     imcat_obs::counter_add("serve.rebuilds", 1);
     let handle = std::thread::Builder::new().name("imcat-rebuild".into()).spawn(move || {
         let sp = imcat_obs::span("serve.rebuild.seconds");
-        let artifact = rebuild_artifact(&base, &log, &opts)?;
+        let artifact = replay(base, &log, &opts)?;
         let index = ann.map(|c| c.build_index(&artifact.item_emb, DEFAULT_BUILD_SEED));
         let staged = match persist {
             None => None,

@@ -3,22 +3,35 @@
 //!
 //! Every mutation a generation accepts after its base — registering a cold
 //! user or item, appending one user→item interaction — is a [`StreamEvent`].
-//! [`StreamState`] owns the live artifact, the generation's base, the
-//! arrival-ordered log and the fold-in options, and holds the *only*
-//! implementations of "apply one event" ([`StreamState::apply`]) and "run
-//! one two-phase fold tick" ([`StreamState::fold`]). The live engine's
-//! mutators, the suffix replay after a generation swap, and the offline
-//! [`rebuild_artifact`] all go through them, so replaying a log
-//! offline is bit-identical to what the live engine serves *by construction*
-//! — the property `tests/streaming.rs` and `tests/replay.rs` assert at 1 and
-//! 4 threads.
+//! [`StreamState`] owns the live artifact, the arrival-ordered log and the
+//! fold-in options, and holds the *only* implementations of "apply one
+//! event" ([`StreamState::apply`]) and "run one two-phase fold tick"
+//! ([`StreamState::fold`]). The live engine's mutators, the suffix replay
+//! after a generation swap, and the offline [`rebuild_artifact`] all go
+//! through them, so replaying a log offline is bit-identical to what the
+//! live engine serves *by construction* — the property `tests/streaming.rs`
+//! and `tests/replay.rs` assert at 1 and 4 threads.
+//!
+//! ## The base is the live prefix
+//!
+//! A generation holds its artifact once. The base the log replays over is
+//! not kept beside it, because no mutation writes a base row: registrations
+//! append rows, phase A of a fold writes only items past the frozen prefix,
+//! and phase B only post-base users. So the base's embedding tables are the
+//! first rows of the live ones, bit for bit (`tests/generation.rs` pins
+//! it). The only base state a mutation overwrites is a base user's mask, and
+//! the state keeps its pre-image, taken the first time an interaction
+//! changes it. [`StreamState::snapshot`] assembles the base from the two —
+//! prefix rows plus pre-images — when a rebuild asks for it, and hands it to
+//! the worker by value. Serving a generation, and writing to it, never copies
+//! the catalogue.
 //!
 //! The invariant that keeps ANN certified-skip sound is **items fold once**:
 //! an index covers exactly the items finalized into the item matrix
-//! (`frozen_items`); a registered item's embedding is written (and handed to
-//! the caller for its index insert) at its first fold tick and never touched
-//! again until the next generation. Users are not indexed, so they refold
-//! whenever their evidence grows.
+//! (`frozen_items`); a registered item's embedding is written at its first
+//! fold tick, which reports it (`FoldTick::items`) for the caller's index
+//! insert, and is never touched again until the next generation. Users are
+//! not indexed, so they refold whenever their evidence grows.
 //!
 //! A fold tick costs what changed since the last one. The state keeps a
 //! cursor over the log prefix earlier ticks consumed and, for every post-base
@@ -30,8 +43,9 @@
 //! fold, and [`fold_embedding`] of the same rows in the same order returns
 //! the same bits. A test keeps the whole-log tick as the oracle.
 
+use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
+use std::ops::Range;
 
 use imcat_ckpt::Artifact;
 use imcat_tensor::Tensor;
@@ -71,19 +85,20 @@ fn push_zero_row(t: &mut Tensor) {
     *t = Tensor::from_vec(n + 1, d, v);
 }
 
-/// Inserts `item` into a sorted, deduplicated mask (no-op when present).
-fn mask_insert(mask: &mut Vec<u32>, item: u32) {
-    if let Err(pos) = mask.binary_search(&item) {
-        mask.insert(pos, item);
-    }
+/// The first `rows` rows of `t`, copied.
+fn prefix(t: &Tensor, rows: usize) -> Tensor {
+    Tensor::from_vec(rows, t.cols(), t.as_slice()[..rows * t.cols()].to_vec())
 }
 
 /// What one fold tick changed, for whoever caches answers over the state.
 pub(crate) struct FoldTick {
     /// Embeddings written from evidence (evidence-less cold items excluded).
     pub folds: usize,
-    /// Whether any item was finalized — every ranked list is stale then.
-    pub items_changed: bool,
+    /// Log events the tick consumed (the window's length).
+    pub events: usize,
+    /// The items the tick finalized, ascending: the caller's index inserts,
+    /// in this order. Empty when no item was waiting.
+    pub items: Range<u32>,
     /// Users whose embedding was (re)written — exactly the post-base users
     /// with an interaction since the last tick — ascending.
     pub users: Vec<u32>,
@@ -91,16 +106,16 @@ pub(crate) struct FoldTick {
 
 /// One generation's streaming state (see the module docs).
 pub(crate) struct StreamState {
-    /// The artifact being served. Shared with `base` until the first
-    /// mutation, which copies it (`Arc::make_mut`) — a generation nobody
-    /// mutates never pays for a second artifact.
-    artifact: Arc<Artifact>,
-    /// The artifact this generation started from: what the log replays over.
-    /// `None` only inside [`rebuild_artifact`], whose artifact is its own
-    /// disposable copy.
-    base: Option<Arc<Artifact>>,
+    /// The artifact being served, mutated in place.
+    artifact: Artifact,
+    /// Users and items the generation's base holds: the prefix of the live
+    /// tables no mutation writes.
     base_users: usize,
-    /// Arrival-ordered mutations since `base`.
+    base_items: usize,
+    /// The base mask of every base user an interaction has changed, taken
+    /// before the first change.
+    base_masks: HashMap<u32, Vec<u32>>,
+    /// Arrival-ordered mutations since the base.
     log: Vec<StreamEvent>,
     /// `log[..folded]` has been consumed by fold ticks.
     folded: usize,
@@ -115,14 +130,14 @@ pub(crate) struct StreamState {
 }
 
 impl StreamState {
-    /// A fresh generation over `artifact`.
+    /// A fresh generation over `artifact`, which becomes its base.
     pub fn new(artifact: Artifact, fold_options: FoldOptions) -> Self {
-        let artifact = Arc::new(artifact);
         Self {
-            base: Some(Arc::clone(&artifact)),
             base_users: artifact.n_users(),
+            base_items: artifact.n_items(),
             frozen_items: artifact.n_items(),
             artifact,
+            base_masks: HashMap::new(),
             log: Vec::new(),
             folded: 0,
             evidence: Vec::new(),
@@ -139,36 +154,54 @@ impl StreamState {
     }
 
     /// The generation's `(base, log)`: everything a rebuild needs. The base
-    /// is shared, not copied.
-    pub fn snapshot(&self) -> (Arc<Artifact>, Vec<StreamEvent>) {
-        let base = self.base.as_ref().unwrap_or(&self.artifact);
-        (Arc::clone(base), self.log.clone())
+    /// is assembled here, once — the live tables' base prefix and the base
+    /// users' masks as they stood before the generation's first interaction
+    /// changed them — and is the caller's to consume.
+    pub fn snapshot(&self) -> (Artifact, Vec<StreamEvent>) {
+        let live = &self.artifact;
+        let masks = (0..self.base_users)
+            .map(|u| self.base_masks.get(&(u as u32)).unwrap_or(&live.masks[u]).clone())
+            .collect();
+        let base = Artifact::new(
+            live.model.clone(),
+            prefix(&live.user_emb, self.base_users),
+            prefix(&live.item_emb, self.base_items),
+            masks,
+        );
+        (base, self.log.clone())
     }
 
     /// Applies one event: validates an interaction's ids against the live
     /// ranges, then grows the matrices (registration; the new row is zero
     /// until a fold tick) or the user's mask (interaction; the item leaves
-    /// their recommendations *now*), and appends the event to the log as
-    /// fold-in evidence. A rejected event changes nothing.
+    /// their recommendations *now* — a base user's mask keeps its pre-image
+    /// first), and appends the event to the log as fold-in evidence. A
+    /// rejected event changes nothing.
     pub fn apply(&mut self, ev: StreamEvent) -> Result<(), ServeError> {
-        if let StreamEvent::Interaction(x) = ev {
-            let n_users = self.artifact.n_users() as u32;
-            let n_items = self.artifact.n_items() as u32;
-            if x.user >= n_users {
-                return Err(ServeError::UserOutOfRange { user: x.user, n_users });
-            }
-            if x.item >= n_items {
-                return Err(ServeError::ItemOutOfRange { item: x.item, n_items });
-            }
-        }
-        let art = Arc::make_mut(&mut self.artifact);
+        let art = &mut self.artifact;
         match ev {
             StreamEvent::RegisterUser => {
                 push_zero_row(&mut art.user_emb);
                 art.masks.push(Vec::new());
             }
             StreamEvent::RegisterItem => push_zero_row(&mut art.item_emb),
-            StreamEvent::Interaction(x) => mask_insert(&mut art.masks[x.user as usize], x.item),
+            StreamEvent::Interaction(x) => {
+                let n_users = art.n_users() as u32;
+                let n_items = art.n_items() as u32;
+                if x.user >= n_users {
+                    return Err(ServeError::UserOutOfRange { user: x.user, n_users });
+                }
+                if x.item >= n_items {
+                    return Err(ServeError::ItemOutOfRange { item: x.item, n_items });
+                }
+                let mask = &mut art.masks[x.user as usize];
+                if let Err(pos) = mask.binary_search(&x.item) {
+                    if (x.user as usize) < self.base_users {
+                        self.base_masks.entry(x.user).or_insert_with(|| mask.clone());
+                    }
+                    mask.insert(pos, x.item);
+                }
+            }
         }
         self.log.push(ev);
         Ok(())
@@ -179,23 +212,31 @@ impl StreamState {
     /// ascending id — ridge fold-in ([`fold_embedding`]) against its
     /// interacting users' rows as they stand (a still-cold user is a zero
     /// row and contributes nothing), zero row if it has no evidence — and
-    /// handed to `on_item` (the engine's index insert). Such an item was
-    /// registered inside the window, so all of its evidence is too. **B:**
-    /// every post-base user with an interaction in the window refolds, in
-    /// ascending id, from their whole evidence list against the item matrix
-    /// with the phase-A rows in place. Evidence rows are visited in
-    /// log-arrival order, duplicates kept (a repeated interaction is
+    /// reported in [`FoldTick::items`] for the caller's index. Such an item
+    /// was registered inside the window, so all of its evidence is too.
+    /// **B:** every post-base user with an interaction in the window
+    /// refolds, in ascending id, from their whole evidence list against the
+    /// item matrix with the phase-A rows in place. Evidence rows are visited
+    /// in log-arrival order, duplicates kept (a repeated interaction is
     /// weighted evidence). Users the window does not name keep their rows:
     /// those are already the fold of the same rows (module docs).
-    pub fn fold(&mut self, mut on_item: impl FnMut(u32, &[f32])) -> FoldTick {
+    ///
+    /// Inserting the finalized items into an index after the tick is the
+    /// same as inserting each as phase A writes it: phase A reads only user
+    /// rows, and phase B writes no item row.
+    pub fn fold(&mut self) -> FoldTick {
         let n_items = self.artifact.n_items();
-        let mut tick =
-            FoldTick { folds: 0, items_changed: n_items > self.frozen_items, users: Vec::new() };
-        if self.folded == self.log.len() && !tick.items_changed {
+        let mut tick = FoldTick {
+            folds: 0,
+            events: self.log.len() - self.folded,
+            items: self.frozen_items as u32..n_items as u32,
+            users: Vec::new(),
+        };
+        if tick.events == 0 && tick.items.is_empty() {
             return tick;
         }
         let _sp = imcat_obs::span("serve.fold.seconds");
-        let art = Arc::make_mut(&mut self.artifact);
+        let art = &mut self.artifact;
         let dim = art.dim();
         let mut item_users: Vec<Vec<u32>> = vec![Vec::new(); n_items - self.frozen_items];
         self.evidence.resize_with(art.n_users() - self.base_users, Vec::new);
@@ -218,7 +259,6 @@ impl StreamState {
             let emb = fold_embedding(&rows, dim, &self.fold_options);
             tick.folds += !rows.is_empty() as usize;
             art.item_emb.row_mut(id).copy_from_slice(&emb);
-            on_item(id as u32, &emb);
         }
         self.frozen_items = n_items;
         tick.users.sort_unstable();
@@ -247,19 +287,25 @@ pub fn rebuild_artifact(
     log: &[StreamEvent],
     opts: &FoldOptions,
 ) -> io::Result<Artifact> {
-    let mut state = StreamState::new(base.clone(), *opts);
-    // The copy above is the output: nothing will ask this state for its
-    // base, so un-pin it and let every mutation happen in place.
-    state.base = None;
+    replay(base.clone(), log, opts)
+}
+
+/// [`rebuild_artifact`] over a base the caller hands over: the replay
+/// mutates it in place into the output, so a rebuild holds one artifact.
+pub(crate) fn replay(
+    base: Artifact,
+    log: &[StreamEvent],
+    opts: &FoldOptions,
+) -> io::Result<Artifact> {
+    let mut state = StreamState::new(base, *opts);
     for &ev in log {
         state.apply(ev).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("corrupt stream log: {e}"))
         })?;
     }
-    state.fold(|_, _| {});
-    let artifact = Arc::try_unwrap(state.artifact).unwrap_or_else(|shared| (*shared).clone());
-    artifact.validate()?;
-    Ok(artifact)
+    state.fold();
+    state.artifact.validate()?;
+    Ok(state.artifact)
 }
 
 #[cfg(test)]
@@ -275,12 +321,16 @@ mod tests {
     /// rescans the whole log and refolds every post-base user with evidence.
     fn oracle_fold(state: &mut StreamState, mut on_item: impl FnMut(u32, &[f32])) -> FoldTick {
         let n_items = state.artifact.n_items();
-        let mut tick =
-            FoldTick { folds: 0, items_changed: n_items > state.frozen_items, users: Vec::new() };
-        if state.log.is_empty() && !tick.items_changed {
+        let mut tick = FoldTick {
+            folds: 0,
+            events: 0,
+            items: state.frozen_items as u32..n_items as u32,
+            users: Vec::new(),
+        };
+        if state.log.is_empty() && tick.items.is_empty() {
             return tick;
         }
-        let art = Arc::make_mut(&mut state.artifact);
+        let art = &mut state.artifact;
         let dim = art.dim();
         let mut item_users: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut user_items: HashMap<u32, Vec<u32>> = HashMap::new();
@@ -343,7 +393,8 @@ mod tests {
         /// index taking the items' inserts: after every tick the incremental
         /// state holds the oracle's bytes, has handed the index the same
         /// items with the same bits, and refolded exactly the post-base
-        /// users with an interaction since the last tick.
+        /// users with an interaction since the last tick; and the base a
+        /// snapshot assembles is the starting artifact, byte for byte.
         #[test]
         fn incremental_fold_equals_the_whole_log_oracle(seed in 0u64..1_000_000) {
             let mut gen = Gen::new(seed);
@@ -357,6 +408,7 @@ mod tests {
                 .then(|| AnnConfig { nlist: 2, ..AnnConfig::default() })
                 .map(|cfg| cfg.build_index(&base.item_emb, DEFAULT_BUILD_SEED));
             let opts = FoldOptions::default();
+            let base_bytes = base.to_checkpoint().to_bytes();
             let mut live = StreamState::new(base.clone(), opts);
             let mut oracle = StreamState::new(base, opts);
             let mut window = BTreeSet::new();
@@ -382,19 +434,24 @@ mod tests {
                     }
                     continue;
                 }
+                let tick = live.fold();
+                let items = &live.artifact().item_emb;
                 let mut inserted = Vec::new();
-                let tick = live.fold(|id, emb| {
-                    inserted.push((id, bits(emb)));
+                for id in tick.items.clone() {
+                    inserted.push((id, bits(items.row(id as usize))));
                     if let Some(index) = index.as_mut() {
-                        index.insert(id, emb).unwrap();
+                        index.insert(id, items).unwrap();
                     }
-                });
+                }
                 let mut want_inserted = Vec::new();
                 let want =
                     oracle_fold(&mut oracle, |id, emb| want_inserted.push((id, bits(emb))));
                 prop_assert!(bytes(&live) == bytes(&oracle), "step {step}: bytes differ");
+                let (snap_base, snap_log) = live.snapshot();
+                prop_assert!(snap_base.to_checkpoint().to_bytes() == base_bytes, "step {step}");
+                prop_assert_eq!(snap_log.as_slice(), live.log());
                 prop_assert_eq!(&inserted, &want_inserted, "step {}", step);
-                prop_assert_eq!(tick.items_changed, want.items_changed);
+                prop_assert_eq!(&tick.items, &want.items);
                 let window: Vec<u32> = std::mem::take(&mut window).into_iter().collect();
                 prop_assert_eq!(&tick.users, &window, "step {}: refolded users", step);
                 prop_assert_eq!(tick.folds - tick.users.len(), want.folds - want.users.len());

@@ -16,6 +16,7 @@
 //!   by hash at 1 and 4 threads.
 
 use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 use imcat_ckpt::{fnv1a64, Checkpoint};
 use imcat_data::{generate, SplitDataset, SynthConfig};
@@ -321,7 +322,9 @@ fn cold_user_fold_in_reaches_their_neighborhood() {
 /// tick brought nothing keeps their cached list (a hit, no tick), a cold
 /// user with new evidence is evicted and re-served from their new row, and
 /// a finalized item still clears every list. The `ingest.log.len` gauge
-/// follows the log at every tick and `generation.id` every swap.
+/// follows the log at every tick and `generation.id` every swap; `fold.lag`
+/// is the events each tick consumed and `generation.age` the seconds since
+/// the engine was built or last swapped.
 #[test]
 fn fold_ticks_evict_only_users_with_new_evidence() {
     let _guard = pool_lock().lock().unwrap();
@@ -332,6 +335,7 @@ fn fold_ticks_evict_only_users_with_new_evidence() {
         snap.gauges.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
     };
     let cfg = ServeConfig { cache_capacity: 16, ..Default::default() };
+    let built = Instant::now();
     let mut engine = Engine::new(dyadic_artifact(6, 9, 6), cfg).unwrap();
     let reader = engine.cache_reader();
     let x = |user, item| Interaction { user, item };
@@ -341,6 +345,9 @@ fn fold_ticks_evict_only_users_with_new_evidence() {
     }
     assert_eq!(engine.fold_pending(), 2);
     assert_eq!(gauge("ingest.log.len"), Some(5.0));
+    assert_eq!(gauge("fold.lag"), Some(5.0), "two registrations and three interactions");
+    let age = gauge("generation.age").expect("the tick sets the generation age");
+    assert!(age >= 0.0 && age <= built.elapsed().as_secs_f64(), "age {age}");
     let quiet_list = engine.recommend(quiet, 4).unwrap();
     let busy_list = engine.recommend(busy, 4).unwrap();
 
@@ -349,6 +356,8 @@ fn fold_ticks_evict_only_users_with_new_evidence() {
     engine.ingest(x(0, 5)).unwrap();
     assert_eq!(engine.fold_pending(), 1, "only `busy` refolds");
     assert_eq!(gauge("ingest.log.len"), Some(7.0));
+    assert_eq!(gauge("fold.lag"), Some(2.0));
+    assert!(gauge("generation.age").unwrap() >= age, "the age went back within a generation");
     let (hits, ticks) = (counter("serve.cache.hits"), counter("serve.ticks"));
     assert_eq!(reader.lookup(quiet, 4), Some(quiet_list), "the quiet user's list was evicted");
     assert_eq!(counter("serve.cache.hits") - hits, 1);
@@ -367,11 +376,17 @@ fn fold_ticks_evict_only_users_with_new_evidence() {
     engine.fold_pending();
     assert_eq!(engine.cached_lists(), 0, "a finalized item left a list cached");
     assert_eq!(gauge("ingest.log.len"), Some(8.0));
+    assert_eq!(gauge("fold.lag"), Some(1.0));
 
     assert_eq!(gauge("generation.id"), None, "no swap yet");
     let task = engine.spawn_rebuild(None).unwrap();
+    let swapped = Instant::now();
     engine.commit_rebuild(task).unwrap();
     assert_eq!(gauge("generation.id"), Some(1.0));
+    engine.fold_pending();
+    assert_eq!(gauge("fold.lag"), Some(0.0), "the swap consumed the log");
+    let age = gauge("generation.age").unwrap();
+    assert!(age <= swapped.elapsed().as_secs_f64(), "age {age} predates the swap");
     engine.set_ann(None);
     assert_eq!(gauge("generation.id"), Some(engine.generation() as f64));
     assert_eq!(engine.generation(), 2);
