@@ -42,8 +42,8 @@ fn main() {
             let icfg = env.imcat_config();
             let mut model = kind.build(&data, &env.train_config(), &icfg, 1);
             train(model.as_mut(), &data, &env.trainer_config(7));
-            let mut score_fn = |users: &[u32]| model.score_users(users);
-            let contributions = group_recall_contribution(&mut score_fn, &data, 20, &groups, 5);
+            let contributions =
+                group_recall_contribution(&mut model.scorer(), &data, 20, &groups, 5);
             dataset_rows.push(Row {
                 model: kind.name().to_string(),
                 dataset: data.name.clone(),

@@ -5,9 +5,9 @@
 //! Usage: `cargo run --release -p imcat-bench --bin fig8_coldstart`
 
 use imcat_bench::{logln, write_json, Env, ExpLog, ModelKind};
-use imcat_core::train;
+use imcat_core::{evaluate_model, train};
 use imcat_data::SynthConfig;
-use imcat_eval::{cold_start_users, evaluate_user_subset};
+use imcat_eval::{cold_start_users, EvalSpec};
 
 struct Row {
     model: String,
@@ -42,8 +42,8 @@ fn main() {
             let icfg = env.imcat_config();
             let mut model = kind.build(&data, &env.train_config(), &icfg, 1);
             train(model.as_mut(), &data, &env.trainer_config(7));
-            let mut score_fn = |users: &[u32]| model.score_users(users);
-            let m = evaluate_user_subset(&mut score_fn, &data, 20, &cold).aggregate();
+            let m = evaluate_model(model.as_ref(), &data, &EvalSpec::at(20).users(cold.clone()))
+                .aggregate();
             dataset_rows.push(Row {
                 model: kind.name().to_string(),
                 dataset: data.name.clone(),

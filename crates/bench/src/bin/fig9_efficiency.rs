@@ -11,8 +11,9 @@
 
 use imcat_bench::ModelKind;
 use imcat_bench::{logln, obs_finish, obs_init, run_one, write_json, Env, ExpLog};
+use imcat_core::evaluate_model;
 use imcat_data::SynthConfig;
-use imcat_eval::{evaluate_per_user, EvalSpec};
+use imcat_eval::EvalSpec;
 use std::time::Instant;
 
 struct Point {
@@ -71,8 +72,7 @@ fn thread_scaling(env: &Env, log: &mut ExpLog) -> Vec<ScalePoint> {
         let t0 = Instant::now();
         let mut last = None;
         for _ in 0..reps {
-            let mut score_fn = |users: &[u32]| model.score_users(users);
-            last = Some(evaluate_per_user(&mut score_fn, &data, &EvalSpec::at(20)).aggregate());
+            last = Some(evaluate_model(model.as_ref(), &data, &EvalSpec::at(20)).aggregate());
         }
         let secs = t0.elapsed().as_secs_f64();
         let m = last.unwrap();

@@ -24,9 +24,9 @@
 use std::path::PathBuf;
 
 use imcat_bench::ModelKind;
-use imcat_core::{train, ImcatConfig, TrainerConfig};
+use imcat_core::{evaluate_model, train, ImcatConfig, TrainerConfig};
 use imcat_data::{generate, SplitDataset, SynthConfig};
-use imcat_eval::{evaluate_per_user, EvalSpec};
+use imcat_eval::EvalSpec;
 use imcat_models::TrainConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,8 +64,7 @@ fn run(max_epochs: usize, ckpt_dir: Option<PathBuf>) -> (imcat_core::TrainReport
     let icfg = ImcatConfig { pretrain_epochs: 1, ..ImcatConfig::default() };
     let mut model = ModelKind::BImcat.build(&data, &tcfg, &icfg, SEED);
     let report = train(model.as_mut(), &data, &trainer_config(max_epochs, ckpt_dir));
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let agg = evaluate_per_user(&mut score_fn, &data, &EvalSpec::at(20)).aggregate();
+    let agg = evaluate_model(model.as_ref(), &data, &EvalSpec::at(20)).aggregate();
     (report, agg.recall.to_bits(), agg.ndcg.to_bits())
 }
 

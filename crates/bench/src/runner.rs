@@ -4,9 +4,9 @@
 use std::path::{Path, PathBuf};
 
 use imcat_ckpt::{Checkpoint, Decoder, Encoder};
-use imcat_core::{ImcatConfig, TrainerConfig};
+use imcat_core::{evaluate_model, ImcatConfig, TrainerConfig};
 use imcat_data::{generate, SplitDataset, SynthConfig};
-use imcat_eval::{evaluate_per_user, EvalSpec, PerUserMetrics};
+use imcat_eval::{EvalSpec, PerUserMetrics};
 use imcat_models::TrainConfig;
 use imcat_obs::{knob_f64, knob_str, knob_usize, Json, ToJson};
 use rand::rngs::StdRng;
@@ -310,8 +310,7 @@ pub fn run_one(
     }
     let report = imcat_core::train(model.as_mut(), data, &trainer_cfg);
     let test_span = imcat_obs::span("phase.test");
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let per_user = evaluate_per_user(&mut score_fn, data, &EvalSpec::at(20));
+    let per_user = evaluate_model(model.as_ref(), data, &EvalSpec::at(20));
     drop(test_span);
     if imcat_obs::enabled() {
         // Snapshot delta isolates this run's phase times even when several

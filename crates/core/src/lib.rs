@@ -47,4 +47,4 @@ pub use config::{AlignMode, ClusteringMode, ImcatConfig};
 pub use explain::{Explanation, IntentContribution};
 pub use model::Imcat;
 pub use registry::ModelKind;
-pub use trainer::{train, TrainReport, TrainerConfig};
+pub use trainer::{evaluate_model, train, TrainReport, TrainerConfig};

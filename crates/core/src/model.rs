@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use imcat_data::{BprBatch, BprSampler, ItemBatcher, SplitDataset};
 use imcat_graph::Bipartite;
-use imcat_models::{bpr_loss, Backbone, EpochStats, RecModel};
+use imcat_models::{bpr_loss, Backbone, EpochStats, RecModel, Scorer};
 use imcat_tensor::{xavier_uniform, Csr, ParamId, ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -507,8 +507,8 @@ impl<B: Backbone> RecModel for Imcat<B> {
         self.backbone.forward_embeddings(tape)
     }
 
-    fn score_users(&self, users: &[u32]) -> Tensor {
-        self.backbone.score_users(users)
+    fn scorer(&self) -> Scorer<'_> {
+        self.backbone.scorer()
     }
 
     fn num_params(&self) -> usize {

@@ -22,12 +22,12 @@
 //! the `meta` and `model` sections of a checkpoint, and [`load_model`] reads
 //! them back (from either kind of file) into a model built the same way.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use imcat_ckpt::{Checkpoint, Decoder, Encoder};
 use imcat_data::SplitDataset;
+use imcat_eval::{EvalSpec, PerUserMetrics};
 use imcat_models::RecModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,63 +104,16 @@ pub struct TrainReport {
     pub artifact: Option<PathBuf>,
 }
 
-/// Validation Recall@N (training items masked), shared by the trainer and the
-/// experiment harness.
-pub fn validation_recall(model: &dyn RecModel, data: &SplitDataset, n: usize) -> f64 {
-    let users: Vec<u32> =
-        (0..data.n_users() as u32).filter(|&u| !data.val[u as usize].is_empty()).collect();
-    if users.is_empty() {
-        return 0.0;
-    }
-    let _sp = imcat_obs::span("phase.eval");
-    let scores = model.score_users(&users);
-    // Scoring happens above on this thread (models are not `Sync`); the
-    // per-user ranking math fans out over the pool. Each user fills its own
-    // slot and the slots are reduced in user order, so the recall is
-    // bit-identical for any thread count.
-    let mut per_user = vec![(0.0f64, 0u64); users.len()];
-    imcat_par::global().parallel_chunks_mut(&mut per_user, 64, |ci, slots| {
-        let mut train_set: HashSet<u32> = HashSet::new();
-        for (off, slot) in slots.iter_mut().enumerate() {
-            let row = ci * 64 + off;
-            let u = users[row];
-            train_set.clear();
-            train_set.extend(data.train_items(u as usize).iter().copied());
-            let mut ranked: Vec<(usize, f32)> = scores
-                .row(row)
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(j, _)| !train_set.contains(&(j as u32)))
-                .collect();
-            let bad = ranked.iter().filter(|(_, s)| !s.is_finite()).count() as u64;
-            // total_cmp keeps the ranking well-defined even when a diverged
-            // model produces NaN scores; the guard event below makes that
-            // visible.
-            let top_n = n.min(ranked.len());
-            if top_n > 0 && top_n < ranked.len() {
-                ranked.select_nth_unstable_by(top_n - 1, |a, b| b.1.total_cmp(&a.1));
-            }
-            let top: HashSet<usize> = ranked[..top_n].iter().map(|&(j, _)| j).collect();
-            let val = &data.val[u as usize];
-            let hits = val.iter().filter(|&&t| top.contains(&(t as usize))).count();
-            *slot = (hits as f64 / val.len() as f64, bad);
-        }
-    });
-    let mut total = 0.0;
-    let mut nonfinite = 0u64;
-    for &(recall, bad) in &per_user {
-        total += recall;
-        nonfinite += bad;
-    }
-    if nonfinite > 0 && imcat_obs::enabled() {
-        imcat_obs::counter_add("guard.nonfinite_score", nonfinite);
-        imcat_obs::emit(
-            "nonfinite_scores",
-            vec![("elements", imcat_obs::Json::Num(nonfinite as f64))],
-        );
-    }
-    total / users.len() as f64
+/// Evaluates `model` under `spec`: builds the model's scorer once
+/// ([`RecModel::scorer`], so one forward per evaluation) and runs
+/// `imcat-eval`'s ranking pass over it. Early stopping, the reported test
+/// metrics, the figures and the CLI all rank through here, under one rule.
+pub fn evaluate_model(
+    model: &dyn RecModel,
+    data: &SplitDataset,
+    spec: &EvalSpec,
+) -> PerUserMetrics {
+    imcat_eval::evaluate_per_user(&mut model.scorer(), data, spec)
 }
 
 /// Mutable loop state captured into (and restored from) a checkpoint.
@@ -380,7 +333,11 @@ pub fn train(model: &mut dyn RecModel, data: &SplitDataset, cfg: &TrainerConfig)
             );
         }
         if epoch % cfg.eval_every == 0 {
-            let recall = validation_recall(model, data, cfg.eval_at);
+            let recall = {
+                let _sp = imcat_obs::span("phase.eval");
+                let spec = EvalSpec::at(cfg.eval_at).validation();
+                evaluate_model(model, data, &spec).aggregate().recall
+            };
             curve.push((epoch, recall));
             if telemetry {
                 imcat_obs::gauge_set("eval.val_recall", recall);
@@ -627,7 +584,7 @@ mod tests {
         let data = tiny_split(303);
         let mut rng = StdRng::seed_from_u64(0);
         let model = Bprmf::new(&data, TrainConfig::default(), &mut rng);
-        let r = validation_recall(&model, &data, 20);
+        let r = evaluate_model(&model, &data, &EvalSpec::at(20).validation()).aggregate().recall;
         assert!((0.0..=1.0).contains(&r));
     }
 }

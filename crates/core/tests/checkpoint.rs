@@ -9,7 +9,7 @@ use std::path::PathBuf;
 
 use imcat_core::{trainer, Imcat, ImcatConfig, TrainReport, TrainerConfig};
 use imcat_models::test_util::tiny_split;
-use imcat_models::{Bprmf, EpochStats, RecModel, TrainConfig};
+use imcat_models::{Bprmf, EpochStats, RecModel, Scorer, TrainConfig};
 use imcat_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -145,8 +145,8 @@ impl RecModel for NoCkpt {
     fn train_epoch(&mut self, _rng: &mut StdRng) -> EpochStats {
         EpochStats { loss: 1.0, batches: 1 }
     }
-    fn score_users(&self, users: &[u32]) -> Tensor {
-        Tensor::zeros(users.len(), self.n_items)
+    fn scorer(&self) -> Scorer<'_> {
+        Box::new(|users| Tensor::zeros(users.len(), self.n_items))
     }
     fn num_params(&self) -> usize {
         0

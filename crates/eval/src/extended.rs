@@ -8,13 +8,15 @@ use imcat_data::SplitDataset;
 use imcat_graph::jaccard_sorted;
 use imcat_tensor::Tensor;
 
-use crate::metrics::{held_out, top_n_masked_with, EvalSpec, TopKScratch};
+use crate::metrics::{rank_users, recall_ndcg, EvalSpec};
 
 /// A bundle of ranking metrics at one cutoff.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ExtendedMetrics {
     /// Mean Recall@N.
     pub recall: f64,
+    /// Mean NDCG@N.
+    pub ndcg: f64,
     /// Mean Precision@N.
     pub precision: f64,
     /// Fraction of users with at least one hit in the top N.
@@ -34,47 +36,44 @@ pub struct ExtendedMetrics {
 
 /// Computes [`ExtendedMetrics`] over the spec's selected users with a
 /// non-empty target set, masking training items when `spec.mask_train` —
-/// the population and ranking of [`crate::evaluate`].
+/// the population and ranking of [`crate::evaluate`], whose Recall and NDCG
+/// it reproduces bit for bit, from one ranking pass.
 pub fn evaluate_extended(
     score_fn: &mut dyn FnMut(&[u32]) -> Tensor,
     data: &SplitDataset,
     spec: &EvalSpec,
 ) -> ExtendedMetrics {
     let n = spec.k;
-    let users = spec.select_users(data);
-    if users.is_empty() {
+    let mut out = ExtendedMetrics::default();
+    let mut recommended = vec![false; data.n_items()];
+    rank_users(score_fn, data, spec, |_, top, truth| {
+        let (recall, ndcg) = recall_ndcg(top, truth, n);
+        let mut hits = 0usize;
+        let mut ap = 0.0f64;
+        let mut first_hit_rank: Option<usize> = None;
+        for (rank, j) in top.iter().enumerate() {
+            recommended[*j as usize] = true;
+            if truth.contains(j) {
+                hits += 1;
+                ap += hits as f64 / (rank + 1) as f64;
+                first_hit_rank.get_or_insert(rank);
+            }
+        }
+        out.n_users += 1;
+        out.recall += recall;
+        out.ndcg += ndcg;
+        out.precision += hits as f64 / n.max(1) as f64;
+        out.hit_rate += if hits > 0 { 1.0 } else { 0.0 };
+        out.map += if truth.is_empty() { 0.0 } else { ap / truth.len().min(n) as f64 };
+        out.mrr += first_hit_rank.map_or(0.0, |r| 1.0 / (r + 1) as f64);
+        out.intra_list_diversity += intra_list_diversity(data, top);
+    });
+    if out.n_users == 0 {
         return ExtendedMetrics::default();
     }
-    let mut out = ExtendedMetrics { n_users: users.len(), ..Default::default() };
-    let mut recommended = vec![false; data.n_items()];
-    let mut scratch = TopKScratch::default();
-    for chunk in users.chunks(256) {
-        let scores = score_fn(chunk);
-        for (row, &u) in chunk.iter().enumerate() {
-            let train: &[u32] = if spec.mask_train { data.train_items(u as usize) } else { &[] };
-            let top = top_n_masked_with(scores.row(row), train, n, &mut scratch);
-            let truth = held_out(data, spec.target, u as usize);
-            let mut hits = 0usize;
-            let mut ap = 0.0f64;
-            let mut first_hit_rank: Option<usize> = None;
-            for (rank, j) in top.iter().enumerate() {
-                recommended[*j as usize] = true;
-                if truth.contains(j) {
-                    hits += 1;
-                    ap += hits as f64 / (rank + 1) as f64;
-                    first_hit_rank.get_or_insert(rank);
-                }
-            }
-            out.recall += hits as f64 / truth.len() as f64;
-            out.precision += hits as f64 / n.max(1) as f64;
-            out.hit_rate += if hits > 0 { 1.0 } else { 0.0 };
-            out.map += if truth.is_empty() { 0.0 } else { ap / truth.len().min(n) as f64 };
-            out.mrr += first_hit_rank.map_or(0.0, |r| 1.0 / (r + 1) as f64);
-            out.intra_list_diversity += intra_list_diversity(data, top);
-        }
-    }
-    let nf = users.len() as f64;
+    let nf = out.n_users as f64;
     out.recall /= nf;
+    out.ndcg /= nf;
     out.precision /= nf;
     out.hit_rate /= nf;
     out.map /= nf;
@@ -182,6 +181,7 @@ mod tests {
             let base = crate::evaluate(&mut score_fn, &data, &spec);
             assert_eq!(ext.n_users, base.evaluated_users, "{spec:?}");
             assert_eq!(ext.recall.to_bits(), base.recall.to_bits(), "{spec:?}");
+            assert_eq!(ext.ndcg.to_bits(), base.ndcg.to_bits(), "{spec:?}");
         }
     }
 

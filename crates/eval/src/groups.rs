@@ -10,7 +10,7 @@
 use imcat_data::SplitDataset;
 use imcat_tensor::Tensor;
 
-use crate::metrics::{evaluate_per_user, top_n_masked_with, EvalSpec, PerUserMetrics, TopKScratch};
+use crate::metrics::{rank_users, EvalSpec};
 
 /// Assigns items to `n_groups` equal-size popularity groups by ascending
 /// training-interaction count (`G1` = least popular).
@@ -28,27 +28,20 @@ pub fn group_recall_contribution(
     n_groups: usize,
 ) -> Vec<f64> {
     assert_eq!(groups.len(), data.n_items());
-    let users: Vec<u32> = data.test_users();
     let mut contrib = vec![0f64; n_groups];
-    if users.is_empty() {
-        return contrib;
-    }
-    let mut scratch = TopKScratch::default();
-    for chunk in users.chunks(256) {
-        let scores = score_fn(chunk);
-        for (row, &u) in chunk.iter().enumerate() {
-            let train = data.train_items(u as usize);
-            let top = top_n_masked_with(scores.row(row), train, n, &mut scratch);
-            let truth = &data.test[u as usize];
-            for &j in top {
-                if truth.contains(&j) {
-                    contrib[groups[j as usize]] += 1.0 / truth.len() as f64;
-                }
+    let mut users = 0usize;
+    rank_users(score_fn, data, &EvalSpec::at(n), |_, top, truth| {
+        users += 1;
+        for &j in top {
+            if truth.contains(&j) {
+                contrib[groups[j as usize]] += 1.0 / truth.len() as f64;
             }
         }
-    }
-    for c in &mut contrib {
-        *c /= users.len() as f64;
+    });
+    if users > 0 {
+        for c in &mut contrib {
+            *c /= users as f64;
+        }
     }
     contrib
 }
@@ -61,17 +54,6 @@ pub fn cold_start_users(data: &SplitDataset, threshold: usize) -> Vec<u32> {
             data.train_items(u as usize).len() < threshold && !data.test[u as usize].is_empty()
         })
         .collect()
-}
-
-/// Test-split metrics restricted to a user subset (scores only the subset;
-/// per-user results are bit-identical to a full evaluation's).
-pub fn evaluate_user_subset(
-    score_fn: &mut dyn FnMut(&[u32]) -> Tensor,
-    data: &SplitDataset,
-    n: usize,
-    subset: &[u32],
-) -> PerUserMetrics {
-    evaluate_per_user(score_fn, data, &EvalSpec::at(n).users(subset.to_vec()))
 }
 
 #[cfg(test)]
@@ -150,7 +132,8 @@ mod tests {
         let data = split();
         let mut score_fn = |users: &[u32]| Tensor::zeros(users.len(), data.n_items());
         let cold = cold_start_users(&data, 10);
-        let m = evaluate_user_subset(&mut score_fn, &data, 20, &cold);
+        let m =
+            crate::evaluate_per_user(&mut score_fn, &data, &EvalSpec::at(20).users(cold.clone()));
         assert_eq!(m.users.len(), cold.len());
     }
 }

@@ -13,9 +13,7 @@ mod metrics;
 mod stats;
 
 pub use extended::{evaluate_extended, intra_list_diversity, ExtendedMetrics};
-pub use groups::{
-    cold_start_users, evaluate_user_subset, group_recall_contribution, item_popularity_groups,
-};
+pub use groups::{cold_start_users, group_recall_contribution, item_popularity_groups};
 pub use metrics::{
     evaluate, evaluate_per_user, top_n_masked, top_n_masked_with, EvalSpec, EvalTarget,
     PerUserMetrics, RankingMetrics, TopKScratch,

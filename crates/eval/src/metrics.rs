@@ -64,7 +64,7 @@ impl PerUserMetrics {
     }
 }
 
-pub(crate) fn held_out(data: &SplitDataset, target: EvalTarget, u: usize) -> &[u32] {
+fn held_out(data: &SplitDataset, target: EvalTarget, u: usize) -> &[u32] {
     match target {
         EvalTarget::Validation => &data.val[u],
         EvalTarget::Test => &data.test[u],
@@ -130,7 +130,17 @@ impl EvalSpec {
         self
     }
 
-    pub(crate) fn select_users(&self, data: &SplitDataset) -> Vec<u32> {
+    /// The items ranked out of user `u`'s list: their training items, or
+    /// none when unmasked.
+    fn mask<'a>(&self, data: &'a SplitDataset, u: u32) -> &'a [u32] {
+        if self.mask_train {
+            data.train_items(u as usize)
+        } else {
+            &[]
+        }
+    }
+
+    fn select_users(&self, data: &SplitDataset) -> Vec<u32> {
         let nonempty = |u: u32| !held_out(data, self.target, u as usize).is_empty();
         match &self.users {
             Some(sel) => sel.iter().copied().filter(|&u| nonempty(u)).collect(),
@@ -253,59 +263,104 @@ pub fn top_n_masked(scores: &[f32], mask: &[u32], n: usize) -> Vec<u32> {
     top_n_masked_with(scores, mask, n, &mut scratch).to_vec()
 }
 
-/// Per-user Recall@N and NDCG@N for every selected user with a non-empty
-/// target set.
+/// Users scored per `score_fn` call: bounds the score matrix held at once.
+const SCORE_CHUNK: usize = 256;
+
+/// Users one worker ranks per slice of the fan-out.
+const RANK_SLICE: usize = 32;
+
+/// The one ranking pass behind every metric of this crate: ranks each of
+/// the spec's users (those with a held-out item in `spec.target`) under the
+/// paper's protocol and hands `fold(user, top, truth)` the user's top-`k`
+/// list and held-out items, in user order.
 ///
-/// `score_fn(users)` must return `[users.len(), n_items]` relevance scores.
-/// Users are scored in chunks to bound peak memory.
+/// `score_fn(users)` must return `[users.len(), n_items]` relevance scores;
+/// users are scored in chunks to bound peak memory. Scoring stays on the
+/// calling thread (`score_fn` is `FnMut`); the per-user ranking fans out,
+/// each user into its own slot, so every top list — and every fold over
+/// them — is thread-count independent.
+///
+/// Non-finite scores outside the mask (a diverged model) still rank, under
+/// `total_cmp`; the pass counts them into `guard.nonfinite_score` and emits
+/// one `nonfinite_scores` event, so the divergence shows in telemetry.
+pub(crate) fn rank_users(
+    score_fn: &mut dyn FnMut(&[u32]) -> Tensor,
+    data: &SplitDataset,
+    spec: &EvalSpec,
+    mut fold: impl FnMut(u32, &[u32], &[u32]),
+) {
+    let users = spec.select_users(data);
+    let pool = imcat_par::global();
+    // One (top list, non-finite count) slot per user of a chunk, reused
+    // across chunks.
+    let mut ranked: Vec<(Vec<u32>, u64)> = Vec::new();
+    let mut nonfinite = 0u64;
+    for chunk in users.chunks(SCORE_CHUNK) {
+        let scores = score_fn(chunk);
+        assert_eq!(scores.rows(), chunk.len());
+        ranked.resize_with(chunk.len(), Default::default);
+        pool.parallel_chunks_mut(&mut ranked, RANK_SLICE, |ci, slots| {
+            // One scratch per worker slice: every user in it reuses the same
+            // ranking buffers instead of allocating fresh ones.
+            let mut scratch = TopKScratch::default();
+            for (off, (top, bad)) in slots.iter_mut().enumerate() {
+                let i = ci * RANK_SLICE + off;
+                let mask = spec.mask(data, chunk[i]);
+                let row = scores.row(i);
+                *bad = nonfinite_unmasked(row, mask);
+                top.clear();
+                top.extend_from_slice(top_n_masked_with(row, mask, spec.k, &mut scratch));
+            }
+        });
+        for (&u, (top, bad)) in chunk.iter().zip(&ranked) {
+            nonfinite += bad;
+            fold(u, top, held_out(data, spec.target, u as usize));
+        }
+    }
+    if nonfinite > 0 && imcat_obs::enabled() {
+        imcat_obs::counter_add("guard.nonfinite_score", nonfinite);
+        imcat_obs::emit(
+            "nonfinite_scores",
+            vec![("elements", imcat_obs::Json::Num(nonfinite as f64))],
+        );
+    }
+}
+
+/// Non-finite scores outside `mask`. Only a non-finite score is looked up
+/// in the mask, so a finite row costs one test per score.
+fn nonfinite_unmasked(scores: &[f32], mask: &[u32]) -> u64 {
+    let outside = |j: usize| mask.binary_search(&(j as u32)).is_err();
+    scores.iter().enumerate().filter(|&(j, s)| !s.is_finite() && outside(j)).count() as u64
+}
+
+/// One user's Recall@`n` and NDCG@`n` from their top list.
+pub(crate) fn recall_ndcg(top: &[u32], truth: &[u32], n: usize) -> (f64, f64) {
+    let mut hits = 0usize;
+    let mut dcg = 0.0f64;
+    for (rank, j) in top.iter().enumerate() {
+        if truth.contains(j) {
+            hits += 1;
+            dcg += 1.0 / ((rank + 2) as f64).log2();
+        }
+    }
+    let ideal: f64 = (0..truth.len().min(n)).map(|r| 1.0 / ((r + 2) as f64).log2()).sum();
+    (hits as f64 / truth.len() as f64, if ideal > 0.0 { dcg / ideal } else { 0.0 })
+}
+
+/// Per-user Recall@N and NDCG@N for every selected user with a non-empty
+/// target set (see [`EvalSpec`]); `score_fn` as for the ranking pass.
 pub fn evaluate_per_user(
     score_fn: &mut dyn FnMut(&[u32]) -> Tensor,
     data: &SplitDataset,
     spec: &EvalSpec,
 ) -> PerUserMetrics {
-    let users = spec.select_users(data);
-    let n = spec.k;
     let mut out = PerUserMetrics::default();
-    let pool = imcat_par::global();
-    for chunk in users.chunks(256) {
-        let scores = score_fn(chunk);
-        assert_eq!(scores.rows(), chunk.len());
-        // Scoring stays on the calling thread (`score_fn` is `FnMut`); the
-        // per-user ranking math fans out. Each user writes its own slot, so
-        // the result order — and every bit — is thread-count independent.
-        let mut per_user = vec![(0.0f64, 0.0f64); chunk.len()];
-        pool.parallel_chunks_mut(&mut per_user, 32, |ci, slots| {
-            // One scratch per worker slice: every user in it reuses the same
-            // ranking buffers instead of allocating fresh ones.
-            let mut scratch = TopKScratch::default();
-            for (off, slot) in slots.iter_mut().enumerate() {
-                let row = ci * 32 + off;
-                let u = chunk[row];
-                let train: &[u32] =
-                    if spec.mask_train { data.train_items(u as usize) } else { &[] };
-                let top = top_n_masked_with(scores.row(row), train, n, &mut scratch);
-                let truth = held_out(data, spec.target, u as usize);
-                let mut hits = 0usize;
-                let mut dcg = 0.0f64;
-                for (rank, j) in top.iter().enumerate() {
-                    if truth.contains(j) {
-                        hits += 1;
-                        dcg += 1.0 / ((rank + 2) as f64).log2();
-                    }
-                }
-                let recall = hits as f64 / truth.len() as f64;
-                let ideal: f64 =
-                    (0..truth.len().min(n)).map(|r| 1.0 / ((r + 2) as f64).log2()).sum();
-                let ndcg = if ideal > 0.0 { dcg / ideal } else { 0.0 };
-                *slot = (recall, ndcg);
-            }
-        });
-        out.users.extend_from_slice(chunk);
-        for &(recall, ndcg) in &per_user {
-            out.recall.push(recall);
-            out.ndcg.push(ndcg);
-        }
-    }
+    rank_users(score_fn, data, spec, |u, top, truth| {
+        let (recall, ndcg) = recall_ndcg(top, truth, spec.k);
+        out.users.push(u);
+        out.recall.push(recall);
+        out.ndcg.push(ndcg);
+    });
     out
 }
 

@@ -16,7 +16,7 @@ use imcat_tensor::{xavier_uniform, Csr, ParamId, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{bpr_loss, EmbeddingCore, EpochStats, RecModel, TrainConfig};
+use crate::common::{bpr_loss, EmbeddingCore, EpochStats, RecModel, Scorer, TrainConfig};
 
 /// Ripple-set size sampled per user per step.
 const RIPPLE: usize = 8;
@@ -129,54 +129,56 @@ impl RecModel for RippleNet {
         EpochStats { loss: total / batches as f32, batches }
     }
 
-    fn score_users(&self, users: &[u32]) -> Tensor {
-        let ue = self.core.store.value(self.core.user_emb);
-        let ve = self.core.store.value(self.core.item_emb);
-        let te = self.core.store.value(self.tag_emb);
-        let d = self.core.dim;
-        let mut out = Tensor::zeros(users.len(), self.n_items);
-        for (row, &u) in users.iter().enumerate() {
-            let tags: Vec<u32> =
-                self.user_tags[u as usize].iter().copied().take(EVAL_RIPPLE).collect();
-            let urow = ue.row(u as usize);
-            if tags.is_empty() {
-                // Pure dot-product fallback.
+    fn scorer(&self) -> Scorer<'_> {
+        Box::new(move |users| {
+            let ue = self.core.store.value(self.core.user_emb);
+            let ve = self.core.store.value(self.core.item_emb);
+            let te = self.core.store.value(self.tag_emb);
+            let d = self.core.dim;
+            let mut out = Tensor::zeros(users.len(), self.n_items);
+            for (row, &u) in users.iter().enumerate() {
+                let tags: Vec<u32> =
+                    self.user_tags[u as usize].iter().copied().take(EVAL_RIPPLE).collect();
+                let urow = ue.row(u as usize);
+                if tags.is_empty() {
+                    // Pure dot-product fallback.
+                    for j in 0..self.n_items {
+                        let s: f32 = urow.iter().zip(ve.row(j)).map(|(a, b)| a * b).sum();
+                        out.set(row, j, s);
+                    }
+                    continue;
+                }
+                let mut t_sel = Tensor::zeros(tags.len(), d);
+                for (i, &t) in tags.iter().enumerate() {
+                    t_sel.row_mut(i).copy_from_slice(te.row(t as usize));
+                }
+                // [n_items, |T|] attention logits, softmax per item row.
+                let mut logits = ve.matmul_nt(&t_sel);
                 for j in 0..self.n_items {
-                    let s: f32 = urow.iter().zip(ve.row(j)).map(|(a, b)| a * b).sum();
+                    let rowj = logits.row_mut(j);
+                    let m = rowj.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
+                    let mut s = 0.0;
+                    for x in rowj.iter_mut() {
+                        *x = (*x - m).exp();
+                        s += *x;
+                    }
+                    for x in rowj.iter_mut() {
+                        *x /= s;
+                    }
+                }
+                let o = logits.matmul(&t_sel); // [n_items, d]
+                for j in 0..self.n_items {
+                    let s: f32 = urow
+                        .iter()
+                        .zip(o.row(j))
+                        .zip(ve.row(j))
+                        .map(|((&uu, &oo), &vv)| (uu + oo) * vv)
+                        .sum();
                     out.set(row, j, s);
                 }
-                continue;
             }
-            let mut t_sel = Tensor::zeros(tags.len(), d);
-            for (i, &t) in tags.iter().enumerate() {
-                t_sel.row_mut(i).copy_from_slice(te.row(t as usize));
-            }
-            // [n_items, |T|] attention logits, softmax per item row.
-            let mut logits = ve.matmul_nt(&t_sel);
-            for j in 0..self.n_items {
-                let rowj = logits.row_mut(j);
-                let m = rowj.iter().fold(f32::NEG_INFINITY, |a, &x| a.max(x));
-                let mut s = 0.0;
-                for x in rowj.iter_mut() {
-                    *x = (*x - m).exp();
-                    s += *x;
-                }
-                for x in rowj.iter_mut() {
-                    *x /= s;
-                }
-            }
-            let o = logits.matmul(&t_sel); // [n_items, d]
-            for j in 0..self.n_items {
-                let s: f32 = urow
-                    .iter()
-                    .zip(o.row(j))
-                    .zip(ve.row(j))
-                    .map(|((&uu, &oo), &vv)| (uu + oo) * vv)
-                    .sum();
-                out.set(row, j, s);
-            }
-        }
-        out
+            out
+        })
     }
 
     fn num_params(&self) -> usize {

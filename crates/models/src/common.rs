@@ -50,6 +50,9 @@ pub struct EpochStats {
     pub batches: usize,
 }
 
+/// Scores a batch of users against every item (see [`RecModel::scorer`]).
+pub type Scorer<'a> = Box<dyn FnMut(&[u32]) -> Tensor + 'a>;
+
 /// A trainable top-N recommender.
 pub trait RecModel {
     /// Model name as reported in the paper's tables.
@@ -64,31 +67,39 @@ pub trait RecModel {
     /// For GNN models this runs propagation; for factorization models it is
     /// the raw tables. Models whose scoring is not a user×item dot product
     /// (NeuMF's fused MLP head, RippleNet's per-user tag attention) keep the
-    /// `None` default and override [`RecModel::score_users`] instead.
+    /// `None` default and override [`RecModel::scorer`] instead.
     fn forward_embeddings(&self, _tape: &mut Tape) -> Option<(Var, Var)> {
         None
     }
 
     /// The values of [`RecModel::forward_embeddings`], taken from a throwaway
     /// tape that is never differentiated — the frozen inference surface
-    /// behind both [`RecModel::score_users`] and
-    /// [`RecModel::export_artifact`]. Not meant to be overridden: evaluation
-    /// and serving score with exactly the function that was trained.
+    /// behind both [`RecModel::scorer`] and [`RecModel::export_artifact`].
+    /// Not meant to be overridden: evaluation and serving score with exactly
+    /// the function that was trained.
     fn export_embeddings(&self) -> Option<(Tensor, Tensor)> {
         let mut tape = Tape::new();
         let (users, items) = self.forward_embeddings(&mut tape)?;
         Some((tape.value(users).clone(), tape.value(items).clone()))
     }
 
-    /// Full-ranking scores `[users.len(), n_items]` for evaluation
+    /// The scorer for one evaluation: called with a batch of users, it
+    /// returns their full-ranking scores `[users.len(), n_items]`
     /// (training-item masking is the evaluator's job). The provided default
-    /// scores against [`RecModel::export_embeddings`]; only models without a
-    /// dot-product decomposition implement this directly.
-    fn score_users(&self, users: &[u32]) -> Tensor {
+    /// runs [`RecModel::export_embeddings`] once, here, and scores every
+    /// batch against that pair, so an evaluation costs one forward however
+    /// many batches it scores. Only models without a dot-product
+    /// decomposition implement this directly.
+    fn scorer(&self) -> Scorer<'_> {
         let (user_emb, item_emb) = self.export_embeddings().unwrap_or_else(|| {
-            panic!("{}: implement forward_embeddings or override score_users", self.name())
+            panic!("{}: implement forward_embeddings or override scorer", self.name())
         });
-        dot_score_all(&user_emb, &item_emb, users)
+        Box::new(move |users| dot_score_all(&user_emb, &item_emb, users))
+    }
+
+    /// Full-ranking scores of `users` from a fresh [`RecModel::scorer`].
+    fn score_users(&self, users: &[u32]) -> Tensor {
+        (self.scorer())(users)
     }
 
     /// Freezes the model into a serving artifact: the resolved embeddings of

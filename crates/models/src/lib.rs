@@ -36,7 +36,7 @@ pub use baselines::{Cfa, Cke, Dspr, Kgat, Kgcl, Kgin, RippleNet, Sgl, Tgcn};
 pub use bprmf::Bprmf;
 pub use common::{
     bpr_loss, dot_score_all, info_nce, propagate_mean, Backbone, EmbeddingCore, EpochStats, Linear,
-    Mlp, RecModel, TrainConfig,
+    Mlp, RecModel, Scorer, TrainConfig,
 };
 pub use lightgcn::LightGcn;
 pub use neumf::Neumf;

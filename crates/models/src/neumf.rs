@@ -12,7 +12,9 @@ use imcat_data::{BprSampler, SplitDataset};
 use imcat_tensor::{xavier_uniform, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 
-use crate::common::{bpr_loss, Backbone, EmbeddingCore, EpochStats, Mlp, RecModel, TrainConfig};
+use crate::common::{
+    bpr_loss, Backbone, EmbeddingCore, EpochStats, Mlp, RecModel, Scorer, TrainConfig,
+};
 
 /// Neural collaborative filtering with GMF + MLP fusion, trained with BPR.
 pub struct Neumf {
@@ -78,16 +80,18 @@ impl RecModel for Neumf {
 
     /// Every item's training `fuse` score, one tape per user: the user's
     /// row tiled against the whole item table.
-    fn score_users(&self, users: &[u32]) -> Tensor {
-        let mut out = Tensor::zeros(users.len(), self.n_items);
-        for (row, &u) in users.iter().enumerate() {
-            let mut tape = Tape::new();
-            let uv = tape.gather(&self.core.store, self.core.user_emb, &vec![u; self.n_items]);
-            let vv = tape.leaf(&self.core.store, self.core.item_emb);
-            let s = self.fuse(&mut tape, uv, vv);
-            out.row_mut(row).copy_from_slice(tape.value(s).as_slice());
-        }
-        out
+    fn scorer(&self) -> Scorer<'_> {
+        Box::new(move |users| {
+            let mut out = Tensor::zeros(users.len(), self.n_items);
+            for (row, &u) in users.iter().enumerate() {
+                let mut tape = Tape::new();
+                let uv = tape.gather(&self.core.store, self.core.user_emb, &vec![u; self.n_items]);
+                let vv = tape.leaf(&self.core.store, self.core.item_emb);
+                let s = self.fuse(&mut tape, uv, vv);
+                out.row_mut(row).copy_from_slice(tape.value(s).as_slice());
+            }
+            out
+        })
     }
 
     fn num_params(&self) -> usize {

@@ -62,8 +62,6 @@ pub static KNOBS: &[Knob] = &[
     knob!("IMCAT_OBS", Flag, "off", "obs", "Enables telemetry collection"),
     knob!("IMCAT_OBS_OUT", Str, "unset", "obs", "JSONL sink path (implies IMCAT_OBS=1)"),
     knob!("IMCAT_OBS_ADDR", Str, "unset", "obs", "Bind /metrics endpoint (implies IMCAT_OBS=1)"),
-    knob!("IMCAT_OBS_FLUSH_SECS", Float, "unset", "obs", "Append a JSONL snapshot every N seconds"),
-    knob!("IMCAT_OBS_FLUSH_PATH", Str, "derived", "obs", "Flusher output path"),
     knob!("IMCAT_OBS_WINDOW_SECS", Int, "60", "obs", "Sliding-percentile window length"),
     knob!("IMCAT_OBS_TRACE_SAMPLE", Int, "16", "obs", "Record full spans for 1-in-N requests"),
     knob!("IMCAT_OBS_TRACE_CAP", Int, "512", "obs", "Trace ring-buffer capacity"),

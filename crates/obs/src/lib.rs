@@ -16,16 +16,14 @@
 //!   atomic flag; when disabled the instrumented fast paths stay
 //!   branch-predictable and allocation-free. Enable explicitly with
 //!   [`set_enabled`] or from the environment with [`init_from_env`]
-//!   (`IMCAT_OBS=1`, `IMCAT_OBS_OUT`, `IMCAT_OBS_ADDR`, or
-//!   `IMCAT_OBS_FLUSH_SECS` set).
+//!   (`IMCAT_OBS=1`, `IMCAT_OBS_OUT` or `IMCAT_OBS_ADDR` set).
 //! * **Static keys.** Metric names are `&'static str` so the hot path never
 //!   allocates; the hottest call sites can additionally pre-intern a name
 //!   via the [`Counter`]/[`Hist`] handles. Dynamic payloads belong in
 //!   [`emit`]ted events.
 //! * **Live outputs.** [`init_from_env`] can start an HTTP listener
 //!   ([`http`]) serving `/metrics` (Prometheus text) and `/trace/<id>`
-//!   (request traces, see [`trace`]), plus an interval flusher appending
-//!   JSONL snapshots while a run is in flight.
+//!   (request traces, see [`trace`]) while a run is in flight.
 //!
 //! ## Test isolation
 //!
@@ -43,8 +41,6 @@
 //! * histograms: `{"kind": "hist", "name": "...", "count": n, "sum": s,
 //!   "mean": m, "min": lo, "max": hi, "p50": q, "p99": q,
 //!   "window_count": n, "window_p50": q, "window_p99": q}`
-//! * interval flushes (the live sink): the same histogram/counter payloads
-//!   nested under `{"kind": "flush", "t": ...}` lines.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -208,26 +204,19 @@ pub fn now_seconds() -> f64 {
     epoch_instant().elapsed().as_secs_f64()
 }
 
-/// Enables recording when `IMCAT_OBS` is truthy or any of `IMCAT_OBS_OUT`,
-/// `IMCAT_OBS_ADDR`, `IMCAT_OBS_FLUSH_SECS` is set; returns the resulting
-/// enabled state. Starts the live HTTP endpoint and the interval flusher
-/// when their knobs are present (failures are reported, never fatal).
+/// Enables recording when `IMCAT_OBS` is truthy or either of
+/// `IMCAT_OBS_OUT`, `IMCAT_OBS_ADDR` is set; returns the resulting enabled
+/// state. Starts the live HTTP endpoint when its knob is present (a failure
+/// is reported, never fatal).
 pub fn init_from_env() -> bool {
     let addr = knob_str("IMCAT_OBS_ADDR");
-    let flush_secs = knob_str("IMCAT_OBS_FLUSH_SECS").and_then(|v| v.parse::<f64>().ok());
-    let on = knob_flag("IMCAT_OBS", false)
-        || out_path().is_some()
-        || addr.is_some()
-        || flush_secs.is_some();
+    let on = knob_flag("IMCAT_OBS", false) || out_path().is_some() || addr.is_some();
     if on {
         set_enabled(true);
         if let Some(addr) = addr {
             if let Err(e) = http::start(&addr) {
                 eprintln!("imcat-obs: cannot serve /metrics on {addr}: {e}");
             }
-        }
-        if let Some(secs) = flush_secs {
-            start_flusher(secs);
         }
     }
     on
@@ -512,91 +501,6 @@ pub fn write_jsonl(path: impl AsRef<Path>) -> std::io::Result<()> {
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
-}
-
-/// One compact flush line for the live JSONL sink: counters and histogram
-/// window stats nested under a `"flush"` record.
-fn flush_line() -> String {
-    let snap = snapshot();
-    let counters =
-        Json::Obj(snap.counters.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect());
-    let hists = Json::Obj(
-        snap.hists
-            .iter()
-            .map(|(k, h)| {
-                let w = snap.window(k).cloned().unwrap_or_default();
-                (
-                    k.clone(),
-                    Json::obj(vec![
-                        ("count", Json::Num(h.count as f64)),
-                        ("p99", Json::Num(h.quantile(0.99))),
-                        ("window_count", Json::Num(w.count as f64)),
-                        ("window_p50", Json::Num(w.quantile(0.5))),
-                        ("window_p99", Json::Num(w.quantile(0.99))),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let (stored, total, slow) = trace::stats();
-    Json::obj(vec![
-        ("kind", Json::Str("flush".into())),
-        ("t", Json::Num(now_seconds())),
-        ("counters", counters),
-        ("hists", hists),
-        ("traces_stored", Json::Num(stored as f64)),
-        ("traces_total", Json::Num(total as f64)),
-        ("traces_slow", Json::Num(slow as f64)),
-    ])
-    .render()
-}
-
-/// The append path for interval flushes: `IMCAT_OBS_FLUSH_PATH`, else
-/// `IMCAT_OBS_OUT` + `.live`, else `target/obs.live.jsonl`.
-pub fn flush_path() -> PathBuf {
-    if let Some(p) = knob_str("IMCAT_OBS_FLUSH_PATH") {
-        return PathBuf::from(p);
-    }
-    match out_path() {
-        Some(p) => {
-            let mut s = p.into_os_string();
-            s.push(".live");
-            PathBuf::from(s)
-        }
-        None => PathBuf::from("target/obs.live.jsonl"),
-    }
-}
-
-fn start_flusher(interval_secs: f64) {
-    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-    static STARTED: AtomicBool = AtomicBool::new(false);
-    if interval_secs <= 0.0 || STARTED.swap(true, Relaxed) {
-        return;
-    }
-    let path = flush_path();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    std::thread::Builder::new()
-        .name("imcat-obs-flush".into())
-        .spawn(move || {
-            use std::io::Write as _;
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs_f64(interval_secs));
-                if !enabled() {
-                    continue;
-                }
-                let line = flush_line();
-                if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path)
-                {
-                    let _ = writeln!(f, "{line}");
-                }
-            }
-        })
-        .map(|_| ())
-        .unwrap_or_else(|e| eprintln!("imcat-obs: cannot start flusher: {e}"));
 }
 
 /// Human-readable summary of every recorded metric.

@@ -11,8 +11,7 @@ use imcat::prelude::*;
 fn train_and_test(model: &mut dyn RecModel, split: &SplitDataset) -> (f64, usize, f64) {
     let cfg = TrainerConfig { max_epochs: 80, eval_every: 10, patience: 3, ..Default::default() };
     let report = trainer::train(model, split, &cfg);
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let m = evaluate(&mut score_fn, split, &EvalSpec::at(20));
+    let m = evaluate_model(model, split, &EvalSpec::at(20)).aggregate();
     (m.recall, report.epochs_run, report.train_seconds)
 }
 

@@ -26,9 +26,9 @@ fn main() {
     // Plain LightGCN.
     let mut lightgcn = LightGcn::new(&split, TrainConfig::default(), &mut rng);
     let r1 = trainer::train(&mut lightgcn, &split, &trainer_cfg);
-    let mut s1 = |users: &[u32]| lightgcn.score_users(users);
-    let all1 = evaluate(&mut s1, &split, &EvalSpec::at(20));
-    let cold1 = evaluate_user_subset(&mut s1, &split, 20, &cold).aggregate();
+    let all1 = evaluate_model(&lightgcn, &split, &EvalSpec::at(20)).aggregate();
+    let cold1 =
+        evaluate_model(&lightgcn, &split, &EvalSpec::at(20).users(cold.clone())).aggregate();
 
     // L-IMCAT.
     let backbone = LightGcn::new(&split, TrainConfig::default(), &mut rng);
@@ -39,9 +39,8 @@ fn main() {
         &mut rng,
     );
     let r2 = trainer::train(&mut limcat, &split, &trainer_cfg);
-    let mut s2 = |users: &[u32]| limcat.score_users(users);
-    let all2 = evaluate(&mut s2, &split, &EvalSpec::at(20));
-    let cold2 = evaluate_user_subset(&mut s2, &split, 20, &cold).aggregate();
+    let all2 = evaluate_model(&limcat, &split, &EvalSpec::at(20)).aggregate();
+    let cold2 = evaluate_model(&limcat, &split, &EvalSpec::at(20).users(cold)).aggregate();
 
     println!("{:<10} {:>14} {:>14} {:>8}", "model", "R@20 (all)", "R@20 (cold)", "epochs");
     println!(

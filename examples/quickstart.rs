@@ -36,8 +36,7 @@ fn main() {
     );
 
     // 4. Evaluate on the held-out test interactions.
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let test = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
+    let test = evaluate_model(&model, &split, &EvalSpec::at(20)).aggregate();
     println!(
         "test Recall@20 = {:.4}, NDCG@20 = {:.4} over {} users",
         test.recall, test.ndcg, test.evaluated_users

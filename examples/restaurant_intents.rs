@@ -149,7 +149,6 @@ fn main() {
     }
 
     // Final quality check.
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let test = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
+    let test = evaluate_model(&model, &split, &EvalSpec::at(20)).aggregate();
     println!("\ntest Recall@20 = {:.4}", test.recall);
 }

@@ -32,7 +32,7 @@ use imcat::core::{trainer, ImcatConfig, ModelKind};
 use imcat::data::{
     generate, load_dataset, save_dataset, Dataset, FilterConfig, SplitDataset, SynthConfig,
 };
-use imcat::eval::{evaluate, evaluate_extended, top_n_masked, EvalSpec};
+use imcat::eval::{evaluate_extended, top_n_masked, EvalSpec};
 use imcat::models::{RecModel, TrainConfig};
 use imcat::net::{NetConfig, Server};
 use imcat::serve::{AnnConfig, AnnKind, Artifact, ServeConfig};
@@ -188,13 +188,11 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         "trained {} for {} epochs in {:.1}s (best val R@20 {:.4})",
         report.model, report.epochs_run, report.train_seconds, report.best_val_recall
     );
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let m = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
-    let ext = evaluate_extended(&mut score_fn, &split, &EvalSpec::at(20));
+    let ext = evaluate_extended(&mut model.scorer(), &split, &EvalSpec::at(20));
     println!(
         "test  R@20 {:.4}  N@20 {:.4}  P@20 {:.4}  MAP {:.4}  MRR {:.4}  coverage {:.3}  diversity {:.3}",
-        m.recall,
-        m.ndcg,
+        ext.recall,
+        ext.ndcg,
         ext.precision,
         ext.map,
         ext.mrr,

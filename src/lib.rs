@@ -42,8 +42,7 @@
 //! }
 //!
 //! // Evaluate Recall@20 / NDCG@20 on the held-out test items.
-//! let mut score_fn = |users: &[u32]| model.score_users(users);
-//! let metrics = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
+//! let metrics = evaluate_model(&model, &split, &EvalSpec::at(20)).aggregate();
 //! assert!(metrics.recall >= 0.0 && metrics.recall <= 1.0);
 //! ```
 
@@ -62,11 +61,11 @@ pub use imcat_tensor as tensor;
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
-    pub use imcat_core::{trainer, AlignMode, Imcat, ImcatConfig, TrainerConfig};
+    pub use imcat_core::{evaluate_model, trainer, AlignMode, Imcat, ImcatConfig, TrainerConfig};
     pub use imcat_data::{generate, BprSampler, Dataset, FilterConfig, SplitDataset, SynthConfig};
     pub use imcat_eval::{
-        cold_start_users, evaluate, evaluate_per_user, evaluate_user_subset,
-        group_recall_contribution, item_popularity_groups, paired_t_test, EvalSpec, EvalTarget,
+        cold_start_users, evaluate, evaluate_per_user, group_recall_contribution,
+        item_popularity_groups, paired_t_test, EvalSpec, EvalTarget,
     };
     pub use imcat_graph::{degree_groups, Bipartite, ClusterTagSets};
     pub use imcat_models::{

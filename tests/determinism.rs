@@ -37,8 +37,7 @@ fn bprmf_fingerprint() -> (Vec<u32>, Vec<u64>, Vec<u64>) {
     for _ in 0..3 {
         losses.push(model.train_epoch(&mut rng).loss.to_bits());
     }
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let per_user = evaluate_per_user(&mut score_fn, &split, &EvalSpec::at(20));
+    let per_user = evaluate_model(&model, &split, &EvalSpec::at(20));
     let recall_bits = per_user.recall.iter().map(|r| r.to_bits()).collect();
     let ndcg_bits = per_user.ndcg.iter().map(|n| n.to_bits()).collect();
     (losses, recall_bits, ndcg_bits)
@@ -59,8 +58,7 @@ fn imcat_fingerprint() -> (Vec<u32>, Vec<u64>, Vec<u64>) {
     for _ in 0..3 {
         losses.push(model.train_epoch(&mut rng).loss.to_bits());
     }
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let per_user = evaluate_per_user(&mut score_fn, &split, &EvalSpec::at(20));
+    let per_user = evaluate_model(&model, &split, &EvalSpec::at(20));
     let recall_bits = per_user.recall.iter().map(|r| r.to_bits()).collect();
     let ndcg_bits = per_user.ndcg.iter().map(|n| n.to_bits()).collect();
     (losses, recall_bits, ndcg_bits)

@@ -27,8 +27,7 @@ fn full_pipeline_l_imcat() {
     );
     assert_eq!(report.model, "L-IMCAT");
     assert!(report.best_val_recall > 0.1, "implausibly low: {}", report.best_val_recall);
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let m = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
+    let m = evaluate_model(&model, &split, &EvalSpec::at(20)).aggregate();
     assert!(m.recall > 0.1);
     assert!(m.ndcg > 0.0);
     assert_eq!(m.evaluated_users, split.test_users().len());
@@ -107,13 +106,12 @@ fn group_and_cold_analyses_compose() {
         model.train_epoch(&mut rng);
     }
     let groups = item_popularity_groups(&split, 5);
-    let mut score_fn = |users: &[u32]| model.score_users(users);
-    let contrib = group_recall_contribution(&mut score_fn, &split, 20, &groups, 5);
-    let overall = evaluate(&mut score_fn, &split, &EvalSpec::at(20));
+    let contrib = group_recall_contribution(&mut model.scorer(), &split, 20, &groups, 5);
+    let overall = evaluate_model(&model, &split, &EvalSpec::at(20)).aggregate();
     let sum: f64 = contrib.iter().sum();
     assert!((sum - overall.recall).abs() < 1e-9);
     let cold = cold_start_users(&split, 10);
-    let cold_m = evaluate_user_subset(&mut score_fn, &split, 20, &cold).aggregate();
+    let cold_m = evaluate_model(&model, &split, &EvalSpec::at(20).users(cold.clone())).aggregate();
     assert!(cold_m.evaluated_users == cold.len());
 }
 
@@ -126,10 +124,8 @@ fn paired_t_test_on_model_comparison() {
         good.train_epoch(&mut rng);
     }
     let untrained = Bprmf::new(&split, TrainConfig::default(), &mut rng);
-    let mut sf_good = |users: &[u32]| good.score_users(users);
-    let mut sf_bad = |users: &[u32]| untrained.score_users(users);
-    let pg = evaluate_per_user(&mut sf_good, &split, &EvalSpec::at(20));
-    let pb = evaluate_per_user(&mut sf_bad, &split, &EvalSpec::at(20));
+    let pg = evaluate_model(&good, &split, &EvalSpec::at(20));
+    let pb = evaluate_model(&untrained, &split, &EvalSpec::at(20));
     let t = paired_t_test(&pg.recall, &pb.recall);
     assert!(t.t > 0.0, "trained model should win: t = {}", t.t);
     assert!(t.p < 0.05, "difference should be significant: p = {}", t.p);
