@@ -161,7 +161,7 @@ fn main() {
     let stream: Vec<u32> = (0..REQUESTS).map(|_| sample_zipf(&cdf, &mut rng)).collect();
 
     let load = |ann: Option<AnnConfig>| {
-        let cfg = ServeConfig { cache_capacity: 0, ann, ..Default::default() };
+        let cfg = ServeConfig { cache_capacity: 0, ann };
         Engine::load(&artifact_path, cfg).expect("artifact must load")
     };
 

@@ -1,5 +1,5 @@
-//! The serving engine: frozen-artifact top-K retrieval with an LRU cache,
-//! request batching, and latency accounting.
+//! The serving engine: frozen-artifact top-K retrieval with an LRU cache
+//! and request batching.
 //!
 //! ## Parity contract
 //!
@@ -7,14 +7,13 @@
 //! evaluator would rank for that user: scores are the same `imcat_simd::dot`
 //! bits `imcat_tensor::Tensor::matmul_nt` produces, and the top-K selection
 //! is the evaluator's own `imcat_eval::top_n_masked_with` with the
-//! artifact's training-item mask. Both exact paths score item-major blocks
-//! through `imcat_simd::dot_rows`, whose every element is `dot`'s: the
-//! single-request path shards the item axis over the [`imcat_par`] pool,
-//! one `dot_rows` call per [`ServeConfig::shard_items`] chunk into a buffer
-//! the engine keeps; a tick is one `matmul_nt_rows`, which sweeps
-//! cache-sized item blocks for all of the tick's users. Each item's dot
-//! product is a sequential accumulation either way, so the result does not
-//! depend on `IMCAT_THREADS`, on `shard_items`, or on which path answered.
+//! artifact's training-item mask. There is one read path: a single request
+//! is a tick of one, and every exact scan of a tick — no index, or a miss
+//! the probe cannot answer — is a row of the tick's one `matmul_nt_rows`
+//! over its unique exact-miss users. Every element of that product is one
+//! `dot`, however the pool splits it (by users, or — for a tick of one —
+//! by whole item blocks), so the result does not depend on
+//! `IMCAT_THREADS`, on the tick's size, or on which requests shared it.
 //!
 //! ## ANN retrieval
 //!
@@ -28,26 +27,29 @@
 //! (HNSW) are bit-identical to brute force.
 //! The engine falls back to brute force (counted as `ann.fallbacks`) for
 //! cold users (all-zero embedding, where centroid ranking is meaningless),
-//! fully-masked users, and probes too sparse to fill the requested `k`.
+//! fully-masked users, and probes too sparse to fill the requested `k`; a
+//! fallback is one more row of the tick's exact product.
 //!
 //! ## The shared cache
 //!
-//! The result cache (with the lifetime `served`/latency accounting a hit
-//! writes) is the one thing the engine shares with other threads: it sits
-//! behind an `Arc<Mutex<..>>`, and [`Engine::cache_reader`] hands out
-//! [`CacheReader`]s that answer an already-cached `(user, k)` without the
-//! engine — `imcat-net`'s connection workers do. The rules:
+//! The result cache is the one thing the engine shares with other threads:
+//! it sits behind an `Arc<Mutex<LruCache>>`, and [`Engine::cache_reader`]
+//! hands out [`CacheReader`]s that answer an already-cached `(user, k)`
+//! without the engine — `imcat-net`'s connection workers do. The rules:
 //!
 //! * **One hit path.** `Engine::recommend`, `Engine::recommend_batch` and
-//!   the reader answer a cached key through the same function: same LRU
-//!   promotion, same counters, same accounting, so `served == cache_hits +
-//!   cache_misses` and `serve.requests == serve.cache.hits +
-//!   serve.cache.misses` hold whichever thread answered.
+//!   the reader answer a cached key through the same function: a counted
+//!   `get` (same LRU promotion, same hit counter) and `serve.cache.hits`.
+//!   Each then accounts its answered requests (`serve.requests`, one
+//!   `serve.request.seconds` sample apiece) after releasing the lock, so
+//!   `served == cache_hits + cache_misses` and `serve.requests ==
+//!   serve.cache.hits + serve.cache.misses` hold whichever thread answered.
 //! * **A reader's miss is nobody's miss.** A lookup that does not hit
 //!   touches nothing — no counter, no LRU order, no trace id. The request
 //!   goes on to the engine, which counts the miss once.
-//! * **Lock discipline.** The engine takes the lock per cache call and
-//!   never across a scan, a probe or a fold, and never holds two engines'
+//! * **Lock discipline.** The engine takes the lock once for a tick's
+//!   lookups and once for its puts, never across a scan, a probe or a
+//!   fold, and never holds two engines'
 //!   locks; a reader over several replicas takes all of theirs in one fixed
 //!   order ([`CacheReader::lookup_all`]). Nothing that can panic on request
 //!   data runs under it, and a poisoned lock is recovered, not propagated.
@@ -82,7 +84,6 @@ use std::time::Instant;
 use imcat_ann::{AnnConfig, AnnDescriptor, AnnIndex, ProbeScratch, DEFAULT_BUILD_SEED};
 use imcat_ckpt::{Artifact, Checkpoint};
 use imcat_eval::{top_n_masked_with, TopKScratch};
-use imcat_obs::Histogram;
 use imcat_tensor::Tensor;
 
 use crate::cache::{CacheKey, LruCache};
@@ -150,15 +151,13 @@ pub struct ServeConfig {
     /// Maximum number of `(user, k)` top-K lists kept hot (0 disables the
     /// cache).
     pub cache_capacity: usize,
-    /// Item-axis shard size for the single-request scoring path.
-    pub shard_items: usize,
     /// ANN retrieval configuration; `None` serves brute force.
     pub ann: Option<AnnConfig>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self { cache_capacity: 1024, shard_items: 1024, ann: None }
+        Self { cache_capacity: 1024, ann: None }
     }
 }
 
@@ -189,58 +188,36 @@ pub struct Recommendation {
     pub score: f32,
 }
 
-/// Aggregate serving statistics.
+/// Lifetime serving statistics, read off the cache's own counters (request
+/// latency is the `serve.request.seconds` histogram in `imcat-obs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
-    /// Requests answered (cache hits included).
+    /// Requests answered (cache hits included): `cache_hits + cache_misses`.
     pub served: u64,
     /// Cache hits.
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
-    /// Median request latency in seconds (bucket upper bound).
-    pub p50_seconds: f64,
-    /// 95th-percentile request latency in seconds.
-    pub p95_seconds: f64,
-    /// 99th-percentile request latency in seconds.
-    pub p99_seconds: f64,
-    /// Mean request latency in seconds.
-    pub mean_seconds: f64,
-    /// Total time spent answering requests (a tick's misses all account the
-    /// full tick they completed in; a hit accounts its own lookup).
-    pub busy_seconds: f64,
 }
 
-/// What an engine shares with its [`CacheReader`]s: the result cache and the
-/// lifetime accounting a hit writes, so `served == hits + misses` holds
-/// whichever thread answered.
-struct Results {
-    cache: LruCache,
-    served: u64,
-    latency: Histogram,
+/// The hit path — the only one: [`Engine::recommend`],
+/// [`Engine::recommend_batch`] and [`CacheReader`] all answer a cached key
+/// here. One counted `get` (LRU promotion, `hits`), a copy of the list and
+/// `serve.cache.hits`. `None` is a miss the cache has counted: the engine
+/// calls this for a request it will then compute; a reader looks first.
+fn hit(cache: &mut LruCache, key: CacheKey) -> Option<Vec<Recommendation>> {
+    let out = cache.get(key)?.to_vec();
+    OBS_CACHE_HITS.add(1);
+    Some(out)
 }
 
-impl Results {
-    fn account(&mut self, requests: u64, seconds: f64) {
-        self.served += requests;
-        for _ in 0..requests {
-            self.latency.record(seconds);
-        }
-        OBS_REQUESTS.add(requests);
+/// Accounts `requests` answered requests that each took `seconds`: one
+/// `serve.requests` increment and one `serve.request.seconds` sample apiece.
+/// Runs with the cache lock released.
+fn account(requests: u64, seconds: f64) {
+    OBS_REQUESTS.add(requests);
+    for _ in 0..requests {
         OBS_REQUEST_SECONDS.observe(seconds);
-    }
-
-    /// The hit path — the only one: [`Engine::recommend`],
-    /// [`Engine::recommend_batch`] and [`CacheReader`] all answer a cached
-    /// key here. One counted `get` (LRU promotion, `hits`), a copy of the
-    /// list, `serve.cache.hits`, and one request accounted as taking since
-    /// `t0`. `None` is a miss the cache has counted: the engine calls this
-    /// for a request it will then compute; a reader looks first.
-    fn hit(&mut self, key: CacheKey, t0: Instant) -> Option<Vec<Recommendation>> {
-        let out = self.cache.get(key)?.to_vec();
-        OBS_CACHE_HITS.add(1);
-        self.account(1, t0.elapsed().as_secs_f64());
-        Some(out)
     }
 }
 
@@ -249,12 +226,12 @@ fn request_trace() -> imcat_obs::trace::RequestTrace {
     imcat_obs::trace::request("serve.request", "serve.request.seconds", false)
 }
 
-/// A panic elsewhere on a thread that holds the guard cannot leave
-/// [`Results`] half-updated (the cache's own methods do not panic on valid
-/// state), so a poisoned lock is recovered: a panicking connection worker
-/// must not take the batcher down with it.
-fn lock(results: &Mutex<Results>) -> MutexGuard<'_, Results> {
-    results.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// A panic elsewhere on a thread that holds the guard cannot leave the
+/// cache half-updated (its methods do not panic on valid state), so a
+/// poisoned lock is recovered: a panicking connection worker must not take
+/// the batcher down with it.
+fn lock(cache: &Mutex<LruCache>) -> MutexGuard<'_, LruCache> {
+    cache.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A clonable, `Send` read handle on an engine's result cache: answers a
@@ -262,7 +239,7 @@ fn lock(results: &Mutex<Results>) -> MutexGuard<'_, Results> {
 /// the engine. See the module docs ("The shared cache") for what makes that
 /// safe beside a writer.
 #[derive(Clone)]
-pub struct CacheReader(Arc<Mutex<Results>>);
+pub struct CacheReader(Arc<Mutex<LruCache>>);
 
 impl CacheReader {
     /// The cached answer to `(user, k)`, accounted exactly like a hit inside
@@ -283,21 +260,23 @@ impl CacheReader {
         k: usize,
     ) -> Option<Vec<Vec<Recommendation>>> {
         let mut guards: Vec<_> = readers.iter().map(|r| lock(&r.0)).collect();
-        if !guards.iter().all(|g| g.cache.contains((user, k))) {
+        if !guards.iter().all(|g| g.contains((user, k))) {
             return None;
         }
         // One trace per replica, as `Engine::recommend` on each would open;
         // they close once the locks are released.
         let _traces: Vec<_> = readers.iter().map(|_| request_trace()).collect();
         let t0 = Instant::now();
-        let lists = guards.iter_mut().map(|g| g.hit((user, k), t0)).collect();
+        let lists = guards.iter_mut().map(|g| hit(g, (user, k))).collect();
         drop(guards);
+        account(readers.len() as u64, t0.elapsed().as_secs_f64());
         lists
     }
 }
 
 /// Top-K retrieval engine over one [`Artifact`] generation: the read path
-/// (validate → cache → probe/score → account) plus the generation swap.
+/// (validate → cache → probe → exact scan → cache put → account) plus the
+/// generation swap.
 ///
 /// Everything that *mutates* a generation — streamed interactions,
 /// cold-entity registration, fold-in, log replay — is `StreamState`'s
@@ -308,12 +287,10 @@ impl CacheReader {
 pub struct Engine {
     stream: StreamState,
     cfg: ServeConfig,
-    /// Shared with every [`CacheReader`]; locked per call, never across a
-    /// scan (module docs, "The shared cache").
-    results: Arc<Mutex<Results>>,
+    /// Shared with every [`CacheReader`]; never locked across a scan
+    /// (module docs, "The shared cache").
+    cache: Arc<Mutex<LruCache>>,
     scratch: TopKScratch,
-    /// The single-request path's score row, kept between requests.
-    scores: Vec<f32>,
     ann: Option<AnnState>,
     generation: u64,
     /// When the serving state was last swapped (or the engine built): the
@@ -325,27 +302,22 @@ impl Engine {
     fn assemble(artifact: Artifact, cfg: ServeConfig, ann: Option<AnnState>) -> Self {
         Self {
             stream: StreamState::new(artifact, FoldOptions::from_env()),
-            results: Arc::new(Mutex::new(Results {
-                cache: LruCache::new(cfg.cache_capacity),
-                served: 0,
-                latency: Histogram::default(),
-            })),
+            cache: Arc::new(Mutex::new(LruCache::new(cfg.cache_capacity))),
             cfg,
             scratch: TopKScratch::default(),
-            scores: Vec::new(),
             ann,
             generation: 0,
             swapped_at: Instant::now(),
         }
     }
 
-    fn results(&self) -> MutexGuard<'_, Results> {
-        lock(&self.results)
+    fn cache(&self) -> MutexGuard<'_, LruCache> {
+        lock(&self.cache)
     }
 
     /// A read handle on this engine's result cache, for other threads.
     pub fn cache_reader(&self) -> CacheReader {
-        CacheReader(self.results.clone())
+        CacheReader(self.cache.clone())
     }
 
     /// Builds an engine over a validated artifact. When [`ServeConfig::ann`]
@@ -427,7 +399,7 @@ impl Engine {
             self.stream = StreamState::new(artifact, self.stream.fold_options);
         }
         self.ann = ann;
-        self.results().cache.clear();
+        self.cache().clear();
         self.generation += 1;
         self.swapped_at = Instant::now();
         imcat_obs::gauge_set("generation.id", self.generation as f64);
@@ -470,11 +442,11 @@ impl Engine {
             StreamEvent::RegisterUser => imcat_obs::counter_add("ingest.users", 1),
             StreamEvent::RegisterItem => {
                 // Cached lists ranked a smaller catalog.
-                self.results().cache.clear();
+                self.cache().clear();
                 imcat_obs::counter_add("ingest.items", 1);
             }
             StreamEvent::Interaction(x) => {
-                self.results().cache.remove_user(x.user);
+                self.cache().remove_user(x.user);
                 OBS_INGESTS.add(1);
             }
         }
@@ -542,15 +514,15 @@ impl Engine {
                 }
             }
         }
-        let mut results = self.results();
+        let mut cache = self.cache();
         if !tick.items.is_empty() {
-            results.cache.clear();
+            cache.clear();
         } else {
             for u in tick.users {
-                results.cache.remove_user(u);
+                cache.remove_user(u);
             }
         }
-        drop(results);
+        drop(cache);
         imcat_obs::counter_add("ingest.folds", tick.folds as u64);
         imcat_obs::gauge_set("ingest.log.len", self.stream.log().len() as f64);
         imcat_obs::gauge_set("fold.lag", tick.events as f64);
@@ -606,33 +578,17 @@ impl Engine {
         self.artifact().n_items()
     }
 
-    /// Scores every item for `user` into `scores`, sharding the item axis
-    /// over the thread pool: one `imcat_simd::dot_rows` call per
-    /// `shard_items` chunk. Element `j` is the `imcat_simd::dot` bits
-    /// `matmul_nt` produces, so the row is bit-identical to the evaluator's
-    /// score row at any thread count and shard size.
-    fn score_user(&self, user: u32, scores: &mut Vec<f32>) {
-        let u_row = self.artifact().user_emb.row(user as usize);
-        let items = &self.artifact().item_emb;
-        let d = items.cols();
-        scores.resize(items.rows(), 0.0);
-        let shard = self.cfg.shard_items.max(1);
-        imcat_par::global().parallel_chunks_mut(scores, shard, |ci, slots| {
-            let first = ci * shard * d;
-            imcat_simd::dot_rows(u_row, &items.as_slice()[first..first + slots.len() * d], slots);
-        });
-    }
-
     fn top_k(&mut self, user: u32, k: usize, scores: &[f32]) -> Vec<Recommendation> {
         let mask = &self.stream.artifact().masks[user as usize];
         let top = top_n_masked_with(scores, mask, k, &mut self.scratch);
         top.iter().map(|&j| Recommendation { item: j, score: scores[j as usize] }).collect()
     }
 
-    /// ANN path for one request. `None` means "fall back to brute force":
-    /// cold user (all-zero embedding — every dot product is 0 and centroid
-    /// ranking is meaningless), fully-masked user, or a probe whose unmasked
-    /// candidates cannot fill the requested `k`.
+    /// ANN path for one request. `None` means "score it exactly": no index,
+    /// or a fallback the caller counts — cold user (all-zero embedding: every
+    /// dot product is 0 and centroid ranking is meaningless), fully-masked
+    /// user, or a probe whose unmasked candidates cannot fill the requested
+    /// `k`.
     fn ann_recommend(&mut self, user: u32, k: usize) -> Option<Vec<Recommendation>> {
         let state = self.ann.as_mut()?;
         let artifact = self.stream.artifact();
@@ -667,25 +623,6 @@ impl Engine {
         )
     }
 
-    /// Computes a fresh (uncached) answer: ANN probe when active, brute
-    /// force otherwise or as fallback.
-    fn compute(&mut self, user: u32, k: usize) -> Vec<Recommendation> {
-        if self.ann.is_some() {
-            if let Some(out) = self.ann_recommend(user, k) {
-                return out;
-            }
-            imcat_obs::counter_add("ann.fallbacks", 1);
-        }
-        let _score = imcat_obs::span("serve.score.seconds");
-        // Out of `self` while `top_k` borrows the engine, then back for the
-        // next request.
-        let mut scores = std::mem::take(&mut self.scores);
-        self.score_user(user, &mut scores);
-        let out = self.top_k(user, k, &scores);
-        self.scores = scores;
-        out
-    }
-
     /// Validates one request against the live artifact. Rejections are
     /// counted (`serve.rejects`) but cost no scoring work and leave no cache
     /// or latency footprint.
@@ -702,6 +639,87 @@ impl Engine {
         Err(err)
     }
 
+    /// The read path — the only one; [`Engine::recommend`] is a tick of one.
+    /// Every request is validated and looked up through the hit path; with
+    /// an index each unique miss is probed, and every miss left — all of
+    /// them without an index, the fallbacks with one — is a row of *one*
+    /// `matmul_nt_rows` over the unique users (a user asked at two cutoffs
+    /// shares a row), ranked by `top_n_masked_with`. Fresh answers land in
+    /// the cache in miss order; answered requests are accounted once the
+    /// lock is released. Output order matches `requests`.
+    fn answer(
+        &mut self,
+        requests: &[(u32, usize)],
+    ) -> Vec<Result<Vec<Recommendation>, ServeError>> {
+        let t0 = Instant::now();
+        // `None` = a validated cache miss, answered from `fresh` below.
+        let mut outputs: Vec<Option<Result<Vec<Recommendation>, ServeError>>> =
+            Vec::with_capacity(requests.len());
+        let mut miss_keys: Vec<CacheKey> = Vec::new();
+        let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let mut cache = self.cache();
+        for &(user, k) in requests {
+            if let Err(e) = self.validate_request(user, k) {
+                outputs.push(Some(Err(e)));
+            } else if let Some(cached) = hit(&mut cache, (user, k)) {
+                hits += 1;
+                outputs.push(Some(Ok(cached)));
+            } else {
+                misses += 1;
+                outputs.push(None);
+                if let Entry::Vacant(slot) = miss_index.entry((user, k)) {
+                    slot.insert(miss_keys.len());
+                    miss_keys.push((user, k));
+                }
+            }
+        }
+        drop(cache);
+        account(hits, t0.elapsed().as_secs_f64());
+        let probed: Vec<Option<Vec<Recommendation>>> =
+            miss_keys.iter().map(|&(user, k)| self.ann_recommend(user, k)).collect();
+        let mut users: Vec<u32> = miss_keys
+            .iter()
+            .zip(&probed)
+            .filter_map(|(&(u, _), p)| p.is_none().then_some(u))
+            .collect();
+        if self.ann.is_some() && !users.is_empty() {
+            imcat_obs::counter_add("ann.fallbacks", users.len() as u64);
+        }
+        users.sort_unstable();
+        users.dedup();
+        // No exact miss, no product: an empty table has no row to read.
+        let scores = if users.is_empty() {
+            Tensor::zeros(0, 0)
+        } else {
+            let artifact = self.artifact();
+            artifact.user_emb.matmul_nt_rows(&users, &artifact.item_emb)
+        };
+        let fresh: Vec<Vec<Recommendation>> = miss_keys
+            .iter()
+            .zip(probed)
+            .map(|(&(user, k), probed)| {
+                // `users` is sorted and holds the user of every unprobed key.
+                probed.unwrap_or_else(|| {
+                    self.top_k(user, k, scores.row(users.partition_point(|&u| u < user)))
+                })
+            })
+            .collect();
+        let mut cache = self.cache();
+        for (&key, recs) in miss_keys.iter().zip(&fresh) {
+            cache.put(key, recs.clone());
+        }
+        drop(cache);
+        let answers = outputs
+            .into_iter()
+            .zip(requests)
+            .map(|(slot, key)| slot.unwrap_or_else(|| Ok(fresh[miss_index[key]].clone())))
+            .collect();
+        account(misses, t0.elapsed().as_secs_f64());
+        OBS_CACHE_MISSES.add(misses);
+        answers
+    }
+
     /// Answers one request: the top `k` unseen items for `user`, best first.
     /// A malformed request (out-of-range user, `k == 0`) is rejected with a
     /// typed [`ServeError`] — the engine never panics on request data.
@@ -709,27 +727,16 @@ impl Engine {
     /// Mints a per-request trace id; sampled requests collect their span
     /// breakdown into the live trace store (`/trace/<id>`).
     pub fn recommend(&mut self, user: u32, k: usize) -> Result<Vec<Recommendation>, ServeError> {
-        self.validate_request(user, k)?;
         let _trace = request_trace();
-        let t0 = Instant::now();
-        // One guard per statement: the lock is not held across the scan.
-        let cached = self.results().hit((user, k), t0);
-        if let Some(out) = cached {
-            return Ok(out);
-        }
-        OBS_CACHE_MISSES.add(1);
-        let out = self.compute(user, k);
-        let mut results = self.results();
-        results.cache.put((user, k), out.clone());
-        results.account(1, t0.elapsed().as_secs_f64());
-        Ok(out)
+        // A tick of one request has one answer.
+        self.answer(&[(user, k)]).swap_remove(0)
     }
 
     /// Answers a tick's worth of concurrent requests. Cache misses are
-    /// deduplicated and — on the exact path — scored with a *single*
-    /// `matmul_nt` over the unique miss users, then ranked per row; results
-    /// land in the cache before the tick returns. Output order matches
-    /// `requests`, and every answer — including each rejection — is
+    /// deduplicated and the exact ones scored with a *single*
+    /// `matmul_nt_rows` over their unique users, then ranked per row;
+    /// results land in the cache before the tick returns. Output order
+    /// matches `requests`, and every answer — including each rejection — is
     /// identical to what [`Engine::recommend`] returns for the same request:
     /// a malformed request yields its own `Err` slot (and, as there, no
     /// cache or latency footprint) while the rest of the tick is answered
@@ -743,90 +750,22 @@ impl Engine {
         // sampled: the tick's matmul/probe/dispatch spans all attach.
         let _trace = imcat_obs::trace::request("serve.tick", "serve.tick.seconds", true);
         let t0 = Instant::now();
-        // `None` = a validated cache miss, answered from `fresh` below.
-        let mut outputs: Vec<Option<Result<Vec<Recommendation>, ServeError>>> =
-            Vec::with_capacity(requests.len());
-        let mut miss_keys: Vec<CacheKey> = Vec::new();
-        let mut miss_index: HashMap<CacheKey, usize> = HashMap::new();
-        let mut misses = 0u64;
-        let mut results = self.results();
-        for &(user, k) in requests {
-            if let Err(e) = self.validate_request(user, k) {
-                outputs.push(Some(Err(e)));
-            } else if let Some(cached) = results.hit((user, k), t0) {
-                outputs.push(Some(Ok(cached)));
-            } else {
-                misses += 1;
-                outputs.push(None);
-                if let Entry::Vacant(slot) = miss_index.entry((user, k)) {
-                    slot.insert(miss_keys.len());
-                    miss_keys.push((user, k));
-                }
-            }
-        }
-        drop(results);
-        // Exact path: one scoring matmul for the whole tick, one row per
-        // unique miss user (a user requested at two cutoffs shares a row).
-        // With an index, each unique miss goes through the same probe (or
-        // brute fallback) as the single-request path instead.
-        let mut users: Vec<u32> = Vec::new();
-        if self.ann.is_none() {
-            users.extend(miss_keys.iter().map(|&(u, _)| u));
-            users.sort_unstable();
-            users.dedup();
-        }
-        let scores = (!users.is_empty()).then(|| {
-            let artifact = self.artifact();
-            artifact.user_emb.matmul_nt_rows(&users, &artifact.item_emb)
-        });
-        let mut fresh: Vec<Vec<Recommendation>> = Vec::with_capacity(miss_keys.len());
-        for &(user, k) in &miss_keys {
-            let recs = match &scores {
-                // `users` is sorted and holds every miss key's user.
-                Some(scores) => {
-                    self.top_k(user, k, scores.row(users.partition_point(|&u| u < user)))
-                }
-                None => self.compute(user, k),
-            };
-            self.results().cache.put((user, k), recs.clone());
-            fresh.push(recs);
-        }
-        let answers = outputs
-            .into_iter()
-            .zip(requests)
-            .map(|(slot, key)| slot.unwrap_or_else(|| Ok(fresh[miss_index[key]].clone())))
-            .collect();
-        let dt = t0.elapsed().as_secs_f64();
-        if misses > 0 {
-            self.results().account(misses, dt);
-        }
-        OBS_CACHE_MISSES.add(misses);
+        let answers = self.answer(requests);
         OBS_TICKS.add(1);
-        OBS_TICK_SECONDS.observe(dt);
+        OBS_TICK_SECONDS.observe(t0.elapsed().as_secs_f64());
         answers
     }
 
-    /// Lifetime serving statistics (latency quantiles are log-bucket upper
-    /// bounds, matching `imcat-obs` histograms).
+    /// Lifetime serving statistics.
     pub fn stats(&self) -> ServeStats {
-        // One guard for the whole snapshot: a second `self.results()` inside
-        // the struct expression would wait on the first for ever.
-        let results = self.results();
-        ServeStats {
-            served: results.served,
-            cache_hits: results.cache.hits(),
-            cache_misses: results.cache.misses(),
-            p50_seconds: results.latency.quantile(0.50),
-            p95_seconds: results.latency.quantile(0.95),
-            p99_seconds: results.latency.quantile(0.99),
-            mean_seconds: results.latency.mean(),
-            busy_seconds: results.latency.sum,
-        }
+        let cache = self.cache();
+        let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
+        ServeStats { served: cache_hits + cache_misses, cache_hits, cache_misses }
     }
 
     /// Number of currently cached top-K lists.
     pub fn cached_lists(&self) -> usize {
-        self.results().cache.len()
+        self.cache().len()
     }
 }
 
@@ -846,13 +785,13 @@ mod tests {
         );
         let mut engine = Engine::new(artifact, ServeConfig::default()).unwrap();
         let want = engine.recommend(0, 2).unwrap();
-        let results = engine.results.clone();
+        let cache = engine.cache.clone();
         let died = std::thread::spawn(move || {
-            let _guard = results.lock().unwrap();
+            let _guard = cache.lock().unwrap();
             panic!("a worker dies under the lock");
         })
         .join();
-        assert!(died.is_err() && engine.results.is_poisoned());
+        assert!(died.is_err() && engine.cache.is_poisoned());
         assert_eq!(engine.recommend(0, 2).unwrap(), want);
         assert_eq!(engine.cache_reader().lookup(0, 2), Some(want));
         assert_eq!(engine.stats().cache_hits, 2);

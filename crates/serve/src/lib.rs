@@ -17,7 +17,8 @@
 //!   accounting; it is the one state the engine shares, and a
 //!   [`CacheReader`] answers a cached request from another thread through
 //!   the engine's own hit path.
-//! * **Batching** — a tick of concurrent requests costs one `matmul_nt`.
+//! * **Batching** — a tick of concurrent requests costs one `matmul_nt_rows`
+//!   over its exact misses; a single request is a tick of one.
 //! * **ANN retrieval** — [`ServeConfig::ann`] fronts scoring with an
 //!   `imcat-ann` index behind the [`AnnIndex`] trait (exact re-rank,
 //!   brute-force fallback), turning per-request cost sublinear in catalog
@@ -30,13 +31,14 @@
 //!   [`Engine::commit_rebuild`] swap a full log-replay rebuild in
 //!   atomically — bit-identical to the same replay run offline
 //!   ([`rebuild_artifact`]).
-//! * **Telemetry** — request latency histograms (p50/p95/p99) and counters
-//!   flow through `imcat-obs`.
+//! * **Telemetry** — request latency histograms (one sample per answered
+//!   request) and counters flow through `imcat-obs`.
 
 //!
 //! ## Module map
 //!
-//! * `engine` — the read path (validate → cache → probe/score → account)
+//! * `engine` — the read path (validate → cache → probe → exact scan →
+//!   account)
 //!   and the generation swap; its mutators only forward events and
 //!   invalidate the cache/index.
 //! * `stream` — the one rule from `(base artifact, event log)` to serving

@@ -1,6 +1,7 @@
 //! Batch accounting == single-request accounting: a rejected request leaves
 //! no footprint in `stats()` or the `serve.*` counters whichever path it
-//! arrived on. (Alone in its binary: the telemetry registry is process-wide.)
+//! arrived on, and every answered request is one `serve.request.seconds`
+//! sample. (Alone in its binary: the telemetry registry is process-wide.)
 
 use imcat_serve::{Artifact, Engine, ServeConfig};
 use imcat_tensor::Tensor;
@@ -30,6 +31,13 @@ fn footprint(send: impl Fn(&mut Engine, &[(u32, usize)])) -> ((u64, u64, u64), V
     send(&mut engine, &requests);
     send(&mut engine, &requests);
     let (stats, obs) = (engine.stats(), imcat_obs::snapshot());
+    // A tick of several misses is several answered requests, each with its
+    // own latency sample, exactly as if they had arrived one by one.
+    assert_eq!(
+        obs.hist_count("serve.request.seconds"),
+        obs.counter("serve.requests"),
+        "serve.request.seconds samples vs serve.requests"
+    );
     (
         (stats.served, stats.cache_hits, stats.cache_misses),
         COUNTERS.iter().map(|name| obs.counter(name)).collect(),

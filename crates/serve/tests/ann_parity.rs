@@ -11,7 +11,7 @@ use imcat_ann::DEFAULT_BUILD_SEED;
 use imcat_ckpt::Checkpoint;
 use imcat_data::{generate, SplitDataset, SynthConfig};
 use imcat_models::{Bprmf, RecModel, TrainConfig};
-use imcat_serve::{AnnConfig, AnnKind, Engine, Interaction, ServeConfig};
+use imcat_serve::{AnnConfig, AnnKind, Engine, Interaction, Recommendation, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,7 +47,6 @@ fn ann_cfg(nlist: usize, nprobe: usize) -> ServeConfig {
     ServeConfig {
         cache_capacity: 0,
         ann: Some(AnnConfig { nlist, nprobe, quantized: false, ..AnnConfig::default() }),
-        ..Default::default()
     }
 }
 
@@ -212,7 +211,6 @@ fn set_ann_invalidates_cached_lists() {
         ServeConfig {
             cache_capacity: 0,
             ann: Some(AnnConfig { nlist: 16, nprobe: 1, quantized: false, ..AnnConfig::default() }),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -248,6 +246,25 @@ fn cold_and_fully_masked_users_fall_back() {
     assert_eq!(ivf.recommend(0, 10).unwrap(), brute.recommend(0, 10).unwrap());
     // Fully-masked user: empty list, no panic.
     assert_eq!(ivf.recommend(1, 10).unwrap(), vec![]);
+    fallbacks_inside_a_tick_answer_like_brute_force(&mut ivf, &mut brute);
+}
+
+/// One tick that mixes the cold user 0 and the fully-masked user 1 with
+/// probed users, a duplicate key and user 3 at two cutoffs: every slot is
+/// the single-request answer, and each fallback slot is the brute-force
+/// engine's, bit for bit — a fallback is a row of the tick's exact product.
+fn fallbacks_inside_a_tick_answer_like_brute_force(ann: &mut Engine, brute: &mut Engine) {
+    let bits = |recs: &[Recommendation]| -> Vec<(u32, u32)> {
+        recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+    };
+    let tick = [(2, 10), (0, 10), (3, 5), (1, 10), (0, 10), (3, 10), (4, 7)];
+    for (&(user, k), answer) in tick.iter().zip(ann.recommend_batch(&tick)) {
+        let answer = bits(&answer.unwrap());
+        assert_eq!(answer, bits(&ann.recommend(user, k).unwrap()), "user {user} k={k}: tick");
+        if user <= 1 {
+            assert_eq!(answer, bits(&brute.recommend(user, k).unwrap()), "user {user} k={k}");
+        }
+    }
 }
 
 /// `Engine::load` persists the lazily built index into the artifact file
@@ -316,7 +333,6 @@ fn quantized_rerank_returns_exact_scores() {
         ServeConfig {
             cache_capacity: 0,
             ann: Some(AnnConfig { nlist: 8, nprobe: 8, quantized: true, ..AnnConfig::default() }),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -370,7 +386,6 @@ fn certified_skip_is_taken_and_bit_identical_to_rerank() {
         ServeConfig {
             cache_capacity: 0,
             ann: Some(AnnConfig { nlist: 6, nprobe: 6, quantized: true, ..AnnConfig::default() }),
-            ..Default::default()
         },
     )
     .unwrap();
@@ -441,7 +456,6 @@ fn hnsw_cfg(ef_search: usize) -> ServeConfig {
     ServeConfig {
         cache_capacity: 0,
         ann: Some(AnnConfig { kind: AnnKind::Hnsw, ef_search, ..AnnConfig::default() }),
-        ..Default::default()
     }
 }
 
@@ -538,6 +552,7 @@ fn hnsw_cold_and_fully_masked_users_fall_back() {
     let mut hnsw = Engine::new(artifact, hnsw_cfg(16)).unwrap();
     assert_eq!(hnsw.recommend(0, 10).unwrap(), brute.recommend(0, 10).unwrap());
     assert_eq!(hnsw.recommend(1, 10).unwrap(), vec![]);
+    fallbacks_inside_a_tick_answer_like_brute_force(&mut hnsw, &mut brute);
 }
 
 /// Streaming contract: a cold item folded mid-stream is inserted into the

@@ -73,7 +73,6 @@ fn untouched_users_survive_interleaved_ingest_bitwise() {
     let cfg = ServeConfig {
         cache_capacity: 64,
         ann: Some(AnnConfig { nlist: 8, nprobe: 4, ..AnnConfig::default() }),
-        ..Default::default()
     };
     let mut engine = Engine::new(artifact, cfg).unwrap();
     // First quarter of the trained users are the untouched controls.
@@ -167,7 +166,6 @@ fn replay_rebuild_is_bit_identical_to_offline_build_at_1_and_4_threads() {
             let cfg = ServeConfig {
                 cache_capacity: 16,
                 ann: Some(AnnConfig { nlist: 8, nprobe: 8, ..AnnConfig::default() }),
-                ..Default::default()
             };
             let mut engine = Engine::new(artifact, cfg).unwrap();
             drive_stream(&mut engine, 0xabcd);
@@ -212,7 +210,7 @@ fn generation_swap_is_crash_safe_between_stage_and_commit() {
         let path = dir.join("serve.imck");
         let artifact = trained_artifact(47);
         artifact.save(&path).unwrap();
-        let cfg = ServeConfig { cache_capacity: 16, ann: Some(ann), ..Default::default() };
+        let cfg = ServeConfig { cache_capacity: 16, ann: Some(ann) };
         let before = imcat_obs::snapshot();
         let mut engine = Engine::load(&path, cfg.clone()).unwrap();
         let old_bytes = artifact_bytes(engine.artifact());
@@ -290,7 +288,7 @@ fn cold_user_fold_in_reaches_their_neighborhood() {
     for ann in [None, Some(AnnConfig::default()), Some(hnsw)] {
         let kind = ann.map_or("exact", |a| a.kind.name());
         let artifact = trained_artifact(53);
-        let cfg = ServeConfig { cache_capacity: 0, ann, ..Default::default() };
+        let cfg = ServeConfig { cache_capacity: 0, ann };
         let mut engine = Engine::new(artifact, cfg).unwrap();
         // Pick the warm user with the most training items; the cold user
         // mimics half their history.
@@ -426,11 +424,8 @@ fn live_artifact_bytes_across_fold_ticks_are_pinned_at_1_and_4_threads() {
     let x = |user, item| Interaction { user, item };
     for threads in [1usize, 4] {
         let got: Vec<u64> = with_threads(threads, || {
-            let cfg = ServeConfig {
-                cache_capacity: 8,
-                ann: Some(AnnConfig::for_kind(AnnKind::Hnsw)),
-                ..Default::default()
-            };
+            let cfg =
+                ServeConfig { cache_capacity: 8, ann: Some(AnnConfig::for_kind(AnnKind::Hnsw)) };
             let mut engine = Engine::new(dyadic_artifact(6, 9, 6), cfg).unwrap();
             let mut ticks = Vec::new();
             let mut tick = |engine: &mut Engine| {

@@ -154,9 +154,10 @@ pub fn dot_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
 /// of once per pair, the query chunk is loaded once for several rows, and
 /// those rows accumulate on independent registers, so the FMA pipeline is
 /// not left waiting on one dependent chain per pair. This is the kernel of
-/// the single-query exact scan (`Engine::score_user`, the brute-force ANN
-/// probe) and of an odd last row in `Tensor::matmul_nt{,_rows}`, whose
-/// other rows go through [`dot_rows2`].
+/// the brute-force ANN probe, of a single-row `Tensor::matmul_nt{,_rows}`
+/// (a serving request alone in its tick, whose item axis the pool splits
+/// into chunks of whole blocks) and of an odd last row of a larger one,
+/// whose other rows go through [`dot_rows2`].
 ///
 /// Panics unless `rows.len() == a.len() * out.len()`.
 #[inline]

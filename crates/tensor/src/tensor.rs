@@ -344,9 +344,11 @@ impl Tensor {
     /// loaded from L1 feeds two queries' FMA chains; an odd last row of a
     /// group takes `imcat_simd::dot_rows`. Both are `dot`, pair for pair and
     /// bit for bit, so which rows share a call never shows. The pool splits
-    /// over output rows and each worker sweeps the blocks for its own; every
-    /// element is one `dot` whatever the split, so the result does not
-    /// depend on the thread count.
+    /// over output rows and each worker sweeps the blocks for its own — but
+    /// a single output row (one serving request) has nothing to split, so
+    /// its item axis is split instead, in chunks of whole blocks, one
+    /// `dot_rows` call per chunk. Every element is one `dot` whatever the
+    /// split, so the result does not depend on the thread count.
     fn nt_product(
         &self,
         m: usize,
@@ -360,6 +362,14 @@ impl Tensor {
             return out;
         }
         let block_rows = nt_block_rows(k);
+        if m == 1 && k * n >= PAR_MIN_FLOPS && imcat_par::parallelism_available() {
+            let (query, chunk) = (self.row(row_of(0)), 8 * block_rows);
+            imcat_par::global().parallel_chunks_mut(&mut out.data, chunk, |c, slots| {
+                let first = c * chunk * k;
+                imcat_simd::dot_rows(query, &other.data[first..first + slots.len() * k], slots);
+            });
+            return out;
+        }
         let body = |row0: usize, o_rows: &mut [f32]| {
             for (b, block) in other.data.chunks(block_rows * k).enumerate() {
                 let cols = b * block_rows..b * block_rows + block.len() / k;
@@ -525,7 +535,9 @@ mod tests {
     /// four-row group, output row counts that pair up evenly or leave an odd
     /// row for `dot_rows`, repeated and unsorted row selections — and at pool
     /// sizes 1 and 4, since the split over output rows (and so which rows
-    /// share a `dot_rows2` call) must not show.
+    /// share a `dot_rows2` call) must not show. At the serving widths one
+    /// more item count is large enough for a single row at 4 threads to be
+    /// split over the item axis, with a ragged last chunk.
     #[test]
     fn matmul_nt_rows_matches_copy_then_matmul_nt_bitwise() {
         let fill = |rows: usize, cols: usize, salt: usize| {
@@ -542,7 +554,9 @@ mod tests {
             imcat_par::set_threads(threads);
             for k in [1usize, 7, 8, 9, 64, 65] {
                 let block = nt_block_rows(k);
-                for n in [block - 1, block, block + 1, 2 * block + 3] {
+                let item_split = (k >= 64).then_some(2 * 8 * block + 3);
+                for n in [block - 1, block, block + 1, 2 * block + 3].into_iter().chain(item_split)
+                {
                     let a = fill(23, k, 1);
                     let b = fill(n, k, 2);
                     for m in [1usize, 2, 3, 4, 8, 17] {

@@ -1,12 +1,14 @@
 //! The exact scan, end to end in one process: every answer of
 //! `Engine::recommend_batch` — one `matmul_nt_rows` per tick, one top-k
-//! selection per row — carries the scores `imcat_simd::dot` gives and the
-//! list a materialise-everything selection gives. Tick sizes 1, 2, 3 and 8
-//! split the NT product into a single row, one pair, a pair and an odd row,
-//! and four pairs; pool sizes 1 and 4 split the same ticks over workers
-//! differently again. None of that may show in a single bit.
+//! selection per row — and of `Engine::recommend`, a tick of one, carries
+//! the scores `imcat_simd::dot` gives and the list a materialise-everything
+//! selection gives. Tick sizes 1, 2, 3 and 8 split the NT product into a
+//! single row, one pair, a pair and an odd row, and four pairs; pool sizes 1
+//! and 4 split the same ticks over workers differently again, and at 4 a
+//! single row is split over the item axis in whole-block chunks. None of
+//! that may show in a single bit.
 
-use imcat::serve::{Artifact, Engine, ServeConfig};
+use imcat::serve::{Artifact, Engine, Recommendation, ServeConfig};
 use imcat::tensor::Tensor;
 
 const USERS: usize = 24;
@@ -75,6 +77,11 @@ fn materialised(artifact: &Artifact, user: u32, k: usize) -> Vec<(u32, u32)> {
     all.into_iter().map(|(j, s)| (j, s.to_bits())).collect()
 }
 
+/// `(item, score bits)` of a served list.
+fn bits(recs: &[Recommendation]) -> Vec<(u32, u32)> {
+    recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+}
+
 #[test]
 fn batched_exact_scan_is_dot_and_the_materialising_selection_bit_for_bit() {
     let artifact = artifact();
@@ -90,16 +97,11 @@ fn batched_exact_scan_is_dot_and_the_materialising_selection_bit_for_bit() {
                 let k = [10, 1, 37][t % 3];
                 let requests: Vec<(u32, usize)> = group.iter().map(|&u| (u, k)).collect();
                 for (&(user, k), answer) in requests.iter().zip(engine.recommend_batch(&requests)) {
-                    let served: Vec<(u32, u32)> = answer
-                        .expect("in-range request")
-                        .iter()
-                        .map(|r| (r.item, r.score.to_bits()))
-                        .collect();
-                    assert_eq!(
-                        served,
-                        materialised(&artifact, user, k),
-                        "threads={threads} tick={tick} user={user} k={k}"
-                    );
+                    let want = materialised(&artifact, user, k);
+                    let what = format!("threads={threads} tick={tick} user={user} k={k}");
+                    assert_eq!(bits(&answer.expect("in-range request")), want, "{what}");
+                    let single = engine.recommend(user, k).expect("in-range request");
+                    assert_eq!(bits(&single), want, "{what}: single request");
                     checked += 1;
                 }
             }

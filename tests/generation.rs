@@ -54,7 +54,7 @@ fn config(kind: AnnKind) -> ServeConfig {
         ef_search: 12,
         ..AnnConfig::default()
     };
-    ServeConfig { cache_capacity: 16, ann: Some(ann), ..ServeConfig::default() }
+    ServeConfig { cache_capacity: 16, ann: Some(ann) }
 }
 
 fn bits(t: &Tensor, rows: usize) -> Vec<u32> {
