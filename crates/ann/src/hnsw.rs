@@ -52,6 +52,10 @@
 //! dimension. The persisted `ann.hnsw.links` stream is the same per-node,
 //! level-major list it always was; the rows are only how memory holds it.
 //!
+//! A traversal's scratch (one per probe scratch, one inside the index for
+//! construction) marks visited nodes in a bitset of one bit per node —
+//! 2.5 KB at 20 000 nodes — and a list of the ids the current search set.
+//!
 //! ## Batched scoring keeps the traversal order
 //!
 //! Every distance goes through `imcat_simd::l2_sq_gather`, which returns
@@ -81,6 +85,11 @@
 //! `total_cmp`), so frontier expansion, result eviction, and the final
 //! candidate set are all deterministic; only the exact re-rank fans out over
 //! the `imcat-par` pool, with the same fixed grain the other backends use.
+//! A search clears the visited bits it set (the words of the ids it
+//! touched) before it returns, so a reused scratch starts every search with
+//! an empty set, exactly as a fresh one would, and each expansion's batch
+//! is its unvisited neighbours in link order.
+//!
 //! At `ef_search >= n_items` the probe bypasses the graph entirely and takes
 //! the `ProbeScratch::set_brute` path, making it bit-identical
 //! to [`crate::index::BruteIndex`] — scores *and* tie order — which the
@@ -383,17 +392,20 @@ fn select_neighbors(
     }
 }
 
-/// Reusable graph-traversal state: visited stamps, the best-first frontier
+/// Reusable graph-traversal state: the visited set, the best-first frontier
 /// (min-heap), the bounded result set (max-heap of size `ef`), the batch
 /// buffers, and the drained, canonically ordered output. One per probe
 /// scratch (and one kept inside the index for construction/inserts); reuse
-/// never changes results — stamps invalidate wholesale, heaps and buffers are
-/// cleared per search.
+/// never changes results — a search clears the visited bits it set before it
+/// returns, heaps and buffers are cleared per search.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct GraphSearch {
-    /// Per-node visited stamp; a node is visited iff `seen[id] == stamp`.
-    stamp: u32,
-    seen: Vec<u32>,
+    /// Visited set, one bit per node: node `id` is bit `id % 64` of word
+    /// `id / 64`. Every bit is clear between searches.
+    seen: Vec<u64>,
+    /// The nodes the current search marked; their words are zeroed when it
+    /// ends, so clearing costs what the search visited, not the graph size.
+    touched: Vec<u32>,
     /// Frontier, popped nearest-first (canonical order via `DistId`).
     cand: BinaryHeap<Reverse<DistId>>,
     /// Running best `ef` results, worst on top for O(log ef) eviction.
@@ -412,17 +424,23 @@ pub(crate) struct GraphSearch {
     visited: u64,
 }
 
+/// Marks node `id` visited; true if it was not before.
+#[inline]
+fn mark(seen: &mut [u64], id: u32) -> bool {
+    let (word, bit) = (&mut seen[id as usize / 64], 1u64 << (id % 64));
+    let fresh = *word & bit == 0;
+    *word |= bit;
+    fresh
+}
+
 impl GraphSearch {
-    /// Invalidates all visited marks for a graph of `n` nodes.
+    /// Sizes the visited set for a graph of `n` nodes. The bits are already
+    /// clear (each search clears its own), and inserts only ever add nodes.
     fn reset_marks(&mut self, n: usize) {
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
+        let words = n.div_ceil(64);
+        if self.seen.len() < words {
+            self.seen.resize(words, 0);
         }
-        if self.stamp == u32::MAX {
-            self.seen.iter_mut().for_each(|s| *s = 0);
-            self.stamp = 0;
-        }
-        self.stamp += 1;
     }
 
     /// Greedy descent at one level: repeatedly move to the canonically
@@ -449,6 +467,11 @@ impl GraphSearch {
     /// Best-first beam search at one level from entry points `eps`
     /// (pre-scored), keeping the `ef` canonically best nodes seen. Leaves
     /// the results in `self.out`, best first.
+    ///
+    /// An expansion marks its neighbours without a branch: each one is
+    /// written to the next `batch` slot, which is kept only if its bit was
+    /// clear. Which neighbours are new follows no pattern a predictor can
+    /// learn, and the batch keeps link order either way.
     fn search_layer(
         &mut self,
         ctx: &Ctx<'_>,
@@ -458,14 +481,12 @@ impl GraphSearch {
         eps: &[DistId],
     ) {
         self.reset_marks(links.len());
-        let Self { stamp, seen, cand, found, batch, dists, out, hops, visited, .. } = self;
-        let stamp = *stamp;
+        let Self { seen, touched, cand, found, batch, dists, out, hops, visited, .. } = self;
         cand.clear();
         found.clear();
         for &e in eps {
-            let slot = &mut seen[e.id() as usize];
-            if *slot != stamp {
-                *slot = stamp;
+            if mark(seen, e.id()) {
+                touched.push(e.id());
                 offer(found, cand, e, ef);
             }
         }
@@ -480,19 +501,24 @@ impl GraphSearch {
                 links.prefetch(next.id());
             }
             *hops += 1;
-            batch.clear();
-            for &nb in links.get(c.id(), level) {
-                let slot = &mut seen[nb as usize];
-                if *slot != stamp {
-                    *slot = stamp;
-                    batch.push(nb);
-                }
+            let nbs = links.get(c.id(), level);
+            batch.resize(nbs.len(), 0);
+            let mut len = 0;
+            for &nb in nbs {
+                batch[len] = nb;
+                len += mark(seen, nb) as usize;
             }
+            batch.truncate(len);
+            touched.extend_from_slice(batch);
             *visited += batch.len() as u64;
             for (&id, &d) in batch.iter().zip(ctx.dists_into(batch, dists)) {
                 offer(found, cand, DistId::new(d, id), ef);
             }
         }
+        for &id in touched.iter() {
+            seen[id as usize / 64] = 0;
+        }
+        touched.clear();
         // The set `found` holds is what the search produced; sorting it is
         // the pop order reversed, without a sift per element.
         out.clear();
@@ -1075,9 +1101,151 @@ impl crate::index::AnnIndex for HnswIndex {
 
 #[cfg(test)]
 mod tests {
-    use std::cmp::Ordering;
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
 
-    use super::{Ctx, DistId};
+    use imcat_tensor::{normal, Tensor};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::{offer, Ctx, DistId, GraphSearch, HnswIndex, Links};
+    use crate::ivf::AnnConfig;
+    use crate::AnnKind;
+
+    /// The walk before the visited bitset, kept as the oracle: a `u32` stamp
+    /// per node, bumped per search (all reset when it would wrap), and a
+    /// branch per neighbour. The body is `search_layer`'s as it was.
+    #[derive(Default)]
+    struct StampSearch {
+        stamp: u32,
+        seen: Vec<u32>,
+        cand: BinaryHeap<Reverse<DistId>>,
+        found: BinaryHeap<DistId>,
+        batch: Vec<u32>,
+        dists: Vec<f32>,
+        out: Vec<DistId>,
+        hops: u64,
+        visited: u64,
+    }
+
+    impl StampSearch {
+        fn reset_marks(&mut self, n: usize) {
+            if self.seen.len() < n {
+                self.seen.resize(n, 0);
+            }
+            if self.stamp == u32::MAX {
+                self.seen.iter_mut().for_each(|s| *s = 0);
+                self.stamp = 0;
+            }
+            self.stamp += 1;
+        }
+
+        fn oracle_search_layer(
+            &mut self,
+            ctx: &Ctx<'_>,
+            links: &Links,
+            level: usize,
+            ef: usize,
+            eps: &[DistId],
+        ) {
+            self.reset_marks(links.len());
+            let Self { stamp, seen, cand, found, batch, dists, out, hops, visited } = self;
+            let stamp = *stamp;
+            cand.clear();
+            found.clear();
+            for &e in eps {
+                let slot = &mut seen[e.id() as usize];
+                if *slot != stamp {
+                    *slot = stamp;
+                    offer(found, cand, e, ef);
+                }
+            }
+            while let Some(Reverse(c)) = cand.pop() {
+                if found.len() >= ef {
+                    let worst = *found.peek().expect("found nonempty when full");
+                    if worst < c {
+                        break;
+                    }
+                }
+                *hops += 1;
+                batch.clear();
+                for &nb in links.get(c.id(), level) {
+                    let slot = &mut seen[nb as usize];
+                    if *slot != stamp {
+                        *slot = stamp;
+                        batch.push(nb);
+                    }
+                }
+                *visited += batch.len() as u64;
+                for (&id, &d) in batch.iter().zip(ctx.dists_into(batch, dists)) {
+                    offer(found, cand, DistId::new(d, id), ef);
+                }
+            }
+            out.clear();
+            out.extend(found.drain());
+            out.sort_unstable();
+        }
+    }
+
+    /// One reused `GraphSearch` against the stamp oracle, search after
+    /// search, while live inserts grow the graph under both: every level,
+    /// beams from 1 to past the catalogue, queries from stored nodes and
+    /// from free points, entry sets that repeat an id. A search that left a
+    /// visited bit behind would skip that node in a later search.
+    #[test]
+    fn bitset_walk_is_the_stamp_walk_search_after_search() {
+        let (dim, n, built) = (6, 320, 200);
+        // `m` 3 overflows its lists at nearly every insert; 0 is the auto `m`.
+        for (seed, m, efc) in [(1u64, 3, 12), (2, 0, 0)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let items = normal(n, dim, 1.0, &mut rng);
+            let head = Tensor::from_vec(built, dim, items.as_slice()[..built * dim].to_vec());
+            let cfg =
+                AnnConfig { kind: AnnKind::Hnsw, m, ef_construction: efc, ..Default::default() };
+            let mut idx = HnswIndex::build(&head, &cfg, seed);
+            let (mut search, mut oracle) = (GraphSearch::default(), StampSearch::default());
+            let mut levels_seen = vec![false; idx.max_level as usize + 1];
+            for step in 0..240 {
+                if step % 2 == 1 && idx.n_items < n {
+                    idx.insert(idx.n_items as u32, &items).unwrap();
+                }
+                let live = idx.n_items;
+                let level = rng.gen_range(0..idx.max_level as usize + 1);
+                levels_seen.resize(levels_seen.len().max(level + 1), false);
+                levels_seen[level] = true;
+                let ef = [1, 10, 40, live + 7][step % 4];
+                let point: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                let ctx = if step % 3 == 0 {
+                    Ctx::at_node(items.as_slice(), &idx.tails, dim, rng.gen_range(0..live) as u32)
+                } else {
+                    Ctx { vecs: items.as_slice(), tails: &idx.tails, q: &point, qtail: 0.0 }
+                };
+                let on_level: Vec<u32> = (0..live as u32)
+                    .filter(|&id| idx.levels[id as usize] as usize >= level)
+                    .collect();
+                let mut eps: Vec<DistId> = (0..rng.gen_range(1..4))
+                    .map(|_| on_level[rng.gen_range(0..on_level.len())])
+                    .map(|id| DistId::new(ctx.dist(id), id))
+                    .collect();
+                if step % 5 == 0 {
+                    eps.push(eps[0]);
+                }
+                (search.hops, search.visited, oracle.hops, oracle.visited) = (0, 0, 0, 0);
+                search.search_layer(&ctx, &idx.links, level, ef, &eps);
+                oracle.oracle_search_layer(&ctx, &idx.links, level, ef, &eps);
+                let ids: Vec<u32> = eps.iter().map(|e| e.id()).collect();
+                let what = format!("seed {seed} step {step} level {level} ef {ef} entries {ids:?}");
+                assert_eq!(search.out, oracle.out, "{what}");
+                assert_eq!((search.hops, search.visited), (oracle.hops, oracle.visited), "{what}");
+                assert!(
+                    search.touched.is_empty() && search.seen.iter().all(|&w| w == 0),
+                    "{what}: bits left set"
+                );
+            }
+            assert!(levels_seen.iter().all(|&l| l), "seed {seed}: levels {levels_seen:?}");
+            assert_eq!(idx.n_items, n, "seed {seed}: the inserts ran out");
+        }
+    }
 
     /// The unpacked order, kept as the oracle: `total_cmp` on the distance,
     /// ties to the lower id.

@@ -214,7 +214,7 @@ pub struct ProbeScratch {
     /// skipped the shortlist re-rank.
     certified: bool,
     /// Graph-traversal state for [`crate::hnsw::HnswIndex`] probes (visited
-    /// stamps, frontier heaps); unused by the list-based backends.
+    /// bitset, frontier heaps); unused by the list-based backends.
     pub(crate) graph: crate::hnsw::GraphSearch,
 }
 

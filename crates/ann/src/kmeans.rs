@@ -95,17 +95,29 @@ pub(crate) fn assign_tailed(data: &Tensor, tail: Option<&[f32]>, centers: &Tenso
     assign
 }
 
-/// The index of the smallest distance, scanning in ascending order under a
-/// strict `<`: ties go to the lower centre.
+/// Lanes of [`nearest`]'s running minimum.
+const MIN_LANES: usize = 8;
+
+/// The index of the smallest distance, ties to the lower centre: the index
+/// an ascending scan under a strict `<` from `(0, +inf)` keeps. A lane-wise
+/// minimum (which vectorises; a NaN never replaces a lane, as it never wins
+/// a `<`) finds the value, then the first index equal to it is the one that
+/// scan keeps. When nothing is below `+inf` that scan keeps 0.
 #[inline(always)]
 fn nearest(dist: &[f32]) -> usize {
-    let mut best = (0usize, f32::INFINITY);
-    for (j, &d2) in dist.iter().enumerate() {
-        if d2 < best.1 {
-            best = (j, d2);
+    let mut lanes = [f32::INFINITY; MIN_LANES];
+    let chunks = dist.chunks_exact(MIN_LANES);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (m, &d2) in lanes.iter_mut().zip(chunk) {
+            *m = if d2 < *m { d2 } else { *m };
         }
     }
-    best.0
+    let min = lanes.iter().chain(rest).fold(f32::INFINITY, |m, &d2| if d2 < m { d2 } else { m });
+    if min == f32::INFINITY {
+        return 0;
+    }
+    dist.iter().position(|&d2| d2 == min).unwrap_or(0)
 }
 
 /// Lloyd k-means over the rows of `data`: `iters` assign/update rounds from
@@ -296,6 +308,45 @@ mod tests {
                     assign_serial_oracle(&data, &centers),
                     "k={k} d={d}"
                 );
+            }
+        }
+    }
+
+    /// The scalar argmin `nearest` replaced, kept as the oracle.
+    fn oracle_nearest(dist: &[f32]) -> usize {
+        let mut best = (0usize, f32::INFINITY);
+        for (j, &d2) in dist.iter().enumerate() {
+            if d2 < best.1 {
+                best = (j, d2);
+            }
+        }
+        best.0
+    }
+
+    /// Around the lane count and well past it: planted ties at pairs of
+    /// positions spread over the row (a NaN beside them), the minimum in the
+    /// remainder, rows of `+inf` alone or with one finite value, and all-NaN
+    /// rows (the scan never keeps a NaN).
+    #[test]
+    fn nearest_is_the_strict_scan() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for k in [1usize, 7, 8, 9, 31, 32, 33, 400] {
+            let base: Vec<f32> = (0..k).map(|_| rng.gen_range(1.0f32..100.0)).collect();
+            let mut rows = vec![base.clone(), vec![f32::INFINITY; k], vec![f32::NAN; k]];
+            for a in 0..k {
+                let mut finite = vec![f32::INFINITY; k];
+                finite[a] = 3.0;
+                rows.push(finite);
+                for b in (a..k).step_by(k.div_ceil(9)) {
+                    let mut tied = base.clone();
+                    (tied[a], tied[b]) = (0.5, 0.5);
+                    rows.push(tied.clone());
+                    tied[a.saturating_sub(1)] = f32::NAN;
+                    rows.push(tied);
+                }
+            }
+            for row in &rows {
+                assert_eq!(nearest(row), oracle_nearest(row), "k={k} row={row:?}");
             }
         }
     }
